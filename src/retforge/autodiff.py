@@ -4,12 +4,18 @@ Tensors form an explicit op graph; backward() walks it in reverse
 topological order and accumulates exact analytic gradients into the
 leaves. Ops never mutate forward values, and every op boundary rejects
 NaN/Inf so saturation bugs surface where they happen.
+
+Inside `no_grad()` ops compute the same values but record no graph: their
+outputs have no parents and no backward closure. The mode is per thread, so
+an inference pass on one thread never detaches a training graph on another.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from typing import Callable, Sequence
+import threading
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,11 +30,32 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
         raise DomainError(f"{where}: non-finite values rejected at op boundary")
 
 
+_grad_mode = threading.local()
+
+
+def grad_enabled() -> bool:
+    """False inside `no_grad()` on the calling thread."""
+    return getattr(_grad_mode, "enabled", True)
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph on this thread until the block exits (nesting allowed)."""
+    previous = grad_enabled()
+    _grad_mode.enabled = False
+    try:
+        yield
+    finally:
+        _grad_mode.enabled = previous
+
+
 class Tensor:
     """A node in the computation graph.
 
-    `data` is always a C-contiguous float64 array. `grad` stays None until
-    backward() reaches the node (Parameters keep a persistent grad buffer).
+    `data` is always a C-contiguous float64 array, checked for NaN/Inf once
+    here; `_op` names the producing op in that check's error. `grad` stays
+    None until backward() reaches the node (Parameters keep a persistent grad
+    buffer). Under `no_grad()` the parents and backward closure are dropped.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "meta")
@@ -39,11 +66,14 @@ class Tensor:
         requires_grad: bool = False,
         _parents: tuple["Tensor", ...] = (),
         _backward_fn: Callable[[np.ndarray], None] | None = None,
+        _op: str = "tensor",
     ):
         arr = np.asarray(values, dtype=np.float64)
         if not arr.flags.c_contiguous:  # ascontiguousarray would promote 0-d to 1-d
             arr = np.ascontiguousarray(arr)
-        _check_finite(arr, "tensor")
+        _check_finite(arr, _op)
+        if _parents and not grad_enabled():
+            _parents, _backward_fn = (), None
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
@@ -159,7 +189,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
-    _check_finite(out_data, "add")
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -167,7 +196,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g, b.shape))
 
-    return Tensor(out_data, _parents=(a, b), _backward_fn=backward)
+    return Tensor(out_data, _parents=(a, b), _backward_fn=backward, _op="add")
 
 
 def neg(a: Tensor) -> Tensor:
@@ -180,7 +209,6 @@ def neg(a: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
-    _check_finite(out_data, "mul")
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -188,7 +216,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
-    return Tensor(out_data, _parents=(a, b), _backward_fn=backward)
+    return Tensor(out_data, _parents=(a, b), _backward_fn=backward, _op="mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -212,7 +240,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
         )
     out_data = a.data @ b.data
-    _check_finite(out_data, "matmul")
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -222,7 +249,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             gb = np.swapaxes(a.data, -1, -2) @ g
             b.accumulate_grad(_unbroadcast(gb, b.shape))
 
-    return Tensor(out_data, _parents=(a, b), _backward_fn=backward)
+    return Tensor(out_data, _parents=(a, b), _backward_fn=backward, _op="matmul")
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -346,13 +373,12 @@ def log(a: Tensor) -> Tensor:
 
 def exp(a: Tensor) -> Tensor:
     out_data = np.exp(a.data)
-    _check_finite(out_data, "exp")
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             a.accumulate_grad(g * out_data)
 
-    return Tensor(out_data, _parents=(a,), _backward_fn=backward)
+    return Tensor(out_data, _parents=(a,), _backward_fn=backward, _op="exp")
 
 
 def power(a: Tensor, p: float) -> Tensor:
@@ -361,13 +387,12 @@ def power(a: Tensor, p: float) -> Tensor:
     if p != int(p) and (a.data <= 0).any():
         raise DomainError("power with non-integer exponent needs a positive base")
     out_data = a.data**p
-    _check_finite(out_data, "power")
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             a.accumulate_grad(g * p * a.data ** (p - 1.0))
 
-    return Tensor(out_data, _parents=(a,), _backward_fn=backward)
+    return Tensor(out_data, _parents=(a,), _backward_fn=backward, _op="power")
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -519,11 +544,10 @@ def sequence_log_prob(logits: Tensor, targets: np.ndarray) -> Tensor:
     bi = np.arange(b)[:, None]
     ti = np.arange(t)[None, :]
     out_data = log_probs[bi, ti, targets].sum(axis=1)
-    soft = np.exp(log_probs)
 
     def backward(g: np.ndarray) -> None:
         if logits.requires_grad:
-            buf = -soft * g[:, None, None]
+            buf = -np.exp(log_probs) * g[:, None, None]
             np.add.at(buf, (bi, ti, targets), g[:, None])
             logits.accumulate_grad(buf)
 

@@ -469,14 +469,11 @@ def cmd_retrieve(args) -> int:
     dual = DualEncoder.load(args.checkpoint)
     snapshot = load_index(args.index)
     tau = tau_value(args.tau_multiple, dual.config.hidden_size)
+    questions = _read_questions(args)
+    q_vecs = dual.embed_questions([corpus.vocab.encode(q) for q in questions])
     lines = []
-    for question in _read_questions(args):
-        result = top_k(
-            snapshot,
-            dual.encode_question(corpus.vocab.encode(question)).data,
-            k=args.k,
-            tau=tau,
-        )
+    for question, q_vec in zip(questions, q_vecs):
+        result = top_k(snapshot, q_vec, k=args.k, tau=tau)
         lines.append(json.dumps({
             "question": question,
             "doc_ids": list(result.doc_ids),

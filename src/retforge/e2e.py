@@ -156,6 +156,7 @@ class InferenceResult:
     all_empty: bool = False
 
 
+@ad.no_grad()
 def individual_topk_infer(
     question_tokens: Sequence[int],
     retriever: DualEncoder,
@@ -170,7 +171,7 @@ def individual_topk_infer(
     candidate with the highest marginal likelihood over the whole set.
 
     Duplicate candidates are scored once; ties go to the candidate first
-    produced by a higher-ranked document.
+    produced by a higher-ranked document. Records no graph.
     """
     q_vec = retriever.encode_question(question_tokens).data
     retrieved = top_k(snapshot, q_vec, k=k, tau=tau)
@@ -202,6 +203,7 @@ def individual_topk_infer(
     )
 
 
+@ad.no_grad()
 def joint_topk_infer(
     question_tokens: Sequence[int],
     retriever: DualEncoder,
@@ -212,7 +214,7 @@ def joint_topk_infer(
     tau: float,
     max_len: int | None = None,
 ) -> InferenceResult:
-    """One greedy decode fused over all k retrieved contexts."""
+    """One greedy decode fused over all k retrieved contexts; records no graph."""
     q_vec = retriever.encode_question(question_tokens).data
     retrieved = top_k(snapshot, q_vec, k=k, tau=tau)
     contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
@@ -288,7 +290,8 @@ def train_e2e(
                 answer = example.answers[int(rng.integers(len(example.answers)))]
                 question = corpus.vocab.encode(example.question)
                 answer_tokens = corpus.vocab.encode(answer)
-                q_vec = retriever.encode_question(question).data
+                with ad.no_grad():  # the search only reads the vector
+                    q_vec = retriever.encode_question(question).data
                 retrieved = top_k(snapshot, q_vec, k=k, tau=tau)
                 losses.append(
                     loss_fn(question, answer_tokens, retrieved, corpus, retriever, reader, tau)
@@ -358,8 +361,6 @@ def evaluate_retrieval(
     tau: float,
 ) -> dict[int, float]:
     """Top-k answer-containment accuracy for the current retriever."""
-    results = []
-    for example in examples:
-        q_vec = retriever.encode_question(corpus.vocab.encode(example.question)).data
-        results.append(top_k(snapshot, q_vec, k=max(ks), tau=tau))
+    q_vecs = retriever.embed_questions([corpus.vocab.encode(ex.question) for ex in examples])
+    results = [top_k(snapshot, q_vec, k=max(ks), tau=tau) for q_vec in q_vecs]
     return topk_accuracy(results, examples, corpus, ks)

@@ -2,9 +2,14 @@
 pre-norm transformer pooled at the first position, scored by dot product.
 
 The towers share no parameters, so either side can be frozen without
-touching the other. Single-sequence encoding is the bit-exact path used for
-indexing and retrieval; padded batch encoding exists for training throughput
-and carries no bitwise contract.
+touching the other. Every encode goes through `encode_batch`; `encode` is its
+one-row case. Inference (`embed`) runs it under `autodiff.no_grad()` over
+chunks of equal-length sequences, and each vector it returns equals the
+sequence's own `encode` bit for bit, for any chunk size and layer count. A
+padded batch of mixed lengths does not have that property: its rows differ
+from the one-row vectors in the last bits (measured up to ~1e-15), which is
+why inference never pads. Training batches stay padded and keep the full
+forward; their contract is the gradient, checked by finite differences.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from .text import CLS_ID, PAD_ID, SEP_ID, Vocabulary
 
 INIT_STD = 0.02
 LN_EPS = 1e-5
+# padded tokens per inference chunk in `embed`; bounds activation memory
+CHUNK_TOKENS = 256
 
 
 @dataclass(frozen=True)
@@ -112,6 +119,7 @@ class TransformerEncoder:
         return list(self.params.values())
 
     def _attention(self, h: ad.Tensor, i: int, mask: np.ndarray) -> ad.Tensor:
+        """Multi-head attention mix of every position, before the output projection."""
         cfg = self.config
         d, n_heads = cfg.hidden_size, cfg.heads
         dh = d // n_heads
@@ -126,16 +134,21 @@ class TransformerEncoder:
         v = heads(ad.matmul(h, p[f"layer{i}.wv"]) + p[f"layer{i}.wv_b"])
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         weights = ad.softmax(scores, mask=mask)
-        mixed = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (b, t, d))
-        return ad.matmul(mixed, p[f"layer{i}.wo"]) + p[f"layer{i}.wo_b"]
+        return ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (b, t, d))
 
     def _ffn(self, h: ad.Tensor, i: int) -> ad.Tensor:
         p = self.params
         inner = ad.gelu(ad.matmul(h, p[f"layer{i}.w1"]) + p[f"layer{i}.w1_b"])
         return ad.matmul(inner, p[f"layer{i}.w2"]) + p[f"layer{i}.w2_b"]
 
-    def forward(self, token_ids: np.ndarray) -> ad.Tensor:
-        """(B, T) padded int ids -> (B, T, d) hidden states."""
+    def forward(self, token_ids: np.ndarray, pooled: bool = False) -> ad.Tensor:
+        """(B, T) padded int ids -> (B, T, d) hidden states, or with `pooled`
+        the (B, d) states at position 0.
+
+        Pooled under `ad.no_grad()`, the last layer still attends over every
+        position, but its output projection, residual, FFN and the final
+        layer norm run only on the rows that are pooled (see `_pooled_rows`).
+        """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
             raise DimensionError("forward expects a (batch, time) id matrix")
@@ -151,24 +164,29 @@ class TransformerEncoder:
         # additive mask: [PAD] key positions get MASK_NEG in every attention row
         pad_cols = (token_ids == PAD_ID)[:, None, None, :]
         mask = np.where(pad_cols, ad.MASK_NEG, 0.0)
+        narrow = pooled and not ad.grad_enabled()
+        last = self.config.layers - 1
         for i in range(self.config.layers):
-            h = h + self._attention(layer_norm(h, p[f"layer{i}.ln1_g"], p[f"layer{i}.ln1_b"]), i, mask)
+            mixed = self._attention(layer_norm(h, p[f"layer{i}.ln1_g"], p[f"layer{i}.ln1_b"]), i, mask)
+            if narrow and i == last:
+                h, mixed = _pooled_rows(h), _pooled_rows(mixed)
+            h = h + (ad.matmul(mixed, p[f"layer{i}.wo"]) + p[f"layer{i}.wo_b"])
             h = h + self._ffn(layer_norm(h, p[f"layer{i}.ln2_g"], p[f"layer{i}.ln2_b"]), i)
-        return layer_norm(h, p["final_ln_g"], p["final_ln_b"])
+        h = layer_norm(h, p["final_ln_g"], p["final_ln_b"])
+        if narrow:
+            return ad.Tensor(h.data.reshape(b, -1, self.config.hidden_size)[:, 0])
+        return ad.take_position(h, 0) if pooled else h
 
     def encode(self, token_ids: Sequence[int]) -> ad.Tensor:
-        """Single sequence -> pooled (d,) vector; deterministic and batch-free."""
+        """Single sequence -> pooled (d,) vector: a one-row `encode_batch`.
+
+        A sequence cut to max_seq_len records its original length in
+        `meta["truncated_from"]`.
+        """
         ids = list(token_ids)
-        truncated_from = None
+        pooled = ad.reshape(self.encode_batch([ids]), (self.config.hidden_size,))
         if len(ids) > self.config.max_seq_len:
-            truncated_from = len(ids)
-            ids = ids[: self.config.max_seq_len]
-        if not ids:
-            raise DomainError("cannot encode an empty token sequence")
-        h = self.forward(np.array([ids], dtype=np.int64))
-        pooled = ad.reshape(ad.take_position(h, 0), (self.config.hidden_size,))
-        if truncated_from is not None:
-            pooled.meta = {"truncated_from": truncated_from}
+            pooled.meta = {"truncated_from": len(ids)}
         return pooled
 
     def encode_batch(self, sequences: Sequence[Sequence[int]]) -> ad.Tensor:
@@ -185,7 +203,42 @@ class TransformerEncoder:
         ids = np.full((len(clipped), t), PAD_ID, dtype=np.int64)
         for row, seq in enumerate(clipped):
             ids[row, : len(seq)] = seq
-        return ad.take_position(self.forward(ids), 0)
+        return self.forward(ids, pooled=True)
+
+    def embed(self, sequences: Sequence[Sequence[int]]) -> np.ndarray:
+        """Inference: (N, d) pooled float64 vectors in input order, no graph.
+
+        Sequences are grouped by (truncated) length and encoded in chunks of
+        at most CHUNK_TOKENS tokens (or one longer sequence), so no chunk
+        holds padding and every row equals `encode(seq).data` bit for bit.
+        """
+        by_length: dict[int, list[int]] = {}
+        for row, seq in enumerate(sequences):
+            by_length.setdefault(min(len(seq), self.config.max_seq_len), []).append(row)
+        out = np.empty((len(sequences), self.config.hidden_size))
+        with ad.no_grad():
+            for length, rows in by_length.items():
+                size = max(1, CHUNK_TOKENS // max(length, 1))
+                for lo in range(0, len(rows), size):
+                    chunk = rows[lo:lo + size]
+                    out[chunk] = self.encode_batch([sequences[r] for r in chunk]).data
+        return out
+
+
+def _pooled_rows(x: ad.Tensor) -> ad.Tensor:
+    """Position-0 rows of a (B, T, d) no-grad activation, shaped so that the
+    last layer's matmuls round exactly as they do over all T positions.
+
+    numpy sends a one-row 2-D matmul down BLAS gemv, which rounds differently
+    from the gemm a T >= 2 sequence gets, so a lone sequence keeps positions
+    0 and 1 (row 0 is pooled). At T = 1 the full forward already runs gemv per
+    sequence, so the rows stay (B, 1, d).
+    """
+    b, t, d = x.shape
+    if t == 1:
+        return x
+    rows = 2 if b == 1 else 1
+    return ad.Tensor(x.data[:, :rows].reshape(b * rows, d))
 
 
 def question_input(question_tokens: Sequence[int]) -> list[int]:
@@ -210,6 +263,10 @@ class DualEncoder:
 
     def encode_question(self, question_tokens: Sequence[int]) -> ad.Tensor:
         return self.question_encoder.encode(question_input(question_tokens))
+
+    def embed_questions(self, questions: Sequence[Sequence[int]]) -> np.ndarray:
+        """Inference: (N, d) question vectors, each equal to `encode_question`."""
+        return self.question_encoder.embed([question_input(q) for q in questions])
 
     def encode_context(
         self, title_tokens: Sequence[int], text_tokens: Sequence[int]

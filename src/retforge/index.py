@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import context_input
 from .errors import DimensionError, DomainError, FormatError
 
 MAGIC = b"RIDX1\x00\x00\x00"
@@ -90,19 +91,20 @@ def top_k(snapshot: IndexSnapshot, q_vec: np.ndarray, k: int, tau: float) -> Ret
 def build_snapshot(dual_encoder, corpus, version: int = 0) -> IndexSnapshot:
     """Embed every corpus document with the context tower.
 
-    Documents are encoded one at a time on the batch-free path, so a rebuild
-    with unchanged parameters reproduces the matrix bit for bit.
+    Documents go through `TransformerEncoder.embed`: graph-free, in chunks of
+    equal-length inputs. Each float64 vector equals the document's own
+    `encode_document` bit for bit before the float32 cast, so a rebuild with
+    unchanged parameters reproduces the matrix exactly.
     """
     if len(corpus) == 0:
         raise DomainError("cannot index an empty corpus")
-    rows = [
-        dual_encoder.encode_document(doc, corpus.vocab).data.astype(np.float32)
-        for doc in corpus
-    ]
+    vectors = dual_encoder.context_encoder.embed([
+        context_input(corpus.vocab.encode(doc.title), doc.tokens) for doc in corpus
+    ])
     return IndexSnapshot(
         version=version,
         doc_ids=np.array([doc.id for doc in corpus], dtype=np.int64),
-        embeddings=np.stack(rows),
+        embeddings=vectors.astype(np.float32),
     )
 
 

@@ -137,9 +137,9 @@ def _positive_rank_accuracy(
 ) -> float:
     """Fraction of examples whose own positive document ranks first."""
     snapshot = build_snapshot(dual, corpus)
+    q_vecs = dual.embed_questions([corpus.vocab.encode(ex.question) for ex in dataset])
     hits = 0
-    for example in dataset:
-        q_vec = dual.encode_question(corpus.vocab.encode(example.question)).data
+    for example, q_vec in zip(dataset, q_vecs):
         result = top_k(snapshot, q_vec, k=1, tau=tau)
         hits += int(result.doc_ids[0] == example.positive_ctx)
     return hits / len(dataset)
@@ -301,7 +301,8 @@ def train_salient_spans(
         for pick in picks:
             doc, ann = annotated[int(pick)]
             masked_query, span_tokens = mask_salient_spans(doc, ann, corpus.vocab, rng)
-            q_vec = retriever.encode_question(masked_query).data
+            with ad.no_grad():  # the search only reads the vector
+                q_vec = retriever.encode_question(masked_query).data
             retrieved = top_k(snapshot, q_vec, k=k, tau=tau)
             losses.append(
                 individual_topk_loss(

@@ -4,6 +4,7 @@ Oracle values were computed by hand / with standalone scripts before the
 implementation and are frozen as literals here.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -20,6 +21,83 @@ def test_tensor_rejects_non_finite():
         ad.Tensor([1.0, float("nan")])
     with pytest.raises(DomainError):
         ad.Tensor([float("inf")])
+
+
+OPS_CHECKED_BY_NAME = {
+    "add": lambda a, b: ad.add(a, b),
+    "mul": lambda a, b: ad.mul(a, b),
+    "matmul": lambda a, b: ad.matmul(a, b),
+    "exp": lambda a, b: ad.exp(a),
+    "power": lambda a, b: ad.power(a, 2.0),
+}
+
+
+@pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+@pytest.mark.parametrize("op", sorted(OPS_CHECKED_BY_NAME))
+def test_op_output_checked_once_and_named(op, grad, monkeypatch):
+    fn = OPS_CHECKED_BY_NAME[op]
+    a = ad.Parameter(np.full((2, 2), 0.5), name="a")
+    b = ad.Parameter(np.full((2, 2), 0.25), name="b")
+    scans = []
+    real_check = ad._check_finite
+
+    def counting_check(arr, where):
+        scans.append(where)
+        real_check(arr, where)
+
+    monkeypatch.setattr(ad, "_check_finite", counting_check)
+    with ad.no_grad() if not grad else contextlib.nullcontext():
+        fn(a, b)
+        assert scans == [op]  # one scan of the output, under the op's name
+        a.data[0, 0] = np.nan  # a NaN that bypassed construction reaches the op
+        with pytest.raises(DomainError, match=f"^{op}: non-finite"):
+            fn(a, b)
+
+
+# No-grad mode ------------------------------------------------------------
+
+
+def _small_graph(w: ad.Parameter) -> ad.Tensor:
+    h = ad.gelu(ad.matmul(ad.Tensor(np.ones((2, 3))), w))
+    return ad.reduce_sum(ad.softmax(h) * h)
+
+
+def test_no_grad_outputs_are_detached():
+    w = ad.Parameter(np.linspace(-1.0, 1.0, 6).reshape(3, 2), name="w")
+    with_graph = _small_graph(w)
+    with ad.no_grad():
+        assert not ad.grad_enabled()
+        out = _small_graph(w)
+    assert out._parents == () and out._backward_fn is None
+    assert not out.requires_grad
+    assert out.item() == with_graph.item()  # same values, bit for bit
+    out.backward()
+    np.testing.assert_array_equal(w.grad, np.zeros_like(w.data))
+    with_graph.backward()
+    assert np.abs(w.grad).sum() > 0
+    with ad.no_grad():
+        assert ad.Parameter(np.ones(2), name="p").requires_grad  # leaves keep the flag
+
+
+def test_no_grad_restored_after_nesting_and_exceptions():
+    assert ad.grad_enabled()
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not ad.grad_enabled()
+        assert not ad.grad_enabled()  # the inner exit restores the outer mode
+    assert ad.grad_enabled()
+    with pytest.raises(DomainError):
+        with ad.no_grad():
+            ad.log(ad.Tensor([-1.0]))
+    assert ad.grad_enabled()
+
+    @ad.no_grad()
+    def failing():
+        raise ValueError("boom")
+
+    with pytest.raises(ValueError):
+        failing()
+    assert ad.grad_enabled()
 
 
 def test_square_gradient_hand_value():

@@ -291,6 +291,25 @@ def test_joint_infer_k1_matches_single_greedy():
     assert result.candidates == (result.answer,)
 
 
+def test_inference_entry_points_record_no_graph(monkeypatch):
+    corpus, retriever, reader, index = make_world()
+    seen = []
+    for name in ("greedy_decode", "answer_log_likelihood", "joint_greedy_decode"):
+        def recording(*args, _original=getattr(reader, name), **kwargs):
+            seen.append(ad.grad_enabled())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(reader, name, recording)
+    question = corpus.vocab.encode(DATASET[0].question)
+    tau = e2e.tau_value(1.0, 16)
+    for infer in (e2e.individual_topk_infer, e2e.joint_topk_infer):
+        result = infer(question, retriever, reader, index.snapshot, corpus, k=2, tau=tau)
+        q_vec = retriever.encode_question(question).data  # with a graph, outside
+        assert result.retrieved == top_k(index.snapshot, q_vec, k=2, tau=tau)
+    assert len(seen) >= 3 and not any(seen)
+    assert ad.grad_enabled()
+
+
 # Training loop ---------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import pytest
 from retforge import autodiff as ad
 from retforge.checkpoint import load_checkpoint, save_checkpoint
 from retforge.encoder import (
+    CHUNK_TOKENS,
     DualEncoder,
     EncoderConfig,
     context_input,
@@ -12,7 +13,7 @@ from retforge.encoder import (
     truncated_normal,
 )
 from retforge.errors import DimensionError, DomainError, FormatError
-from retforge.text import CLS_ID, SEP_ID
+from retforge.text import CLS_ID, PAD_ID, SEP_ID
 
 TINY = EncoderConfig(vocab_size=16, layers=1, hidden_size=8, heads=2, max_seq_len=8)
 
@@ -102,6 +103,63 @@ def test_batch_matches_single_encodings():
         np.testing.assert_allclose(
             batch.data[i], model.question_encoder.encode(seq).data, atol=1e-12
         )
+
+
+# Inference encode: bitwise oracle -------------------------------------------
+
+
+def reference_pooled(encoder, seq) -> np.ndarray:
+    """The reference: the full forward over one sequence, with a graph, then
+    position 0 taken."""
+    ids = np.array([list(seq)[: encoder.config.max_seq_len]], dtype=np.int64)
+    return ad.take_position(encoder.forward(ids), 0).data[0]
+
+
+def oracle_sequences(rng, n, max_len):
+    lengths = list(rng.integers(1, max_len + 6, size=n)) + [1, 1, 2, 2, 2]
+    return [[CLS_ID] + [int(x) for x in rng.integers(7, 40, size=int(t) - 1)] for t in lengths]
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_inference_encode_matches_reference_bitwise(layers):
+    config = EncoderConfig(vocab_size=40, layers=layers, hidden_size=16, heads=2, max_seq_len=24)
+    encoder = DualEncoder(config, seed=layers).context_encoder
+    seqs = oracle_sequences(np.random.default_rng(layers), 120, 24)
+    want = np.stack([reference_pooled(encoder, s) for s in seqs])
+    # equal-length chunks with B >= 2, a lone [CLS] included
+    np.testing.assert_array_equal(encoder.embed(seqs), want)
+    for length in (1, 2, 9):
+        same = [s for s in seqs if len(s) == length]
+        assert len(same) >= 2
+        with ad.no_grad():
+            chunk = encoder.encode_batch(same).data
+        np.testing.assert_array_equal(chunk, want[[len(s) == length for s in seqs]])
+    # one-row calls on mixed lengths, with and without a graph
+    for seq, row in zip(seqs, want):
+        np.testing.assert_array_equal(encoder.encode(seq).data, row)
+        with ad.no_grad():
+            np.testing.assert_array_equal(encoder.encode(seq).data, row)
+
+
+def test_embed_chunks_are_unpadded_and_bounded(monkeypatch):
+    config = EncoderConfig(vocab_size=40, layers=1, hidden_size=8, heads=2, max_seq_len=64)
+    encoder = DualEncoder(config, seed=0).question_encoder
+    seqs = oracle_sequences(np.random.default_rng(5), 300, 64)
+    shapes = []
+    forward = encoder.forward
+
+    def recording_forward(token_ids, pooled=False):
+        assert not ad.grad_enabled()
+        assert (token_ids != PAD_ID).all()
+        shapes.append(token_ids.shape)
+        return forward(token_ids, pooled)
+
+    monkeypatch.setattr(encoder, "forward", recording_forward)
+    out = encoder.embed(seqs)
+    assert out.shape == (len(seqs), 8)
+    assert sum(b for b, _ in shapes) == len(seqs)
+    assert all(b * t <= CHUNK_TOKENS for b, t in shapes)
+    assert ad.grad_enabled()
 
 
 def test_truncated_normal_bounds():

@@ -3,8 +3,9 @@ import threading
 import numpy as np
 import pytest
 
+from retforge import autodiff as ad
 from retforge import data as D
-from retforge.encoder import DualEncoder, EncoderConfig
+from retforge.encoder import DualEncoder, EncoderConfig, context_input
 from retforge.errors import DimensionError, DomainError, FormatError
 from retforge.index import (
     EvidenceIndex,
@@ -114,6 +115,55 @@ def test_build_snapshot_matches_context_encoder(small_corpus):
         expected = model.encode_document(doc, small_corpus.vocab).data
         # rows are stored at index precision: equality holds after the cast
         np.testing.assert_array_equal(snap.embeddings[i], expected.astype(np.float32))
+
+
+def test_build_snapshot_float64_rows_match_reference(small_corpus):
+    # the rows before the float32 cast equal the one-document full forward bit for bit
+    model = DualEncoder(TINY, seed=0)
+    inputs = [context_input(small_corpus.vocab.encode(d.title), d.tokens) for d in small_corpus]
+    vectors = model.context_encoder.embed(inputs)
+    for row, seq in zip(vectors, inputs):
+        ids = np.array([seq[: TINY.max_seq_len]])
+        np.testing.assert_array_equal(row, model.context_encoder.forward(ids).data[0, 0])
+    np.testing.assert_array_equal(
+        build_snapshot(model, small_corpus).embeddings, vectors.astype(np.float32)
+    )
+
+
+def test_build_snapshot_rejects_nan_parameter(small_corpus):
+    model = DualEncoder(TINY, seed=0)
+    model.context_encoder.params["layer0.w1"].data[0, 0] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        build_snapshot(model, small_corpus)
+
+
+def test_build_snapshot_on_another_thread_keeps_main_thread_graph(small_corpus, monkeypatch):
+    model = DualEncoder(TINY, seed=0)
+    inside, release = threading.Event(), threading.Event()
+    forward = model.context_encoder.forward
+
+    def paused_forward(token_ids, pooled=False):
+        inside.set()  # the builder thread is now in no-grad mode
+        assert release.wait(timeout=30)
+        return forward(token_ids, pooled)
+
+    monkeypatch.setattr(model.context_encoder, "forward", paused_forward)
+    built = []
+    worker = threading.Thread(target=lambda: built.append(build_snapshot(model, small_corpus)))
+    worker.start()
+    try:
+        assert inside.wait(timeout=30)
+        assert ad.grad_enabled()
+        q = model.encode_question([7, 8])
+        assert q.requires_grad
+        ad.reduce_sum(ad.mul(q, q)).backward()
+        assert all(np.abs(p.grad).sum() > 0 for p in model.question_encoder.parameters()
+                   if p.name.endswith(("wq", "w1", "final_ln_g")))
+    finally:
+        release.set()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert built and built[0].size == len(small_corpus)
 
 
 def test_rebuild_with_unchanged_encoder_is_identical(small_corpus):
