@@ -170,26 +170,26 @@ def individual_topk_infer(
     """Greedy-decode one candidate per retrieved document, then pick the
     candidate with the highest marginal likelihood over the whole set.
 
-    Duplicate candidates are scored once; ties go to the candidate first
-    produced by a higher-ranked document. Records no graph.
+    Each retrieved document is encoded once: greedy decoding runs every
+    document in one decoder call per step, and scoring every (candidate,
+    document) pair in one call per length group, with results equal bit for
+    bit to decoding and scoring each pair on its own. Duplicate candidates
+    are scored once; ties go to the candidate first produced by a
+    higher-ranked document. Records no graph.
     """
     q_vec = retriever.encode_question(question_tokens).data
     retrieved = top_k(snapshot, q_vec, k=k, tau=tau)
+    contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
+    groups = reader.memory_groups(question_tokens, contexts)
     candidates: list[tuple[int, ...]] = []
-    for doc_id in retrieved.doc_ids:
-        tokens = tuple(
-            reader.greedy_decode(question_tokens, corpus.by_id[doc_id].tokens, max_len)
-        )
+    for tokens in map(tuple, reader.decode_groups(groups, max_len)):
         if tokens not in candidates:
             candidates.append(tokens)
+    log_liks = reader.score_groups(groups, [with_eos(list(c)) for c in candidates])
     marginals = []
-    for cand in candidates:
-        scored = with_eos(list(cand))
+    for row in log_liks:
         total = 0.0
-        for doc_id, prob in zip(retrieved.doc_ids, retrieved.probs):
-            ll = reader.answer_log_likelihood(
-                question_tokens, corpus.by_id[doc_id].tokens, scored
-            ).item()
+        for ll, prob in zip(row.tolist(), retrieved.probs):
             total += math.exp(ll) * prob
         marginals.append(total)
     best = max(range(len(candidates)), key=lambda i: (marginals[i], -i))

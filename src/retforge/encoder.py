@@ -212,17 +212,23 @@ class TransformerEncoder:
         at most CHUNK_TOKENS tokens (or one longer sequence), so no chunk
         holds padding and every row equals `encode(seq).data` bit for bit.
         """
-        by_length: dict[int, list[int]] = {}
-        for row, seq in enumerate(sequences):
-            by_length.setdefault(min(len(seq), self.config.max_seq_len), []).append(row)
+        cap = self.config.max_seq_len
         out = np.empty((len(sequences), self.config.hidden_size))
         with ad.no_grad():
-            for length, rows in by_length.items():
+            for length, rows in group_by_length(min(len(s), cap) for s in sequences).items():
                 size = max(1, CHUNK_TOKENS // max(length, 1))
                 for lo in range(0, len(rows), size):
                     chunk = rows[lo:lo + size]
                     out[chunk] = self.encode_batch([sequences[r] for r in chunk]).data
         return out
+
+
+def group_by_length(lengths) -> dict[int, list[int]]:
+    """Positions grouped by length, groups in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for position, length in enumerate(lengths):
+        groups.setdefault(length, []).append(position)
+    return groups
 
 
 def _pooled_rows(x: ad.Tensor) -> ad.Tensor:

@@ -6,10 +6,11 @@ import pytest
 from retforge import autodiff as ad
 from retforge import e2e
 from retforge.data import Corpus, QAExample
-from retforge.encoder import DualEncoder, EncoderConfig
+from retforge.encoder import DualEncoder, EncoderConfig, layer_norm
 from retforge.errors import ConfigError, DomainError
 from retforge.index import EvidenceIndex, top_k
 from retforge.reader import Reader, ReaderConfig, with_eos
+from retforge.text import BOS_ID, EOS_ID
 
 DOCS = [
     {"id": 0, "title": "red stone", "text": "The red stone rests in the north tower."},
@@ -293,21 +294,289 @@ def test_joint_infer_k1_matches_single_greedy():
 
 def test_inference_entry_points_record_no_graph(monkeypatch):
     corpus, retriever, reader, index = make_world()
-    seen = []
-    for name in ("greedy_decode", "answer_log_likelihood", "joint_greedy_decode"):
-        def recording(*args, _original=getattr(reader, name), **kwargs):
-            seen.append(ad.grad_enabled())
+    seen = {"_encode_groups": [], "_decode_logits": []}
+    for name, calls in seen.items():
+        def recording(*args, _original=getattr(reader, name), _calls=calls, **kwargs):
+            _calls.append(ad.grad_enabled())
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(reader, name, recording)
     question = corpus.vocab.encode(DATASET[0].question)
     tau = e2e.tau_value(1.0, 16)
     for infer in (e2e.individual_topk_infer, e2e.joint_topk_infer):
+        before = {name: len(calls) for name, calls in seen.items()}
         result = infer(question, retriever, reader, index.snapshot, corpus, k=2, tau=tau)
         q_vec = retriever.encode_question(question).data  # with a graph, outside
         assert result.retrieved == top_k(index.snapshot, q_vec, k=2, tau=tau)
-    assert len(seen) >= 3 and not any(seen)
+        # each mode reaches the grouped encode and the shared decoder
+        assert all(len(calls) > before[name] for name, calls in seen.items())
+    assert not any(any(calls) for calls in seen.values())
     assert ad.grad_enabled()
+
+
+# Bitwise oracles for the reader ------------------------------------------------
+
+
+def reference_decode_logits(reader, memory, bias, decoder_input):
+    """The one-row decoder that the batched one replaced: (T_mem, d) memory,
+    (T_dec,) ids -> (T_dec, vocab) logits, projecting the memory through
+    ck/cv in every layer of every call."""
+    cfg = reader.config
+    p = reader.dec_params
+    dh = cfg.hidden_size // cfg.heads
+
+    def heads(x):
+        return ad.transpose(ad.reshape(x, (x.shape[0], cfg.heads, dh)), (1, 0, 2))
+
+    def merge(x):
+        h, t, dh = x.shape
+        return ad.reshape(ad.transpose(x, (1, 0, 2)), (t, h * dh))
+
+    t_dec = len(decoder_input)
+    ids = np.asarray(decoder_input, dtype=np.int64)
+    h = ad.embedding(p["token_emb"], ids) + ad.embedding(p["pos_emb"], np.arange(t_dec))
+    causal = np.where(np.triu(np.ones((t_dec, t_dec), dtype=bool), k=1), ad.MASK_NEG, 0.0)
+    for i in range(cfg.dec_layers):
+        x = layer_norm(h, p[f"layer{i}.ln1_g"], p[f"layer{i}.ln1_b"])
+        q = heads(ad.matmul(x, p[f"layer{i}.wq"]) + p[f"layer{i}.wq_b"])
+        k = heads(ad.matmul(x, p[f"layer{i}.wk"]) + p[f"layer{i}.wk_b"])
+        v = heads(ad.matmul(x, p[f"layer{i}.wv"]) + p[f"layer{i}.wv_b"])
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+        self_out = merge(ad.matmul(ad.softmax(scores, mask=causal), v))
+        h = h + (ad.matmul(self_out, p[f"layer{i}.wo"]) + p[f"layer{i}.wo_b"])
+
+        x = layer_norm(h, p[f"layer{i}.lnc_g"], p[f"layer{i}.lnc_b"])
+        q = heads(ad.matmul(x, p[f"layer{i}.cq"]) + p[f"layer{i}.cq_b"])
+        k = heads(ad.matmul(memory, p[f"layer{i}.ck"]) + p[f"layer{i}.ck_b"])
+        v = heads(ad.matmul(memory, p[f"layer{i}.cv"]) + p[f"layer{i}.cv_b"])
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(dh))
+        if bias is not None:
+            scores = scores + bias
+        cross_out = merge(ad.matmul(ad.softmax(scores), v))
+        h = h + (ad.matmul(cross_out, p[f"layer{i}.co"]) + p[f"layer{i}.co_b"])
+
+        x = layer_norm(h, p[f"layer{i}.ln2_g"], p[f"layer{i}.ln2_b"])
+        inner = ad.gelu(ad.matmul(x, p[f"layer{i}.w1"]) + p[f"layer{i}.w1_b"])
+        h = h + (ad.matmul(inner, p[f"layer{i}.w2"]) + p[f"layer{i}.w2_b"])
+    h = layer_norm(h, p["final_ln_g"], p["final_ln_b"])
+    return ad.matmul(h, p["out_proj"]) + p["out_proj_b"]
+
+
+def reference_log_likelihood(reader, memory, bias, answer):
+    logits = reference_decode_logits(reader, memory, bias, [BOS_ID] + list(answer[:-1]))
+    t, v = logits.shape
+    out = ad.sequence_log_prob(ad.reshape(logits, (1, t, v)), np.asarray([answer]))
+    return ad.reshape(out, ())
+
+
+def reference_greedy(reader, memory, bias, max_len):
+    cap = reader.config.max_answer_len - 1 if max_len is None else max_len
+    generated = []
+    for _ in range(min(cap, reader.config.max_answer_len - 1)):
+        logits = reference_decode_logits(reader, memory, bias, [BOS_ID] + generated)
+        next_id = int(np.argmax(logits.data[-1]))
+        if next_id == EOS_ID:
+            break
+        generated.append(next_id)
+    return generated
+
+
+def reference_fusion_memory(reader, question, contexts, probs):
+    """Fused memory from one encode per context, with the lambda * p bias."""
+    encoded = [reader.encode_pair(question, z) for z in contexts]
+    memory = ad.concat(encoded, axis=0) if len(encoded) > 1 else encoded[0]
+    lengths = [e.shape[0] for e in encoded]
+    spread = np.zeros((sum(lengths), len(contexts)))
+    lo = 0
+    for i, n in enumerate(lengths):
+        spread[lo:lo + n, i] = 1.0
+        lo += n
+    probs_t = probs if isinstance(probs, ad.Tensor) else ad.Tensor(np.asarray(probs))
+    per_position = ad.matmul(
+        ad.Tensor(spread),
+        ad.reshape(ad.mul(reader.lambda_bias, probs_t), (len(contexts), 1)),
+    )
+    shift = float(-(float(reader.lambda_bias.data) * probs_t.data).max())
+    bias = ad.reshape(per_position, (sum(lengths),)) + ad.Tensor(np.array(shift))
+    return memory, bias
+
+
+def reference_individual_infer(question, retriever, reader, snapshot, corpus, k, tau, max_len):
+    """The per-pair loop: one greedy decode per document, then one
+    likelihood per (candidate, document), each encoding its pair afresh."""
+    retrieved = top_k(snapshot, retriever.encode_question(question).data, k=k, tau=tau)
+    contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
+    candidates = []
+    for z in contexts:
+        tokens = tuple(reference_greedy(reader, reader.encode_pair(question, z), None, max_len))
+        if tokens not in candidates:
+            candidates.append(tokens)
+    marginals = []
+    for cand in candidates:
+        total = 0.0
+        for z, prob in zip(contexts, retrieved.probs):
+            memory = reader.encode_pair(question, z)
+            ll = reference_log_likelihood(reader, memory, None, with_eos(list(cand)))
+            total += math.exp(ll.item()) * prob
+        marginals.append(total)
+    best = max(range(len(candidates)), key=lambda i: (marginals[i], -i))
+    strings = tuple(corpus.vocab.decode(c) for c in candidates)
+    return strings[best], strings, tuple(marginals), retrieved
+
+
+WORDS = "amber birch cedar dune ember fjord grove heron iris jade kelp lark moss".split()
+# token counts 2..31 against a reader max_seq_len of 20: the longer inputs are
+# cut to one shared length, the shorter ones keep lengths of their own
+MIXED_DOCS = [
+    {
+        "id": i,
+        "title": f"{WORDS[i]} {WORDS[-1 - i]}",
+        "text": " ".join(WORDS[(3 * i + j) % len(WORDS)] for j in range(n)),
+    }
+    for i, n in enumerate([2, 5, 9, 13, 13, 18, 26, 31])
+]
+MIXED_QUESTIONS = ["where is the amber birch ?", "what kelp grows by the jade dune ?", "heron"]
+# an [EOS] logit bias at which the sharpened random reader stops some
+# documents early and runs others to the cap
+EOS_BIAS = {1: 2.0, 2: 1.9}
+
+
+def make_mixed_world(dec_layers):
+    corpus = Corpus.build(MIXED_DOCS)
+    v = len(corpus.vocab)
+    retriever = DualEncoder(
+        EncoderConfig(vocab_size=v, layers=1, hidden_size=16, heads=2, max_seq_len=32), seed=3
+    )
+    reader = Reader(
+        ReaderConfig(
+            vocab_size=v, enc_layers=1, dec_layers=dec_layers, hidden_size=16, heads=2,
+            max_seq_len=20, max_answer_len=6,
+        ),
+        seed=dec_layers,
+    )
+    reader.dec_params["out_proj"].data *= 30
+    reader.dec_params["out_proj_b"].data[EOS_ID] = EOS_BIAS[dec_layers]
+    reader.lambda_bias.data = np.asarray(0.7)
+    index = EvidenceIndex(corpus)
+    index.build(retriever)
+    return corpus, retriever, reader, index
+
+
+@pytest.mark.parametrize("dec_layers", [1, 2])
+def test_individual_infer_matches_per_pair_reference_bitwise(dec_layers):
+    corpus, retriever, reader, index = make_mixed_world(dec_layers)
+    tau = e2e.tau_value(1.0, 16)
+    input_lengths, early_stops = set(), 0
+    for k in (1, 3, 6):
+        for max_len in (None, 3):
+            cap = 5 if max_len is None else max_len
+            for text in MIXED_QUESTIONS:
+                question = corpus.vocab.encode(text)
+                got = e2e.individual_topk_infer(
+                    question, retriever, reader, index.snapshot, corpus, k, tau, max_len
+                )
+                answer, candidates, marginals, retrieved = reference_individual_infer(
+                    question, retriever, reader, index.snapshot, corpus, k, tau, max_len
+                )
+                assert got.retrieved == retrieved
+                assert (got.answer, got.candidates) == (answer, candidates)
+                assert [m.hex() for m in got.marginals] == [m.hex() for m in marginals]
+                for doc_id in retrieved.doc_ids:
+                    z = corpus.by_id[doc_id].tokens
+                    input_lengths.add(min(len(question) + 1 + len(z), 20))
+                    early_stops += len(reader.greedy_decode(question, z, max_len)) < cap
+    # the fixture covers truncated and untruncated inputs and early [EOS] stops
+    assert 20 in input_lengths and len(input_lengths) >= 4
+    assert early_stops > 0
+
+
+@pytest.mark.parametrize("dec_layers", [1, 2])
+def test_joint_infer_matches_per_context_reference_bitwise(dec_layers):
+    corpus, retriever, reader, index = make_mixed_world(dec_layers)
+    tau = e2e.tau_value(1.0, 16)
+    for k in (1, 3, 6):
+        for max_len in (None, 3):
+            for text in MIXED_QUESTIONS:
+                question = corpus.vocab.encode(text)
+                got = e2e.joint_topk_infer(
+                    question, retriever, reader, index.snapshot, corpus, k, tau, max_len
+                )
+                contexts = [corpus.by_id[i].tokens for i in got.retrieved.doc_ids]
+                memory, bias = reference_fusion_memory(
+                    reader, question, contexts, got.retrieved.probs
+                )
+                want = reference_greedy(reader, memory, bias, max_len)
+                assert got.answer == corpus.vocab.decode(want)
+
+
+def reader_grads(reader, extra=()):
+    return [p.grad.tobytes() for p in reader.parameters() + list(extra)]
+
+
+@pytest.mark.parametrize("dec_layers", [1, 2])
+def test_training_loss_and_gradients_match_one_row_decoder_bitwise(dec_layers):
+    corpus, retriever, reader, _ = make_mixed_world(dec_layers)
+    question = corpus.vocab.encode(MIXED_QUESTIONS[1])
+    contexts = [corpus.by_id[i].tokens for i in (0, 7, 3)]  # 2, 31 and 13 tokens
+    for answer in ([EOS_ID], with_eos([9]), with_eos([9, 11, 12])):
+        for z in contexts:
+            runs = []
+            for score in (
+                lambda: reader.answer_log_likelihood(question, z, answer),
+                lambda: reference_log_likelihood(
+                    reader, reader.encode_pair(question, z), None, answer
+                ),
+            ):
+                for p in reader.parameters():
+                    p.zero_grad()
+                loss = ad.neg(score())
+                loss.backward()
+                runs.append((loss.item().hex(), reader_grads(reader)))
+            assert runs[0] == runs[1]
+
+        runs = []
+        for fused in (
+            lambda probs: reader.joint_forward(question, contexts, probs, answer),
+            lambda probs: reference_log_likelihood(
+                reader, *reference_fusion_memory(reader, question, contexts, probs), answer
+            ),
+        ):
+            probs = ad.Parameter(np.array([0.2, 0.5, 0.3]), name="probs")
+            for p in reader.parameters():
+                p.zero_grad()
+            loss = ad.neg(fused(probs))
+            loss.backward()
+            runs.append((loss.item().hex(), reader_grads(reader, [probs])))
+        assert runs[0] == runs[1]
+
+
+def test_individual_infer_encodes_once_and_batches_the_decoder(monkeypatch):
+    corpus, retriever, reader, index = make_world()
+    assert len({len(doc.tokens) for doc in corpus}) == 1  # equal-length inputs
+    calls = {"forward": 0, "decode": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(reader.encoder, "forward", counted("forward", reader.encoder.forward))
+    monkeypatch.setattr(reader, "_decode_logits", counted("decode", reader._decode_logits))
+    question = corpus.vocab.encode(DATASET[2].question)
+    tau = e2e.tau_value(1.0, 16)
+    result = e2e.individual_topk_infer(
+        question, retriever, reader, index.snapshot, corpus, k=4, tau=tau, max_len=4
+    )
+    counts = dict(calls)
+    assert len(result.retrieved.doc_ids) == 4
+    decoded = [
+        reader.greedy_decode(question, corpus.by_id[i].tokens, 4) for i in result.retrieved.doc_ids
+    ]
+    steps = max(len(t) + (len(t) < 4) for t in decoded)
+    scoring_groups = len({len(t) for t in decoded})
+    assert counts == {"forward": 1, "decode": steps + scoring_groups}
 
 
 # Training loop ---------------------------------------------------------------

@@ -51,8 +51,8 @@ def test_likelihood_is_nonpositive_and_deterministic(reader):
 def test_single_token_answer_is_one_decoder_step(reader):
     """A length-1 answer's likelihood is exactly the first step's log-prob."""
     ll = reader.answer_log_likelihood(Q, Z, [9])
-    memory = reader.encode_pair(Q, Z)
-    logits = reader._decode_logits(memory, None, [BOS_ID]).data[0]
+    cross = reader._cross_kv(reader.encode_pair(Q, Z))
+    logits = reader._decode_logits(np.array([[BOS_ID]]), cross, None).data[0, 0]
     z = logits - logits.max()
     log_probs = z - np.log(np.exp(z).sum())
     assert ll.item() == pytest.approx(float(log_probs[9]), abs=1e-12)
@@ -66,8 +66,8 @@ def test_empty_answer_rejected(reader):
 
 
 def test_per_step_distributions_are_valid(reader):
-    memory = reader.encode_pair(Q, Z)
-    logits = reader._decode_logits(memory, None, [BOS_ID, 9, 10]).data
+    cross = reader._cross_kv(reader.encode_pair(Q, Z))
+    logits = reader._decode_logits(np.array([[BOS_ID, 9, 10]]), cross, None).data[0]
     for row in logits:
         z = row - row.max()
         p = np.exp(z) / np.exp(z).sum()
@@ -87,7 +87,7 @@ def test_joint_lambda_zero_equals_unbiased_fusion(reader):
     assert float(reader.lambda_bias.data) == 0.0
     joint = reader.joint_forward(Q, [Z, Z2], [0.3, 0.7], answer)
     memory = ad.concat([reader.encode_pair(Q, Z), reader.encode_pair(Q, Z2)], axis=0)
-    unbiased = reader._teacher_forced(memory, None, answer)
+    unbiased = reader._score_memory(memory, None, answer)
     assert joint.item() == unbiased.item()
 
 
