@@ -5,9 +5,14 @@ topological order and accumulates exact analytic gradients into the
 leaves. Ops never mutate forward values, and every op boundary rejects
 NaN/Inf so saturation bugs surface where they happen.
 
-Inside `no_grad()` ops compute the same values but record no graph: their
-outputs have no parents and no backward closure. The mode is per thread, so
-an inference pass on one thread never detaches a training graph on another.
+An op output keeps its parents and backward closure only when it requires
+a gradient: some input does, and `no_grad()` is not active. So inside
+`no_grad()`, and over inputs that need no gradient, ops compute the same
+values but record no graph. Such inputs are constants and frozen parameters:
+`optim.AdamW` sets a parameter's `requires_grad=False` when its group is
+disabled, and the parameter stays frozen until another optimizer enables its
+group. The mode is per thread, so an inference pass on one thread never
+detaches a training graph on another.
 """
 
 from __future__ import annotations
@@ -55,7 +60,8 @@ class Tensor:
     `data` is always a C-contiguous float64 array, checked for NaN/Inf once
     here; `_op` names the producing op in that check's error. `grad` stays
     None until backward() reaches the node (Parameters keep a persistent grad
-    buffer). Under `no_grad()` the parents and backward closure are dropped.
+    buffer). A node that requires no gradient drops its parents and backward
+    closure, so a frozen parameter (`requires_grad=False`) records no graph.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "meta")
@@ -72,11 +78,12 @@ class Tensor:
         if not arr.flags.c_contiguous:  # ascontiguousarray would promote 0-d to 1-d
             arr = np.ascontiguousarray(arr)
         _check_finite(arr, _op)
-        if _parents and not grad_enabled():
+        requires_grad = requires_grad or (grad_enabled() and any(p.requires_grad for p in _parents))
+        if not requires_grad:
             _parents, _backward_fn = (), None
         self.data = arr
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self.requires_grad = requires_grad
         self._parents = _parents
         self._backward_fn = _backward_fn
         self.meta: dict | None = None

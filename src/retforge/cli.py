@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import struct
 import sys
 import types
 import typing
@@ -61,7 +60,6 @@ READER_RECIPES = ("salient", "e2e-individual", "e2e-joint")
 RECIPES = RETRIEVER_RECIPES + READER_RECIPES
 ENCODER_KEYS = {"layers", "hidden_size", "heads", "max_seq_len"}
 READER_ONLY_KEYS = {"enc_layers", "dec_layers"}
-SHARD_MAGIC = b"RSHARD1\x00"
 SWEEP_AXES = ("topk", "tau", "train-fraction")
 
 
@@ -229,58 +227,6 @@ def _write_jsonl(path, records) -> None:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
-# Binary corpus shard ----------------------------------------------------------
-
-
-def write_shard(path, corpus: Corpus) -> None:
-    """Tokenized documents in one binary file: int32 title and text ids."""
-    entries = []
-    blobs = []
-    for doc in corpus:
-        title_ids = corpus.vocab.encode(doc.title)
-        entries.append({
-            "id": doc.id,
-            "title_len": len(title_ids),
-            "text_len": len(doc.tokens),
-        })
-        blobs.append(np.asarray(title_ids, dtype="<i4").tobytes())
-        blobs.append(np.asarray(doc.tokens, dtype="<i4").tobytes())
-    header = json.dumps(
-        {"format_version": 1, "documents": entries}, sort_keys=True
-    ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(SHARD_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
-
-
-def read_shard(path) -> list[tuple[int, list[int], list[int]]]:
-    """(doc id, title token ids, text token ids) per document."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(SHARD_MAGIC))
-        if magic != SHARD_MAGIC:
-            raise FormatError(f"{path}: bad shard magic {magic!r}")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"{path}: corrupt shard header: {exc}") from None
-        if header.get("format_version") != 1:
-            raise FormatError(f"{path}: unsupported shard version")
-        out = []
-        for entry in header["documents"]:
-            title = np.frombuffer(fh.read(4 * entry["title_len"]), dtype="<i4")
-            text = np.frombuffer(fh.read(4 * entry["text_len"]), dtype="<i4")
-            if len(title) != entry["title_len"] or len(text) != entry["text_len"]:
-                raise FormatError(f"{path}: truncated shard")
-            out.append((entry["id"], title.tolist(), text.tolist()))
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after shard data")
-    return out
-
-
 # Shared run machinery ---------------------------------------------------------
 
 
@@ -405,7 +351,6 @@ def cmd_ingest(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     corpus.vocab.save(out / "vocab.txt")
-    write_shard(out / "corpus.shard", corpus)
     counts = {"documents": len(corpus), "vocabulary": len(corpus.vocab)}
     if args.qa:
         counts["qa"] = len(load_qa(args.qa))
@@ -658,7 +603,7 @@ def _build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--seed", type=int, default=0)
     toy.set_defaults(func=cmd_make_toy)
 
-    ingest = commands.add_parser("ingest", help="validate and pack a dataset")
+    ingest = commands.add_parser("ingest", help="validate a dataset; write its vocabulary and counts")
     ingest.add_argument("corpus", help="corpus JSONL path")
     ingest.add_argument("--qa", default=None, help="QA JSONL to validate")
     ingest.add_argument("--spans", default=None, help="span JSONL to validate")

@@ -23,8 +23,8 @@ from .data import Corpus, QAExample
 from .encoder import DualEncoder
 from .errors import ConfigError, DomainError
 from .evaluation import exact_match, topk_accuracy
-from .index import EvidenceIndex, RetrievalResult, top_k
-from .optim import AdamW, ParamGroup, linear_schedule
+from .index import EvidenceIndex, IndexSnapshot, RetrievalResult, top_k
+from .optim import ParamGroup, linear_schedule, make_optimizer
 from .reader import Reader, with_eos
 
 MODES = ("individual", "joint")
@@ -234,6 +234,31 @@ def joint_topk_infer(
 # Training --------------------------------------------------------------------
 
 
+def topk_batch_loss(
+    pairs: Sequence[tuple[Sequence[int], Sequence[int]]],
+    snapshot: IndexSnapshot,
+    k: int,
+    tau: float,
+    loss_fn,
+    corpus: Corpus,
+    retriever: DualEncoder,
+    reader: Reader,
+) -> ad.Tensor:
+    """Mean `loss_fn` over (question tokens, answer tokens) pairs, each
+    against its top-k documents in the (possibly stale) snapshot.
+
+    The search reads graph-free question vectors; the loss re-encodes with the
+    live towers, so gradients reach every enabled parameter.
+    """
+    q_vecs = retriever.embed_questions([question for question, _ in pairs])
+    losses = [
+        loss_fn(question, answer, top_k(snapshot, q_vec, k=k, tau=tau),
+                corpus, retriever, reader, tau)
+        for (question, answer), q_vec in zip(pairs, q_vecs)
+    ]
+    return ad.reduce_mean(ad.stack_scalars(losses))
+
+
 def train_e2e(
     dataset: Sequence[QAExample],
     corpus: Corpus,
@@ -250,22 +275,8 @@ def train_e2e(
     rng = np.random.default_rng(config.seed)
     tau = tau_value(config.tau_multiple, retriever.config.hidden_size)
     loss_fn = individual_topk_loss if config.mode == "individual" else joint_topk_loss
-    optimizer = AdamW(
-        groups=[
-            ParamGroup(reader.parameters(), enabled=True, name="reader"),
-            ParamGroup(
-                retriever.question_encoder.parameters(),
-                enabled=config.update_query_encoder,
-                name="query_encoder",
-            ),
-            ParamGroup(
-                retriever.context_encoder.parameters(),
-                enabled=config.update_context_encoder,
-                name="context_encoder",
-            ),
-        ],
-        lr=config.learning_rate,
-        weight_decay=config.weight_decay,
+    optimizer = make_optimizer(
+        retriever, config, extra=[ParamGroup(reader.parameters(), name="reader")]
     )
     n = len(dataset)
     batches_per_epoch = max(1, math.ceil(n / config.batch_size))
@@ -279,24 +290,13 @@ def train_e2e(
         for b in range(batches_per_epoch):
             step += 1
             # refresh first so a boundary step retrieves from the newest snapshot
-            index.refresh(retriever, step, config.refresh_every)
-            snapshot = index.snapshot
-            rows = order[b * config.batch_size:(b + 1) * config.batch_size]
-            if len(rows) == 0:
-                continue
-            losses = []
-            for row in rows:
+            snapshot = index.refresh(retriever, step, config.refresh_every)
+            pairs = []
+            for row in order[b * config.batch_size:(b + 1) * config.batch_size]:
                 example = dataset[int(row)]
                 answer = example.answers[int(rng.integers(len(example.answers)))]
-                question = corpus.vocab.encode(example.question)
-                answer_tokens = corpus.vocab.encode(answer)
-                with ad.no_grad():  # the search only reads the vector
-                    q_vec = retriever.encode_question(question).data
-                retrieved = top_k(snapshot, q_vec, k=k, tau=tau)
-                losses.append(
-                    loss_fn(question, answer_tokens, retrieved, corpus, retriever, reader, tau)
-                )
-            loss = ad.reduce_mean(ad.stack_scalars(losses))
+                pairs.append((corpus.vocab.encode(example.question), corpus.vocab.encode(answer)))
+            loss = topk_batch_loss(pairs, snapshot, k, tau, loss_fn, corpus, retriever, reader)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step(linear_schedule(step, total_steps, config.warmup_ratio))

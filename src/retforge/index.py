@@ -1,15 +1,15 @@
 """Dense evidence index: exact inner-product top-k over immutable snapshots.
 
-Searches take a snapshot reference and never block; refresh rebuilds off to
-the side and publishes with an atomic swap, so an in-flight search always
-sees one consistent version. Embeddings are held and persisted at float32
-(index precision); scoring math runs in float64.
+Searches take a snapshot reference and never block. Refresh is synchronous,
+on a fixed step schedule: it builds a new snapshot off to the side and
+publishes it with one reference swap, so a search holding the old snapshot
+always sees one consistent version. Embeddings are held and persisted at
+float32 (index precision); scoring math runs in float64.
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,6 @@ from .errors import DimensionError, DomainError, FormatError
 
 MAGIC = b"RIDX1\x00\x00\x00"
 DTYPE_TAG = b"f32\x00"
-DEFAULT_REFRESH_EVERY = 500
 
 
 @dataclass(frozen=True)
@@ -109,12 +108,11 @@ def build_snapshot(dual_encoder, corpus, version: int = 0) -> IndexSnapshot:
 
 
 class EvidenceIndex:
-    """Holder publishing immutable snapshots; one refresher at a time."""
+    """Holder publishing immutable snapshots, rebuilt by the training step."""
 
     def __init__(self, corpus):
         self._corpus = corpus
         self._snapshot: IndexSnapshot | None = None
-        self._refresh_lock = threading.Lock()
 
     @property
     def snapshot(self) -> IndexSnapshot:
@@ -124,18 +122,12 @@ class EvidenceIndex:
         return snap
 
     def build(self, dual_encoder) -> IndexSnapshot:
-        with self._refresh_lock:
-            version = 0 if self._snapshot is None else self._snapshot.version + 1
-            snap = build_snapshot(dual_encoder, self._corpus, version=version)
-            self._snapshot = snap  # atomic reference swap
-            return snap
+        version = 0 if self._snapshot is None else self._snapshot.version + 1
+        snap = build_snapshot(dual_encoder, self._corpus, version=version)
+        self._snapshot = snap  # atomic reference swap
+        return snap
 
-    def refresh(
-        self,
-        dual_encoder,
-        step: int,
-        refresh_every: int = DEFAULT_REFRESH_EVERY,
-    ) -> IndexSnapshot:
+    def refresh(self, dual_encoder, step: int, refresh_every: int) -> IndexSnapshot:
         """Rebuild when step is a multiple of refresh_every, else no-op."""
         if refresh_every < 1:
             raise DomainError(f"refresh_every must be >= 1, got {refresh_every}")

@@ -2,12 +2,18 @@
 enable switches, and a warmup-then-linear-decay learning-rate schedule.
 
 A disabled group is skipped entirely: no moment update, no decay, so its
-parameters stay bit-identical across steps.
+parameters stay bit-identical across steps. It is also frozen out of the
+autodiff graph: the constructor sets each parameter's `requires_grad` to its
+group's `enabled`, so a disabled tower records no graph and its `grad` stays
+zero. A frozen parameter stays `requires_grad=False` until another optimizer
+enables its group; flipping `enabled` on a live group changes only whether
+`step` updates it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -35,6 +41,9 @@ class AdamW:
             raise DomainError(f"learning rate must be positive, got {lr}")
         if not (0 <= betas[0] < 1 and 0 <= betas[1] < 1):
             raise DomainError(f"betas must lie in [0, 1), got {betas}")
+        for group in groups:
+            for p in group.params:
+                p.requires_grad = group.enabled
         self.groups = groups
         self.lr = lr
         self.betas = betas
@@ -69,6 +78,26 @@ class AdamW:
                 v_hat = v / (1 - b2**t)
                 update = m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data
                 p.data = p.data - (self.lr * lr_multiplier) * update
+
+
+def make_optimizer(dual, config, extra: Sequence[ParamGroup] = ()) -> AdamW:
+    """AdamW over a dual encoder's question and context towers, each enabled
+    by the config's `update_query_encoder` / `update_context_encoder`, plus
+    any `extra` groups; lr and decay come from the config."""
+    groups = [
+        ParamGroup(
+            dual.question_encoder.parameters(),
+            enabled=config.update_query_encoder,
+            name="query_encoder",
+        ),
+        ParamGroup(
+            dual.context_encoder.parameters(),
+            enabled=config.update_context_encoder,
+            name="context_encoder",
+        ),
+        *extra,
+    ]
+    return AdamW(groups, lr=config.learning_rate, weight_decay=config.weight_decay)
 
 
 def linear_schedule(step: int, total_steps: int, warmup_ratio: float = 0.01) -> float:

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Corpus, Document, QAExample, SpanAnnotation, mask_salient_spans, sample_ict_pair
-from .e2e import evaluate_retrieval, individual_topk_loss, tau_value
+from .e2e import evaluate_retrieval, individual_topk_loss, tau_value, topk_batch_loss
 from .encoder import DualEncoder, context_input, question_input
 from .errors import ConfigError, DomainError
 from .evaluation import DEFAULT_KS
 from .index import EvidenceIndex, build_snapshot, top_k
-from .optim import AdamW, ParamGroup, linear_schedule
+from .optim import ParamGroup, linear_schedule, make_optimizer
 from .reader import Reader
 from .text import segment_sentences
 
@@ -61,24 +61,10 @@ class TrainConfig:
             raise ConfigError("hard_negatives_per_example must be >= 0")
         if not (0.0 <= self.keep_prob <= 1.0):
             raise ConfigError(f"keep_prob must lie in [0, 1], got {self.keep_prob}")
-
-
-def _optimizer(dual: DualEncoder, config: TrainConfig, extra: list[ParamGroup] | None = None) -> AdamW:
-    groups = [
-        ParamGroup(
-            dual.question_encoder.parameters(),
-            enabled=config.update_query_encoder,
-            name="query_encoder",
-        ),
-        ParamGroup(
-            dual.context_encoder.parameters(),
-            enabled=config.update_context_encoder,
-            name="context_encoder",
-        ),
-    ]
-    if extra:
-        groups.extend(extra)
-    return AdamW(groups, lr=config.learning_rate, weight_decay=config.weight_decay)
+        if self.refresh_every < 1:
+            raise ConfigError(f"refresh_every must be >= 1, got {self.refresh_every}")
+        if self.top_k < 1:
+            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
 
 
 def supervised_loss_from_scores(scores: ad.Tensor, targets: np.ndarray, tau: float) -> ad.Tensor:
@@ -162,7 +148,7 @@ def train_supervised(
         raise DomainError("no usable examples: every example is unmined or filtered")
     rng = np.random.default_rng(config.seed)
     tau = tau_value(config.tau_multiple, dual.config.hidden_size)
-    optimizer = _optimizer(dual, config)
+    optimizer = make_optimizer(dual, config)
     n = len(usable)
     batches_per_epoch = max(1, math.ceil(n / config.batch_size))
     total_steps = config.epochs * batches_per_epoch
@@ -230,7 +216,7 @@ def train_ict(
         raise DomainError("no paragraphs with >= 2 sentences for inverse cloze training")
     rng = np.random.default_rng(config.seed)
     tau = tau_value(config.tau_multiple, dual.config.hidden_size)
-    optimizer = _optimizer(dual, config)
+    optimizer = make_optimizer(dual, config)
     metrics: list[dict] = []
     for step in range(1, config.steps + 1):
         picks = rng.integers(len(eligible), size=config.batch_size)
@@ -288,28 +274,20 @@ def train_salient_spans(
         raise DomainError("no annotated spans to train on")
     rng = np.random.default_rng(config.seed)
     tau = tau_value(config.tau_multiple, retriever.config.hidden_size)
-    optimizer = _optimizer(
+    optimizer = make_optimizer(
         retriever, config, extra=[ParamGroup(reader.parameters(), name="reader")]
     )
     k = min(config.top_k, index.snapshot.size)
     metrics: list[dict] = []
     for step in range(1, config.steps + 1):
-        index.refresh(retriever, step, config.refresh_every)
-        snapshot = index.snapshot
-        picks = rng.integers(len(annotated), size=config.batch_size)
-        losses = []
-        for pick in picks:
-            doc, ann = annotated[int(pick)]
-            masked_query, span_tokens = mask_salient_spans(doc, ann, corpus.vocab, rng)
-            with ad.no_grad():  # the search only reads the vector
-                q_vec = retriever.encode_question(masked_query).data
-            retrieved = top_k(snapshot, q_vec, k=k, tau=tau)
-            losses.append(
-                individual_topk_loss(
-                    masked_query, span_tokens, retrieved, corpus, retriever, reader, tau
-                )
-            )
-        loss = ad.reduce_mean(ad.stack_scalars(losses))
+        snapshot = index.refresh(retriever, step, config.refresh_every)
+        pairs = [
+            mask_salient_spans(*annotated[int(pick)], corpus.vocab, rng)
+            for pick in rng.integers(len(annotated), size=config.batch_size)
+        ]
+        loss = topk_batch_loss(
+            pairs, snapshot, k, tau, individual_topk_loss, corpus, retriever, reader
+        )
         optimizer.zero_grad()
         loss.backward()
         optimizer.step(linear_schedule(step, config.steps, config.warmup_ratio))

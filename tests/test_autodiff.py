@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from retforge import autodiff as ad
@@ -52,6 +52,18 @@ def test_op_output_checked_once_and_named(op, grad, monkeypatch):
         a.data[0, 0] = np.nan  # a NaN that bypassed construction reaches the op
         with pytest.raises(DomainError, match=f"^{op}: non-finite"):
             fn(a, b)
+
+
+@pytest.mark.parametrize("op", sorted(OPS_CHECKED_BY_NAME))
+def test_op_over_inputs_needing_no_gradient_records_no_graph(op):
+    fn = OPS_CHECKED_BY_NAME[op]
+    frozen = ad.Parameter(np.full((2, 2), 0.5), name="frozen")
+    frozen.requires_grad = False
+    out = fn(frozen, ad.Tensor(np.full((2, 2), 0.25)))
+    assert out._parents == () and out._backward_fn is None
+    assert not out.requires_grad
+    live = ad.Parameter(np.full((2, 2), 0.25), name="live")
+    assert fn(live, frozen)._parents[0] is live  # one live input keeps the graph
 
 
 # No-grad mode ------------------------------------------------------------
@@ -372,6 +384,9 @@ def test_entropy_nondecreasing_in_tau(scores):
 @given(scores=finite_scores, tau=st.floats(min_value=0.1, max_value=10.0))
 @settings(max_examples=60, deadline=None)
 def test_softmax_argmax_invariant_under_tau(scores, tau):
+    # a near-tie below rounding can round to an exact tie at one tau only
+    second, first = sorted(scores)[-2:]
+    assume(first == second or first - second > 1e-9)
     base = ad.scaled_softmax(ad.Tensor(scores), tau=1.0).data
     scaled = ad.scaled_softmax(ad.Tensor(scores), tau=tau).data
     assert int(np.argmax(base)) == int(np.argmax(scaled))

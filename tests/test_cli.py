@@ -115,16 +115,8 @@ def test_ingest_idempotent_and_round_trip(toy_dir, tmp_path, capsys):
     counts = json.loads(capsys.readouterr().out)
     assert counts["documents"] == 24 and counts["qa"] == 16 and counts["spans"] == 24
     assert cli.main([*base, "--out-dir", str(b)]) == 0
-    for name in ("vocab.txt", "corpus.shard", "counts.json"):
+    for name in ("vocab.txt", "counts.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-
-    corpus = load_corpus(toy_dir / "corpus.jsonl")
-    shard = cli.read_shard(a / "corpus.shard")
-    assert len(shard) == len(corpus)
-    for doc_id, title_ids, text_ids in shard:
-        doc = corpus.by_id[doc_id]
-        assert title_ids == corpus.vocab.encode(doc.title)
-        assert text_ids == list(doc.tokens)
 
 
 def test_ingest_malformed_line_names_lineno(tmp_path, capsys):
@@ -207,6 +199,15 @@ def test_train_joint_context_switch_is_config_error(e2e_cfg, tmp_path):
     code = cli.main([
         "train", "e2e-joint", "--config", str(e2e_cfg),
         "--out-dir", str(tmp_path / "x"), "--set", "update_context_encoder=true",
+    ])
+    assert code == 3
+
+
+@pytest.mark.parametrize("setting", ["refresh_every=0", "top_k=0"])
+def test_train_salient_bad_schedule_is_config_error(train_cfg, tmp_path, setting):
+    code = cli.main([
+        "train", "salient", "--config", str(train_cfg),
+        "--out-dir", str(tmp_path / "x"), "--set", setting,
     ])
     assert code == 3
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from retforge import autodiff as ad
-from retforge import e2e
-from retforge.data import Corpus, QAExample
+from retforge import e2e, optim
+from retforge.data import Corpus, QAExample, SpanAnnotation
 from retforge.encoder import DualEncoder, EncoderConfig, layer_norm
 from retforge.errors import ConfigError, DomainError
 from retforge.index import EvidenceIndex, top_k
 from retforge.reader import Reader, ReaderConfig, with_eos
 from retforge.text import BOS_ID, EOS_ID
+from retforge.training import TrainConfig, train_salient_spans
 
 DOCS = [
     {"id": 0, "title": "red stone", "text": "The red stone rests in the north tower."},
@@ -577,6 +578,71 @@ def test_individual_infer_encodes_once_and_batches_the_decoder(monkeypatch):
     steps = max(len(t) + (len(t) < 4) for t in decoded)
     scoring_groups = len({len(t) for t in decoded})
     assert counts == {"forward": 1, "decode": steps + scoring_groups}
+
+
+# Frozen towers leave the graph -------------------------------------------------
+
+
+class FrozenGroupsRecordGraph(optim.AdamW):
+    """Reference optimizer: disabled groups keep `requires_grad=True`, so their
+    towers still record a graph whose gradient the step then ignores."""
+
+    def __init__(self, groups, **kwargs):
+        super().__init__(groups, **kwargs)
+        for group in groups:
+            for p in group.params:
+                p.requires_grad = True
+
+
+def run_e2e(mode, update_q, update_z):
+    corpus, retriever, reader, index = make_world()
+    reader.lambda_bias.data = np.asarray(0.25)  # so the joint bias passes a gradient
+    config = e2e.E2EConfig(
+        mode=mode, top_k=2, epochs=2, batch_size=2, learning_rate=1e-3,
+        weight_decay=0.0, refresh_every=3, update_query_encoder=update_q,
+        update_context_encoder=update_z, seed=5, max_answer_len=4,
+    )
+    records = e2e.train_e2e(DATASET, corpus, retriever, reader, index, config)
+    return [r["loss"].hex() for r in records], retriever, reader
+
+
+def run_salient(update_q, update_z):
+    corpus, retriever, reader, index = make_world()
+    config = TrainConfig(
+        batch_size=2, steps=4, refresh_every=2, top_k=2, learning_rate=1e-3,
+        weight_decay=0.0, update_query_encoder=update_q,
+        update_context_encoder=update_z, seed=5,
+    )
+    # each document is one sentence ending "<place> <noun> ."
+    annotations = {doc.id: SpanAnnotation(doc.id, ((6, 7, ""),)) for doc in corpus}
+    records = train_salient_spans(corpus, annotations, retriever, reader, index, config)
+    return [r["loss"].hex() for r in records], retriever, reader
+
+
+FROZEN_RUNS = {
+    "e2e-joint": lambda: run_e2e("joint", True, False),
+    "e2e-individual-query-off": lambda: run_e2e("individual", False, True),
+    "e2e-individual-context-off": lambda: run_e2e("individual", True, False),
+    "salient-query-off": lambda: run_salient(False, True),
+    "salient-context-off": lambda: run_salient(True, False),
+}
+
+
+@pytest.mark.parametrize("run", sorted(FROZEN_RUNS))
+def test_frozen_tower_out_of_graph_is_bit_exact(run, monkeypatch):
+    losses, retriever, reader = FROZEN_RUNS[run]()
+    monkeypatch.setattr(optim, "AdamW", FrozenGroupsRecordGraph)
+    ref_losses, ref_retriever, ref_reader = FROZEN_RUNS[run]()
+    assert losses == ref_losses
+    assert param_bytes(retriever.parameters() + reader.parameters()) == param_bytes(
+        ref_retriever.parameters() + ref_reader.parameters()
+    )
+
+
+def test_joint_step_leaves_context_grads_zero():
+    _, retriever, _ = run_e2e("joint", True, False)
+    assert all(not p.grad.any() for p in retriever.context_encoder.parameters())
+    assert any(p.grad.any() for p in retriever.question_encoder.parameters())
 
 
 # Training loop ---------------------------------------------------------------

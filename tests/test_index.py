@@ -258,7 +258,6 @@ def test_concurrent_search_never_sees_mixed_versions():
     index = EvidenceIndex.__new__(EvidenceIndex)
     index._corpus = None
     index._snapshot = make_snapshot(np.ones((m, d)), version=0)
-    index._refresh_lock = threading.Lock()
 
     stop = threading.Event()
     errors: list[str] = []
@@ -276,10 +275,9 @@ def test_concurrent_search_never_sees_mixed_versions():
     for t in threads:
         t.start()
     for version in range(1, 40):
-        with index._refresh_lock:
-            index._snapshot = make_snapshot(
-                np.full((m, d), float(version + 1)), version=version
-            )
+        index._snapshot = make_snapshot(
+            np.full((m, d), float(version + 1)), version=version
+        )
     stop.set()
     for t in threads:
         t.join()

@@ -311,3 +311,7 @@ def test_train_config_validation():
         T.TrainConfig(keep_prob=1.5)
     with pytest.raises(ConfigError):
         T.TrainConfig(hard_negatives_per_example=-1)
+    with pytest.raises(ConfigError):
+        T.TrainConfig(refresh_every=0)
+    with pytest.raises(ConfigError):
+        T.TrainConfig(top_k=0)
