@@ -1,6 +1,10 @@
 """Corpus and QA ingestion, BM25 distant supervision, and the two
 unsupervised example generators (inverse cloze and masked salient spans).
 
+BM25 scores come from an inverted index that build_corpus_stats builds once
+per corpus: scoring a query adds each of its tokens' postings into one score
+vector over all documents.
+
 All sampling takes an explicit numpy Generator, so pipelines are pure
 functions of (data, seed) and safe to parallelize across examples.
 """
@@ -30,8 +34,8 @@ class Document:
     tokens: tuple[int, ...]
 
     def __post_init__(self):
-        if self.id < 0:
-            raise InputError(f"document id must be non-negative, got {self.id}")
+        if not 0 <= self.id < 2**63:
+            raise InputError(f"document id must be in [0, 2**63), got {self.id}")
         if not self.text:
             raise InputError(f"document {self.id}: empty text")
 
@@ -80,6 +84,8 @@ class Corpus:
             if doc.id in self.by_id:
                 raise InputError(f"duplicate document id {doc.id}")
             self.by_id[doc.id] = doc
+        self.ids = np.array([doc.id for doc in self.documents], dtype=np.int64)
+        self.ids.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -210,59 +216,90 @@ def save_spans(annotations: Sequence[SpanAnnotation], path) -> None:
 
 @dataclass(frozen=True)
 class CorpusStats:
+    """BM25 statistics and the inverted index of one corpus.
+
+    Row r is the corpus's r-th document, doc_ids[r]. postings maps a term to
+    the rows that contain it, ascending, and to what one query occurrence of
+    the term adds to each of those rows' scores.
+    """
+
     n_docs: int
     doc_freqs: dict[int, int]
     avg_doc_len: float
-    doc_lens: dict[int, int] = field(repr=False)
+    doc_ids: np.ndarray = field(repr=False)
+    postings: dict[int, tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
 
 def build_corpus_stats(corpus: Corpus) -> CorpusStats:
+    """Index the corpus once; every BM25 score is then read from it."""
     if len(corpus) == 0:
         raise DomainError("corpus statistics over an empty corpus")
-    doc_freqs: Counter[int] = Counter()
-    doc_lens: dict[int, int] = {}
-    for doc in corpus:
-        doc_freqs.update(set(doc.tokens))
-        doc_lens[doc.id] = len(doc.tokens)
-    total = sum(doc_lens.values())
+    k1, b = BM25_K1, BM25_B
+    n_docs = len(corpus)
+    lens = [len(doc.tokens) for doc in corpus]
+    avg_doc_len = sum(lens) / n_docs
+    norm = k1 * (1.0 - b + b * np.array(lens) / avg_doc_len)
+    by_term: dict[int, tuple[list[int], list[int]]] = {}
+    for row, doc in enumerate(corpus):
+        for t, f in Counter(doc.tokens).items():
+            rows, freqs = by_term.setdefault(t, ([], []))
+            rows.append(row)
+            freqs.append(f)
+    postings = {}
+    for t, (rows, freqs) in by_term.items():
+        df = len(rows)
+        # a math.log scalar: np.log may round differently
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        r, f = np.array(rows), np.array(freqs)
+        postings[t] = (r, idf * f * (k1 + 1.0) / (f + norm[r]))
     return CorpusStats(
-        n_docs=len(corpus),
-        doc_freqs=dict(doc_freqs),
-        avg_doc_len=total / len(corpus),
-        doc_lens=doc_lens,
+        n_docs=n_docs,
+        doc_freqs={t: len(rows) for t, (rows, _) in by_term.items()},
+        avg_doc_len=avg_doc_len,
+        doc_ids=corpus.ids,
+        postings=postings,
     )
 
 
-def bm25_score(
-    query_tokens: Sequence[int],
-    doc: Document,
-    stats: CorpusStats,
-    k1: float = BM25_K1,
-    b: float = BM25_B,
-) -> float:
-    """Okapi BM25; each query-token occurrence contributes separately."""
-    if not query_tokens:
-        return 0.0
-    tf = Counter(doc.tokens)
-    norm = k1 * (1.0 - b + b * len(doc.tokens) / stats.avg_doc_len)
-    score = 0.0
+def _bm25_scores(query_tokens: Sequence[int], stats: CorpusStats) -> np.ndarray:
+    """Okapi BM25 of every row; each query-token occurrence contributes
+    separately, added in query order as a per-document sum would."""
+    scores = np.zeros(stats.n_docs)
     for t in query_tokens:
-        f = tf.get(t, 0)
-        if f == 0:
-            continue
-        df = stats.doc_freqs.get(t, 0)
-        idf = math.log(1.0 + (stats.n_docs - df + 0.5) / (df + 0.5))
-        score += idf * f * (k1 + 1.0) / (f + norm)
-    return score
+        posting = stats.postings.get(t)
+        if posting is not None:
+            rows, contrib = posting
+            scores[rows] += contrib  # one term's rows are distinct
+    return scores
+
+
+def _ranked_rows(scores: np.ndarray, stats: CorpusStats) -> np.ndarray:
+    """Rows by descending score, ascending document id on ties."""
+    return np.lexsort((stats.doc_ids, -scores))
+
+
+def _check_same_corpus(corpus: Corpus, stats: CorpusStats) -> None:
+    if not np.array_equal(stats.doc_ids, corpus.ids):
+        raise DomainError("BM25 statistics were built from a different corpus")
+
+
+def bm25_score(query_tokens: Sequence[int], doc: Document, stats: CorpusStats) -> float:
+    """Okapi BM25 of one indexed document."""
+    rows = np.flatnonzero(stats.doc_ids == doc.id)
+    if rows.size == 0:
+        raise DomainError(f"document {doc.id} is not in the BM25 statistics")
+    return float(_bm25_scores(query_tokens, stats)[rows[0]])
 
 
 def rank_bm25(
     query_tokens: Sequence[int], corpus: Corpus, stats: CorpusStats
 ) -> list[tuple[int, float]]:
     """All documents sorted by descending score, ascending id on ties."""
-    scored = [(doc.id, bm25_score(query_tokens, doc, stats)) for doc in corpus]
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored
+    _check_same_corpus(corpus, stats)
+    scores = _bm25_scores(query_tokens, stats)
+    return [
+        (int(stats.doc_ids[r]), float(scores[r])) for r in _ranked_rows(scores, stats)
+    ]
 
 
 def mine_distant_supervision(
@@ -280,17 +317,17 @@ def mine_distant_supervision(
     """
     if len(corpus) == 0:
         raise DomainError("distant supervision over an empty corpus")
-    query = corpus.vocab.encode(example.question)
-    ranking = rank_bm25(query, corpus, stats)[:n_candidates]
+    _check_same_corpus(corpus, stats)
+    scores = _bm25_scores(corpus.vocab.encode(example.question), stats)
     positive: int | None = None
     negatives: list[int] = []
-    for doc_id, _ in ranking:
-        doc = corpus.by_id[doc_id]
+    for row in _ranked_rows(scores, stats)[:n_candidates]:
+        doc = corpus.documents[row]
         if contains_answer(doc.text, example.answers):
             if positive is None:
-                positive = doc_id
+                positive = doc.id
         elif len(negatives) < n_hard_negatives:
-            negatives.append(doc_id)
+            negatives.append(doc.id)
         if positive is not None and len(negatives) >= n_hard_negatives:
             break
     if positive is None:

@@ -13,7 +13,7 @@ context tower. Snapshot embeddings stay constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

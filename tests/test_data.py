@@ -1,12 +1,13 @@
-import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from retforge import data as D
 from retforge.errors import DomainError, InputError
-from retforge.text import MASK_ID, Vocabulary
+from retforge.text import MASK_ID, Vocabulary, contains_answer
+from retforge.toy import ToySpec, generate_toy
 
 
 @pytest.fixture()
@@ -38,6 +39,8 @@ def test_corpus_rejects_duplicate_ids():
 def test_document_validation():
     with pytest.raises(InputError):
         D.Document(id=-1, title="t", text="x", tokens=())
+    with pytest.raises(InputError):  # ids are stored as int64
+        D.Document(id=2**63, title="t", text="x", tokens=())
     with pytest.raises(InputError):
         D.Document(id=0, title="t", text="", tokens=())
 
@@ -158,6 +161,147 @@ def test_rank_bm25_orders_by_score_then_id(toy_corpus):
     assert scores == sorted(scores, reverse=True)
 
 
+# The per-document scorer that the inverted index replaced, kept as the
+# bitwise reference: a Counter per (query, document), summed in query order.
+
+
+def reference_stats(corpus):
+    doc_freqs = Counter()
+    for doc in corpus:
+        doc_freqs.update(set(doc.tokens))
+    avg_doc_len = sum(len(doc.tokens) for doc in corpus) / len(corpus)
+    return len(corpus), dict(doc_freqs), avg_doc_len
+
+
+def reference_bm25_score(query_tokens, doc, ref_stats, k1=1.2, b=0.75):
+    n_docs, doc_freqs, avg_doc_len = ref_stats
+    if not query_tokens:
+        return 0.0
+    tf = Counter(doc.tokens)
+    norm = k1 * (1.0 - b + b * len(doc.tokens) / avg_doc_len)
+    score = 0.0
+    for t in query_tokens:
+        f = tf.get(t, 0)
+        if f == 0:
+            continue
+        df = doc_freqs.get(t, 0)
+        idf = math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
+        score += idf * f * (k1 + 1.0) / (f + norm)
+    return score
+
+
+def reference_rank_bm25(query_tokens, corpus, ref_stats):
+    scored = [(doc.id, reference_bm25_score(query_tokens, doc, ref_stats)) for doc in corpus]
+    scored.sort(key=lambda pair: (-pair[1], pair[0]))
+    return scored
+
+
+def reference_mine(example, corpus, ranking, n_candidates, n_hard_negatives):
+    positive, negatives = None, []
+    for doc_id, _ in ranking[:n_candidates]:
+        if contains_answer(corpus.by_id[doc_id].text, example.answers):
+            if positive is None:
+                positive = doc_id
+        elif len(negatives) < n_hard_negatives:
+            negatives.append(doc_id)
+        if positive is not None and len(negatives) >= n_hard_negatives:
+            break
+    if positive is None:
+        return D.QAExample(example.question, example.answers, None, (), True)
+    return D.QAExample(example.question, example.answers, positive, tuple(negatives), False)
+
+
+def hexed(ranking):
+    return [(doc_id, score.hex()) for doc_id, score in ranking]
+
+
+@pytest.fixture(scope="module")
+def shuffled_toy():
+    """320 toy documents in a shuffled order, so that row order is not id
+    order and only the id tie-break can give ascending ids on ties."""
+    data = generate_toy(ToySpec(n_docs=320, n_train=60, n_dev=0, seed=23))
+    records = list(data.corpus)
+    order = np.random.default_rng(5).permutation(len(records))
+    corpus = D.Corpus.build([records[int(i)] for i in order])
+    assert [doc.id for doc in corpus] != sorted(doc.id for doc in corpus)
+    examples = [
+        D.QAExample(question=r["question"], answers=tuple(r["answers"]))
+        for r in data.train
+    ]
+    examples.append(D.QAExample(question=examples[0].question, answers=("zanzibar",)))
+    return corpus, examples
+
+
+def test_rank_bm25_matches_per_document_reference_bitwise(shuffled_toy):
+    corpus, examples = shuffled_toy
+    stats = D.build_corpus_stats(corpus)
+    ref_stats = reference_stats(corpus)
+    assert (stats.n_docs, stats.doc_freqs, stats.avg_doc_len) == ref_stats
+    absent = [MASK_ID, len(corpus.vocab) + 7]
+    assert not any(t in doc.tokens for doc in corpus for t in absent)
+    queries = [corpus.vocab.encode(ex.question) for ex in examples]
+    queries += [q + q[::-1] + q for q in queries[:10]]  # repeated tokens
+    queries += [absent[:1] + queries[0] + absent[1:], absent]  # absent tokens
+    positive_ties = 0
+    for query in queries:
+        ranking = D.rank_bm25(query, corpus, stats)
+        assert hexed(ranking) == hexed(reference_rank_bm25(query, corpus, ref_stats))
+        positive_ties += sum(
+            s1 == s2 > 0.0 for (_, s1), (_, s2) in zip(ranking, ranking[1:])
+        )
+    assert positive_ties > 0  # the oracle covers ties above zero
+    assert D.rank_bm25(absent, corpus, stats) == [
+        (doc_id, 0.0) for doc_id in sorted(doc.id for doc in corpus)
+    ]
+    assert D.rank_bm25([], corpus, stats) == [
+        (doc_id, 0.0) for doc_id in sorted(doc.id for doc in corpus)
+    ]
+    for query in queries[:2] + queries[-12:] + [[]]:
+        for doc in corpus:
+            got = D.bm25_score(query, doc, stats)
+            assert got.hex() == reference_bm25_score(query, doc, ref_stats).hex()
+
+
+def test_mining_matches_per_document_reference(shuffled_toy):
+    corpus, examples = shuffled_toy
+    stats = D.build_corpus_stats(corpus)
+    ref_stats = reference_stats(corpus)
+    outcomes = set()
+    for ex in examples:
+        ranking = reference_rank_bm25(corpus.vocab.encode(ex.question), corpus, ref_stats)
+        for n_candidates in (1, 3, 100):
+            for n_hard_negatives in (0, 1, 3):
+                mined = D.mine_distant_supervision(
+                    ex, corpus, stats,
+                    n_candidates=n_candidates, n_hard_negatives=n_hard_negatives,
+                )
+                expected = reference_mine(ex, corpus, ranking, n_candidates, n_hard_negatives)
+                assert mined == expected
+                outcomes.add((mined.filtered, len(mined.hard_negatives)))
+    assert {(True, 0), (False, 0), (False, 1), (False, 3)} <= outcomes
+
+
+def test_stats_from_another_corpus_rejected(toy_corpus):
+    other = D.Corpus.build([
+        {"id": 5, "title": "mat", "text": "The cat sat on the mat."},
+        {"id": 6, "title": "dog", "text": "A dog barked."},
+        {"id": 7, "title": "cats", "text": "Cat cat everywhere!"},
+    ])
+    stats = D.build_corpus_stats(other)
+    ex = D.QAExample(question="where did the cat sit?", answers=("the mat",))
+    with pytest.raises(DomainError, match="different corpus"):
+        D.mine_distant_supervision(ex, toy_corpus, stats)
+    with pytest.raises(DomainError, match="different corpus"):
+        D.rank_bm25(toy_corpus.vocab.encode("cat"), toy_corpus, stats)
+
+
+def test_bm25_score_rejects_document_outside_stats(toy_corpus):
+    stats = D.build_corpus_stats(toy_corpus)
+    stranger = D.Document(id=9, title="t", text="the cat", tokens=toy_corpus.vocab.encode("the cat"))
+    with pytest.raises(DomainError, match="document 9"):
+        D.bm25_score(toy_corpus.vocab.encode("cat"), stranger, stats)
+
+
 def test_empty_corpus_stats_rejected():
     corpus = D.Corpus([], Vocabulary([]))
     with pytest.raises(DomainError):
@@ -175,8 +319,6 @@ def test_mining_fills_positive_and_negative(toy_corpus):
     assert mined.filtered is False
     assert len(mined.hard_negatives) == 1
     positive_doc = toy_corpus.by_id[mined.positive_ctx]
-    from retforge.text import contains_answer
-
     assert contains_answer(positive_doc.text, mined.answers)
     for neg in mined.hard_negatives:
         assert not contains_answer(toy_corpus.by_id[neg].text, mined.answers)

@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -259,17 +260,20 @@ def test_concurrent_search_never_sees_mixed_versions():
     index._corpus = None
     index._snapshot = make_snapshot(np.ones((m, d)), version=0)
 
-    stop = threading.Event()
     errors: list[str] = []
 
+    # A fixed number of searches, each followed by a yield, so that the
+    # swaps below are not starved and the test's cost does not depend on
+    # thread scheduling.
     def searcher():
         q = np.ones(d)
-        while not stop.is_set():
+        for _ in range(200):
             snap = index.snapshot
             result = top_k(snap, q, k=m, tau=1.0)
             if len(set(result.scores)) != 1:
                 errors.append(f"mixed scores: {set(result.scores)}")
                 return
+            time.sleep(0)
 
     threads = [threading.Thread(target=searcher) for _ in range(4)]
     for t in threads:
@@ -278,7 +282,8 @@ def test_concurrent_search_never_sees_mixed_versions():
         index._snapshot = make_snapshot(
             np.full((m, d), float(version + 1)), version=version
         )
-    stop.set()
+        time.sleep(0)
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive()
     assert errors == []
