@@ -13,11 +13,28 @@ values but record no graph. Such inputs are constants and frozen parameters:
 disabled, and the parameter stays frozen until another optimizer enables its
 group. The mode is per thread, so an inference pass on one thread never
 detaches a training graph on another.
+
+The transformer layers run on three fused ops, each one graph node with a
+hand-written backward in place of a chain of the elementwise ops:
+`layer_norm`, `linear` (matmul plus bias) and multi-head `attention` (head
+split, scaled scores, bias and mask, softmax, head merge). They equal their
+chains bit for bit. The forward evaluates the chain's numpy expressions in
+its order, on operands of the same memory layout, since BLAS rounding
+depends on layout. The backward replays the chain's gradient arithmetic and
+gives each input one `accumulate_grad` call per consumer it had in the
+chain, in the chain's reversed topological order. The node's parents are
+ordered so that `backward`'s depth-first walk reaches the rest of the graph
+in the chain's order. Signs of zero: the chain kept each intermediate
+gradient in a buffer started as zeros, which turns -0.0 into +0.0. The
+replay skips that add. A signed zero can only produce signed zeros
+downstream, and every buffer `accumulate_grad` keeps also starts at +0.0,
+where +0.0 + -0.0 = +0.0, so no stored gradient can differ.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 from typing import Callable, Iterator, Sequence
@@ -211,7 +228,7 @@ def neg(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(-g)
 
-    return Tensor(-a.data, _parents=(a,), _backward_fn=backward)
+    return Tensor(-a.data, _parents=(a,), _backward_fn=backward, _op="neg")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -233,30 +250,30 @@ def scale(a: Tensor, c: float) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g * c)
 
-    return Tensor(a.data * c, _parents=(a,), _backward_fn=backward)
+    return Tensor(a.data * c, _parents=(a,), _backward_fn=backward, _op="scale")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; supports stacked (batched) operands with broadcasting."""
-    if a.ndim < 1 or b.ndim < 1:
-        raise DimensionError("matmul requires at least 1-D operands")
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError("matmul operands must be at least 2-D here; reshape vectors first")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
         )
-    out_data = a.data @ b.data
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
 
-    return Tensor(out_data, _parents=(a, b), _backward_fn=backward, _op="matmul")
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product; supports stacked (batched) operands with broadcasting."""
+    _check_matmul(a, b)
+    backward = functools.partial(_matmul_backward, a, b)
+    return Tensor(a.data @ b.data, _parents=(a, b), _backward_fn=backward, _op="matmul")
+
+
+def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
+    if a.requires_grad:
+        a.accumulate_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+    if b.requires_grad:
+        b.accumulate_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -267,7 +284,7 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(np.transpose(g, inverse))
 
-    return Tensor(np.transpose(a.data, axes), _parents=(a,), _backward_fn=backward)
+    return Tensor(np.transpose(a.data, axes), _parents=(a,), _backward_fn=backward, _op="transpose")
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -278,7 +295,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g.reshape(old))
 
-    return Tensor(a.data.reshape(shape), _parents=(a,), _backward_fn=backward)
+    return Tensor(a.data.reshape(shape), _parents=(a,), _backward_fn=backward, _op="reshape")
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -295,7 +312,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
                 part.accumulate_grad(g[tuple(sl)])
 
     out = np.concatenate([p.data for p in parts], axis=axis)
-    return Tensor(out, _parents=tuple(parts), _backward_fn=backward)
+    return Tensor(out, _parents=tuple(parts), _backward_fn=backward, _op="concat")
 
 
 def stack_scalars(parts: Sequence[Tensor]) -> Tensor:
@@ -312,7 +329,7 @@ def stack_scalars(parts: Sequence[Tensor]) -> Tensor:
                 part.accumulate_grad(np.full_like(part.data, g[i]))
 
     out = np.array([p.data.reshape(()) for p in parts])
-    return Tensor(out, _parents=tuple(parts), _backward_fn=backward)
+    return Tensor(out, _parents=tuple(parts), _backward_fn=backward, _op="stack_scalars")
 
 
 def take_position(a: Tensor, pos: int) -> Tensor:
@@ -328,7 +345,7 @@ def take_position(a: Tensor, pos: int) -> Tensor:
             buf[..., pos, :] = g
             a.accumulate_grad(buf)
 
-    return Tensor(a.data[..., pos, :], _parents=(a,), _backward_fn=backward)
+    return Tensor(a.data[..., pos, :], _parents=(a,), _backward_fn=backward, _op="take_position")
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -343,7 +360,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
             np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.shape[1]))
             table.accumulate_grad(buf)
 
-    return Tensor(table.data[ids], _parents=(table,), _backward_fn=backward)
+    return Tensor(table.data[ids], _parents=(table,), _backward_fn=backward, _op="embedding")
 
 
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -358,7 +375,7 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             gg = g if keepdims else np.expand_dims(g, axis)
             a.accumulate_grad(np.broadcast_to(gg, a.shape).copy())
 
-    return Tensor(out_data, _parents=(a,), _backward_fn=backward)
+    return Tensor(out_data, _parents=(a,), _backward_fn=backward, _op="reduce_sum")
 
 
 def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -375,7 +392,7 @@ def log(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g / a.data)
 
-    return Tensor(out_data, _parents=(a,), _backward_fn=backward)
+    return Tensor(out_data, _parents=(a,), _backward_fn=backward, _op="log")
 
 
 def exp(a: Tensor) -> Tensor:
@@ -416,7 +433,7 @@ def gelu(a: Tensor) -> Tensor:
             d_inner = c * (1.0 + 3 * 0.044715 * x**2)
             a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner))
 
-    return Tensor(out_data, _parents=(a,), _backward_fn=backward)
+    return Tensor(out_data, _parents=(a,), _backward_fn=backward, _op="gelu")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -426,7 +443,7 @@ def tanh(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(g * (1.0 - t * t))
 
-    return Tensor(t, _parents=(a,), _backward_fn=backward)
+    return Tensor(t, _parents=(a,), _backward_fn=backward, _op="tanh")
 
 
 # Softmax-family ops ------------------------------------------------------
@@ -443,16 +460,26 @@ def softmax(a: Tensor, tau: float = 1.0, mask: np.ndarray | None = None) -> Tens
     z = a.data / tau
     if mask is not None:
         z = z + mask
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    out_data = _softmax_rows(z)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            inner = (g * out_data).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(out_data * (g - inner) / tau)
+            a.accumulate_grad(_softmax_rows_backward(out_data, g) / tau)
 
-    return Tensor(out_data, _parents=(a,), _backward_fn=backward)
+    return Tensor(out_data, _parents=(a,), _backward_fn=backward, _op="softmax")
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of a fresh array, which it overwrites; the
+    in-place subtract and divide round exactly as the out-of-place ones."""
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def _softmax_rows_backward(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
 def scaled_softmax(scores, tau: float) -> Tensor:
@@ -483,7 +510,7 @@ def nll(probabilities: Tensor, target_index: int) -> Tensor:
             buf[target_index] = -float(g.reshape(())) / p_eff
             probabilities.accumulate_grad(buf)
 
-    out = Tensor(-math.log(p_eff), _parents=(probabilities,), _backward_fn=backward)
+    out = Tensor(-math.log(p_eff), _parents=(probabilities,), _backward_fn=backward, _op="nll")
     if clamped:
         out.meta = {"clamped_floor": True}
     return out
@@ -500,7 +527,7 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
         if a.requires_grad:
             a.accumulate_grad(np.expand_dims(g, axis) * soft)
 
-    return Tensor(out_data, _parents=(a,), _backward_fn=backward)
+    return Tensor(out_data, _parents=(a,), _backward_fn=backward, _op="logsumexp")
 
 
 def cross_entropy_rows(scores: Tensor, targets: np.ndarray, tau: float = 1.0) -> Tensor:
@@ -533,7 +560,7 @@ def cross_entropy_rows(scores: Tensor, targets: np.ndarray, tau: float = 1.0) ->
             buf[rows, targets] -= 1.0
             scores.accumulate_grad(buf * (float(g.reshape(())) / (tau * n_rows)))
 
-    return Tensor(out_data, _parents=(scores,), _backward_fn=backward)
+    return Tensor(out_data, _parents=(scores,), _backward_fn=backward, _op="cross_entropy_rows")
 
 
 def sequence_log_prob(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -558,29 +585,123 @@ def sequence_log_prob(logits: Tensor, targets: np.ndarray) -> Tensor:
             np.add.at(buf, (bi, ti, targets), g[:, None])
             logits.accumulate_grad(buf)
 
-    return Tensor(out_data, _parents=(logits,), _backward_fn=backward)
+    return Tensor(out_data, _parents=(logits,), _backward_fn=backward, _op="sequence_log_prob")
 
 
 def biased_attention(
     query: Tensor, keys: Tensor, values: Tensor, bias: Tensor | np.ndarray
 ) -> Tensor:
-    """Attention with an additive logit bias per key position.
-
-    Weights are softmax over q.k^T/sqrt(d) + bias; the bias participates in
-    the graph, so gradients flow through it.
-    """
+    """One-head `attention` of 2-D query/keys/values with an additive logit
+    bias per key position: softmax(q.k^T/sqrt(d) + bias) @ values, with
+    gradients through the bias too."""
     bias = _coerce(bias)
-    if query.ndim != 2 or keys.ndim != 2 or values.ndim != 2:
-        raise DimensionError("biased_attention expects 2-D query/keys/values")
-    t, d = query.shape
-    s, dk = keys.shape
-    if dk != d or values.shape[0] != s:
-        raise DimensionError("key/value shapes do not match the query dimension")
-    if bias.ndim != 1 or bias.shape[0] != s:
-        raise DimensionError(f"bias length {bias.shape} must equal key count {s}")
-    logits = add(scale(matmul(query, transpose(keys, (1, 0))), 1.0 / math.sqrt(d)), bias)
-    weights = softmax(logits)
-    return matmul(weights, values)
+    if query.ndim != 2 or bias.shape != keys.shape[:1]:
+        raise DimensionError(
+            f"biased_attention expects 2-D operands and one bias per key, got {bias.shape}"
+        )
+    return attention(query, keys, values, 1, bias=bias)
+
+
+# Fused layer ops (see the module docstring) ------------------------------
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
+    c = 1.0 / x.shape[-1]
+    mean = x.data.sum(axis=-1, keepdims=True) * c
+    centered = x.data - mean
+    var = (centered * centered).sum(axis=-1, keepdims=True) * c
+    shifted = var + eps
+    inv = shifted**-0.5
+    normed = centered * inv
+    out_data = normed * gain.data + bias.data
+
+    def backward(g: np.ndarray) -> None:
+        if bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.shape))
+        if gain.requires_grad:
+            gain.accumulate_grad(_unbroadcast(g * normed, gain.shape))
+        if not x.requires_grad:
+            return
+        g_normed = g * gain.data
+        # through inv = shifted**-0.5, shifted = var + eps and var = sum(sq) * c
+        g_sq = _unbroadcast(g_normed * centered, inv.shape) * -0.5 * shifted**-1.5 * c
+        # centered feeds normed, then both operands of sq = centered * centered
+        g_centered = g_normed * inv
+        g_centered += g_sq * centered
+        g_centered += g_sq * centered
+        x.accumulate_grad(g_centered)
+        x.accumulate_grad(np.broadcast_to(-_unbroadcast(g_centered, mean.shape) * c, x.shape))
+
+    return Tensor(out_data, _parents=(x, gain, bias), _backward_fn=backward, _op="layer_norm")
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b."""
+    _check_matmul(x, w)
+    out_data = x.data @ w.data + b.data
+
+    def backward(g: np.ndarray) -> None:
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(g, b.shape))
+        _matmul_backward(x, w, g)
+
+    return Tensor(out_data, _parents=(x, w, b), _backward_fn=backward, _op="linear")
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int,
+    mask: np.ndarray | None = None, bias: Tensor | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention of (..., T, d) queries over
+    (..., S, d) keys and (..., S, dv) values -> (..., T, dv).
+
+    Each head attends with softmax(q.k^T/sqrt(d/heads) + bias + mask) over
+    the S keys. `bias` is a differentiated logit bias and `mask` a constant
+    additive one (0 / MASK_NEG); either broadcasts against the (..., heads,
+    T, S) scores.
+    """
+    *lead, t, d = q.shape
+    s, dv = k.shape[-2], v.shape[-1]
+    if d % heads or dv % heads or k.shape != (*lead, s, d) or v.shape != (*lead, s, dv):
+        raise DimensionError(f"attention shapes disagree: {q.shape}, {k.shape}, {v.shape}")
+    c = 1.0 / math.sqrt(d // heads)
+    qh, vh = _split_heads(q.data, heads), _split_heads(v.data, heads)
+    keys_t = np.ascontiguousarray(np.moveaxis(k.data.reshape(*lead, s, heads, -1), -3, -1))
+    z = (qh @ keys_t) * c
+    if bias is not None:
+        z = z + bias.data
+    if mask is not None:
+        z = z + mask
+    weights = _softmax_rows(z)
+    out_data = _merge_heads(weights @ vh)
+
+    def backward(g: np.ndarray) -> None:
+        g_mixed = _split_heads(g, heads)
+        g_z = _softmax_rows_backward(weights, g_mixed @ np.swapaxes(vh, -1, -2))
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g_z, bias.shape))
+        g_scores = g_z * c
+        if q.requires_grad:
+            q.accumulate_grad(_merge_heads(g_scores @ np.swapaxes(keys_t, -1, -2)))
+        if k.requires_grad:
+            k.accumulate_grad(_merge_heads(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2)))
+        if v.requires_grad:
+            v.accumulate_grad(_merge_heads(np.swapaxes(weights, -1, -2) @ g_mixed))
+
+    # parents in the order the composed chain's depth-first walk reached them
+    parents = (q, k, v) if bias is None else (q, k, bias, v)
+    return Tensor(out_data, _parents=parents, _backward_fn=backward, _op="attention")
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(..., T, d) -> contiguous (..., heads, T, d / heads)."""
+    return np.ascontiguousarray(np.swapaxes(x.reshape(*x.shape[:-1], heads, -1), -2, -3))
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., heads, T, dh) -> (..., T, heads * dh)."""
+    return np.swapaxes(x, -2, -3).reshape(*x.shape[:-3], x.shape[-2], -1)
 
 
 # Gradient checking -------------------------------------------------------

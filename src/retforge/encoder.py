@@ -14,8 +14,7 @@ forward; their contract is the gradient, checked by finite differences.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,15 +52,6 @@ class EncoderConfig:
         if self.vocab_size < 7:
             raise DomainError("vocab_size must cover the reserved token block")
 
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "layers": self.layers,
-            "hidden_size": self.hidden_size,
-            "heads": self.heads,
-            "max_seq_len": self.max_seq_len,
-        }
-
 
 def truncated_normal(
     rng: np.random.Generator, shape: tuple[int, ...], std: float = INIT_STD
@@ -75,71 +65,17 @@ def truncated_normal(
     return x
 
 
-def layer_norm(x: ad.Tensor, gain: ad.Parameter, bias: ad.Parameter) -> ad.Tensor:
-    mean = ad.reduce_mean(x, axis=-1, keepdims=True)
-    centered = x - mean
-    var = ad.reduce_mean(ad.mul(centered, centered), axis=-1, keepdims=True)
-    inv = ad.power(var + ad.Tensor(np.array(LN_EPS)), -0.5)
-    return ad.mul(centered, inv) * gain + bias
-
-
 class TransformerEncoder:
     """Pre-norm transformer over token ids; pooled output is position 0."""
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator, prefix: str):
         self.config = config
-        self.prefix = prefix
-        d, v = config.hidden_size, config.vocab_size
-        ff = 4 * d
-        p: dict[str, ad.Parameter] = {}
-
-        def param(name: str, values) -> ad.Parameter:
-            p[name] = ad.Parameter(values, name=f"{prefix}.{name}")
-            return p[name]
-
-        param("token_emb", truncated_normal(rng, (v, d)))
-        param("pos_emb", truncated_normal(rng, (config.max_seq_len, d)))
-        for i in range(config.layers):
-            for mat in ("wq", "wk", "wv", "wo"):
-                param(f"layer{i}.{mat}", truncated_normal(rng, (d, d)))
-                param(f"layer{i}.{mat}_b", np.zeros(d))
-            param(f"layer{i}.ln1_g", np.ones(d))
-            param(f"layer{i}.ln1_b", np.zeros(d))
-            param(f"layer{i}.ln2_g", np.ones(d))
-            param(f"layer{i}.ln2_b", np.zeros(d))
-            param(f"layer{i}.w1", truncated_normal(rng, (d, ff)))
-            param(f"layer{i}.w1_b", np.zeros(ff))
-            param(f"layer{i}.w2", truncated_normal(rng, (ff, d)))
-            param(f"layer{i}.w2_b", np.zeros(d))
-        param("final_ln_g", np.ones(d))
-        param("final_ln_b", np.zeros(d))
-        self.params = p
+        self.params = transformer_params(
+            prefix, rng, config.vocab_size, config.hidden_size, config.max_seq_len, config.layers
+        )
 
     def parameters(self) -> list[ad.Parameter]:
         return list(self.params.values())
-
-    def _attention(self, h: ad.Tensor, i: int, mask: np.ndarray) -> ad.Tensor:
-        """Multi-head attention mix of every position, before the output projection."""
-        cfg = self.config
-        d, n_heads = cfg.hidden_size, cfg.heads
-        dh = d // n_heads
-        b, t, _ = h.shape
-        p = self.params
-
-        def heads(x: ad.Tensor) -> ad.Tensor:
-            return ad.transpose(ad.reshape(x, (b, t, n_heads, dh)), (0, 2, 1, 3))
-
-        q = heads(ad.matmul(h, p[f"layer{i}.wq"]) + p[f"layer{i}.wq_b"])
-        k = heads(ad.matmul(h, p[f"layer{i}.wk"]) + p[f"layer{i}.wk_b"])
-        v = heads(ad.matmul(h, p[f"layer{i}.wv"]) + p[f"layer{i}.wv_b"])
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        weights = ad.softmax(scores, mask=mask)
-        return ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (b, t, d))
-
-    def _ffn(self, h: ad.Tensor, i: int) -> ad.Tensor:
-        p = self.params
-        inner = ad.gelu(ad.matmul(h, p[f"layer{i}.w1"]) + p[f"layer{i}.w1_b"])
-        return ad.matmul(inner, p[f"layer{i}.w2"]) + p[f"layer{i}.w2_b"]
 
     def forward(self, token_ids: np.ndarray, pooled: bool = False) -> ad.Tensor:
         """(B, T) padded int ids -> (B, T, d) hidden states, or with `pooled`
@@ -167,12 +103,10 @@ class TransformerEncoder:
         narrow = pooled and not ad.grad_enabled()
         last = self.config.layers - 1
         for i in range(self.config.layers):
-            mixed = self._attention(layer_norm(h, p[f"layer{i}.ln1_g"], p[f"layer{i}.ln1_b"]), i, mask)
-            if narrow and i == last:
-                h, mixed = _pooled_rows(h), _pooled_rows(mixed)
-            h = h + (ad.matmul(mixed, p[f"layer{i}.wo"]) + p[f"layer{i}.wo_b"])
-            h = h + self._ffn(layer_norm(h, p[f"layer{i}.ln2_g"], p[f"layer{i}.ln2_b"]), i)
-        h = layer_norm(h, p["final_ln_g"], p["final_ln_b"])
+            h = transformer_layer(
+                h, p, f"layer{i}", self.config.heads, mask, narrow=narrow and i == last
+            )
+        h = norm(h, p, "final_ln")
         if narrow:
             return ad.Tensor(h.data.reshape(b, -1, self.config.hidden_size)[:, 0])
         return ad.take_position(h, 0) if pooled else h
@@ -221,6 +155,87 @@ class TransformerEncoder:
                     chunk = rows[lo:lo + size]
                     out[chunk] = self.encode_batch([sequences[r] for r in chunk]).data
         return out
+
+
+def transformer_params(
+    prefix: str, rng: np.random.Generator, vocab_size: int, d: int, positions: int, layers: int,
+    decoder: bool = False,
+) -> dict[str, ad.Parameter]:
+    """Embeddings, `layers` layers for `transformer_layer` and the final
+    layer norm, drawn from `rng` in this order; a `decoder` adds each layer's
+    cross-attention and the output projection over the vocabulary."""
+    p: dict[str, ad.Parameter] = {}
+
+    def param(name: str, values) -> None:
+        p[name] = ad.Parameter(values, name=f"{prefix}.{name}")
+
+    param("token_emb", truncated_normal(rng, (vocab_size, d)))
+    param("pos_emb", truncated_normal(rng, (positions, d)))
+    for i in range(layers):
+        for mat in ("wq", "wk", "wv", "wo") + (("cq", "ck", "cv", "co") if decoder else ()):
+            param(f"layer{i}.{mat}", truncated_normal(rng, (d, d)))
+            param(f"layer{i}.{mat}_b", np.zeros(d))
+        for ln in ("ln1", "lnc", "ln2") if decoder else ("ln1", "ln2"):
+            param(f"layer{i}.{ln}_g", np.ones(d))
+            param(f"layer{i}.{ln}_b", np.zeros(d))
+        param(f"layer{i}.w1", truncated_normal(rng, (d, 4 * d)))
+        param(f"layer{i}.w1_b", np.zeros(4 * d))
+        param(f"layer{i}.w2", truncated_normal(rng, (4 * d, d)))
+        param(f"layer{i}.w2_b", np.zeros(d))
+    param("final_ln_g", np.ones(d))
+    param("final_ln_b", np.zeros(d))
+    if decoder:
+        param("out_proj", truncated_normal(rng, (d, vocab_size)))
+        param("out_proj_b", np.zeros(vocab_size))
+    return p
+
+
+def norm(x: ad.Tensor, p: dict[str, ad.Parameter], name: str) -> ad.Tensor:
+    """Layer norm with the `name`_g gain and `name`_b bias of `p`."""
+    return ad.layer_norm(x, p[f"{name}_g"], p[f"{name}_b"], LN_EPS)
+
+
+def project(x: ad.Tensor, p: dict[str, ad.Parameter], name: str) -> ad.Tensor:
+    """x @ `name` + `name`_b, from the parameters `p`."""
+    return ad.linear(x, p[name], p[f"{name}_b"])
+
+
+def transformer_layer(
+    h: ad.Tensor, p: dict[str, ad.Parameter], layer: str, heads: int, mask: np.ndarray,
+    cross: tuple[ad.Tensor, ad.Tensor] | None = None, bias: ad.Tensor | None = None,
+    narrow: bool = False,
+) -> ad.Tensor:
+    """One pre-norm layer over (B, T, d) states, shared by the encoder and
+    the reader's decoder: masked self-attention, then (decoder only) attention
+    to the `cross` key and value projections with the logit `bias`, then the
+    feed-forward block, each added to the residual stream.
+
+    With `narrow` (no-grad only) everything after the self-attention mix
+    runs on the rows that are pooled (see `_pooled_rows`).
+    """
+    mixed = _self_attention(norm(h, p, f"{layer}.ln1"), p, layer, heads, mask)
+    if narrow:
+        h, mixed = _pooled_rows(h), _pooled_rows(mixed)
+    h = h + project(mixed, p, f"{layer}.wo")
+    if cross is not None:
+        q = project(norm(h, p, f"{layer}.lnc"), p, f"{layer}.cq")
+        h = h + project(ad.attention(q, *cross, heads, bias=bias), p, f"{layer}.co")
+    return h + _feed_forward(norm(h, p, f"{layer}.ln2"), p, layer)
+
+
+# The two sublayers are functions so that their activations are released on
+# return, before the next sublayer allocates its own.
+
+
+def _self_attention(
+    x: ad.Tensor, p: dict[str, ad.Parameter], layer: str, heads: int, mask: np.ndarray
+) -> ad.Tensor:
+    q, k, v = (project(x, p, f"{layer}.{m}") for m in ("wq", "wk", "wv"))
+    return ad.attention(q, k, v, heads, mask=mask)
+
+
+def _feed_forward(x: ad.Tensor, p: dict[str, ad.Parameter], layer: str) -> ad.Tensor:
+    return project(ad.gelu(project(x, p, f"{layer}.w1")), p, f"{layer}.w2")
 
 
 def group_by_length(lengths) -> dict[int, list[int]]:
@@ -284,7 +299,7 @@ class DualEncoder:
 
     def save(self, path) -> None:
         arrays = {p.name: p.data for p in self.parameters()}
-        save_checkpoint(path, {"kind": "dual_encoder", **self.config.to_dict()}, arrays)
+        save_checkpoint(path, {"kind": "dual_encoder", **asdict(self.config)}, arrays)
 
     @classmethod
     def load(cls, path) -> "DualEncoder":

@@ -22,8 +22,7 @@ context keeps its own encoder forward and the decoder runs one row.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,16 +32,19 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import (
     EncoderConfig,
     TransformerEncoder,
+    _restore,
     group_by_length,
-    layer_norm,
-    truncated_normal,
+    norm,
+    project,
+    transformer_layer,
+    transformer_params,
 )
 from .errors import DimensionError, DomainError, FormatError
 from .text import BOS_ID, EOS_ID, SEP_ID
 
 PROB_SUM_TOL = 1e-9
 
-# per decoder layer: cross-attention keys (n, H, dh, T_mem), values (n, H, T_mem, dh)
+# per decoder layer: cross-attention key and value projections, each (n, T_mem, d)
 CrossKV = list[tuple[ad.Tensor, ad.Tensor]]
 # (context positions, their stacked cross K/V) per memory length
 MemoryGroups = list[tuple[list[int], CrossKV]]
@@ -63,14 +65,7 @@ class ReaderConfig:
             raise DomainError(f"dec_layers must be >= 1, got {self.dec_layers}")
         if self.max_answer_len < 1:
             raise DomainError(f"max_answer_len must be >= 1, got {self.max_answer_len}")
-        # encoder-side constraints are re-checked by the embedded EncoderConfig
-        EncoderConfig(
-            vocab_size=self.vocab_size,
-            layers=self.enc_layers,
-            hidden_size=self.hidden_size,
-            heads=self.heads,
-            max_seq_len=self.max_seq_len,
-        )
+        self.encoder_config()  # re-checks the encoder-side constraints
 
     def encoder_config(self) -> EncoderConfig:
         return EncoderConfig(
@@ -80,17 +75,6 @@ class ReaderConfig:
             heads=self.heads,
             max_seq_len=self.max_seq_len,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "enc_layers": self.enc_layers,
-            "dec_layers": self.dec_layers,
-            "hidden_size": self.hidden_size,
-            "heads": self.heads,
-            "max_seq_len": self.max_seq_len,
-            "max_answer_len": self.max_answer_len,
-        }
 
 
 def with_eos(tokens: Sequence[int]) -> list[int]:
@@ -106,32 +90,10 @@ class Reader:
         self.config = config
         rng = np.random.default_rng(seed)
         self.encoder = TransformerEncoder(config.encoder_config(), rng, prefix="reader_enc")
-        d, v = config.hidden_size, config.vocab_size
-        ff = 4 * d
-        p: dict[str, ad.Parameter] = {}
-
-        def param(name: str, values) -> ad.Parameter:
-            p[name] = ad.Parameter(values, name=f"reader_dec.{name}")
-            return p[name]
-
-        param("token_emb", truncated_normal(rng, (v, d)))
-        param("pos_emb", truncated_normal(rng, (config.max_answer_len, d)))
-        for i in range(config.dec_layers):
-            for mat in ("wq", "wk", "wv", "wo", "cq", "ck", "cv", "co"):
-                param(f"layer{i}.{mat}", truncated_normal(rng, (d, d)))
-                param(f"layer{i}.{mat}_b", np.zeros(d))
-            for ln in ("ln1", "lnc", "ln2"):
-                param(f"layer{i}.{ln}_g", np.ones(d))
-                param(f"layer{i}.{ln}_b", np.zeros(d))
-            param(f"layer{i}.w1", truncated_normal(rng, (d, ff)))
-            param(f"layer{i}.w1_b", np.zeros(ff))
-            param(f"layer{i}.w2", truncated_normal(rng, (ff, d)))
-            param(f"layer{i}.w2_b", np.zeros(d))
-        param("final_ln_g", np.ones(d))
-        param("final_ln_b", np.zeros(d))
-        param("out_proj", truncated_normal(rng, (d, v)))
-        param("out_proj_b", np.zeros(v))
-        self.dec_params = p
+        self.dec_params = transformer_params(
+            "reader_dec", rng, config.vocab_size, config.hidden_size, config.max_answer_len,
+            config.dec_layers, decoder=True,
+        )
         # Eq-8-style fusion weight; zero start means unbiased fusion
         self.lambda_bias = ad.Parameter(np.zeros(()), name="reader.lambda_bias")
 
@@ -197,30 +159,16 @@ class Reader:
     # Decoding ------------------------------------------------------------
 
     def _cross_kv(self, memory: ad.Tensor) -> CrossKV:
-        """Per-layer cross-attention keys, as (n, H, dh, T_mem), and values,
-        as (n, H, T_mem, dh), projected once from a (T_mem, d) memory or an
-        (n, T_mem, d) stack of equal-length memories."""
+        """Per-layer cross-attention key and value projections, (n, T_mem, d)
+        each, computed once from a (T_mem, d) memory or an (n, T_mem, d)
+        stack of equal-length memories."""
         if memory.ndim == 2:
             memory = ad.reshape(memory, (1,) + memory.shape)
-        n, t, d = memory.shape
-        h = self.config.heads
         p = self.dec_params
-        cross = []
-        for i in range(self.config.dec_layers):
-            k = ad.matmul(memory, p[f"layer{i}.ck"]) + p[f"layer{i}.ck_b"]
-            v = ad.matmul(memory, p[f"layer{i}.cv"]) + p[f"layer{i}.cv_b"]
-            keys_t = ad.transpose(ad.reshape(k, (n, t, h, d // h)), (0, 2, 3, 1))
-            cross.append((keys_t, self._heads(v)))
-        return cross
-
-    def _heads(self, x: ad.Tensor) -> ad.Tensor:
-        b, t, d = x.shape
-        h = self.config.heads
-        return ad.transpose(ad.reshape(x, (b, t, h, d // h)), (0, 2, 1, 3))
-
-    def _merge(self, x: ad.Tensor) -> ad.Tensor:
-        b, h, t, dh = x.shape
-        return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
+        return [
+            (project(memory, p, f"layer{i}.ck"), project(memory, p, f"layer{i}.cv"))
+            for i in range(self.config.dec_layers)
+        ]
 
     def _decode_logits(
         self,
@@ -242,31 +190,12 @@ class Reader:
                 f"decoder length {t_dec} exceeds max_answer_len {cfg.max_answer_len}"
             )
         p = self.dec_params
-        inv_sqrt_dh = 1.0 / math.sqrt(cfg.hidden_size // cfg.heads)
         h = ad.embedding(p["token_emb"], ids) + ad.embedding(p["pos_emb"], np.arange(t_dec))
         causal = np.where(np.triu(np.ones((t_dec, t_dec), dtype=bool), k=1), ad.MASK_NEG, 0.0)
-        for i, (keys_t, values) in enumerate(cross):
-            x = layer_norm(h, p[f"layer{i}.ln1_g"], p[f"layer{i}.ln1_b"])
-            q = self._heads(ad.matmul(x, p[f"layer{i}.wq"]) + p[f"layer{i}.wq_b"])
-            k = self._heads(ad.matmul(x, p[f"layer{i}.wk"]) + p[f"layer{i}.wk_b"])
-            v = self._heads(ad.matmul(x, p[f"layer{i}.wv"]) + p[f"layer{i}.wv_b"])
-            scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), inv_sqrt_dh)
-            self_out = self._merge(ad.matmul(ad.softmax(scores, mask=causal), v))
-            h = h + (ad.matmul(self_out, p[f"layer{i}.wo"]) + p[f"layer{i}.wo_b"])
-
-            x = layer_norm(h, p[f"layer{i}.lnc_g"], p[f"layer{i}.lnc_b"])
-            q = self._heads(ad.matmul(x, p[f"layer{i}.cq"]) + p[f"layer{i}.cq_b"])
-            scores = ad.scale(ad.matmul(q, keys_t), inv_sqrt_dh)
-            if bias is not None:
-                scores = scores + bias  # (T_mem,) broadcast over rows, heads and steps
-            cross_out = self._merge(ad.matmul(ad.softmax(scores), values))
-            h = h + (ad.matmul(cross_out, p[f"layer{i}.co"]) + p[f"layer{i}.co_b"])
-
-            x = layer_norm(h, p[f"layer{i}.ln2_g"], p[f"layer{i}.ln2_b"])
-            inner = ad.gelu(ad.matmul(x, p[f"layer{i}.w1"]) + p[f"layer{i}.w1_b"])
-            h = h + (ad.matmul(inner, p[f"layer{i}.w2"]) + p[f"layer{i}.w2_b"])
-        h = layer_norm(h, p["final_ln_g"], p["final_ln_b"])
-        return ad.matmul(h, p["out_proj"]) + p["out_proj_b"]
+        for i, kv in enumerate(cross):
+            # bias: (T_mem,) broadcast over rows, heads and steps
+            h = transformer_layer(h, p, f"layer{i}", cfg.heads, causal, cross=kv, bias=bias)
+        return project(norm(h, p, "final_ln"), p, "out_proj")
 
     def _fusion_memory(
         self,
@@ -290,11 +219,7 @@ class Reader:
         memory = ad.concat(encoded, axis=0) if len(encoded) > 1 else encoded[0]
         # in-graph bias lambda * p_i per context, broadcast over its positions
         lengths = [e.shape[0] for e in encoded]
-        spread = np.zeros((sum(lengths), len(contexts)))
-        lo = 0
-        for i, n in enumerate(lengths):
-            spread[lo:lo + n, i] = 1.0
-            lo += n
+        spread = np.repeat(np.eye(len(contexts)), lengths, axis=0)
         per_position = ad.matmul(
             ad.Tensor(spread), ad.reshape(ad.mul(self.lambda_bias, probs_t), (len(contexts), 1))
         )
@@ -314,11 +239,8 @@ class Reader:
     ) -> ad.Tensor:
         """Teacher-forced log p(answer | question, context); scores exactly
         the tokens given (callers terminate answers with [EOS])."""
-        answer = list(answer_tokens)
-        if not answer:
-            raise DomainError("cannot score an empty answer")
         memory = self.encode_pair(question_tokens, context_tokens)
-        return self._score_memory(memory, None, answer)
+        return self._score_memory(memory, None, answer_tokens)
 
     def joint_forward(
         self,
@@ -330,17 +252,16 @@ class Reader:
         """log p(answer | question, all k contexts, retrieval probs).
 
         probs: sequence of floats, or a Tensor to backpropagate through."""
-        answer = list(answer_tokens)
-        if not answer:
-            raise DomainError("cannot score an empty answer")
         memory, bias = self._fusion_memory(question_tokens, contexts, probs)
-        return self._score_memory(memory, bias, answer)
+        return self._score_memory(memory, bias, answer_tokens)
 
     def _score_memory(
-        self, memory: ad.Tensor, bias: ad.Tensor | None, answer: list[int]
+        self, memory: ad.Tensor, bias: ad.Tensor | None, answer: Sequence[int]
     ) -> ad.Tensor:
         """Scalar log p(answer) given one (T_mem, d) memory."""
-        scored = self._teacher_forced(self._cross_kv(memory), bias, np.asarray([answer]))
+        if not len(answer):
+            raise DomainError("cannot score an empty answer")
+        scored = self._teacher_forced(self._cross_kv(memory), bias, np.asarray([list(answer)]))
         return ad.reshape(scored, ())
 
     def _teacher_forced(
@@ -433,7 +354,7 @@ class Reader:
 
     def save(self, path) -> None:
         arrays = {p.name: p.data for p in self.parameters()}
-        save_checkpoint(path, {"kind": "reader", **self.config.to_dict()}, arrays)
+        save_checkpoint(path, {"kind": "reader", **asdict(self.config)}, arrays)
 
     @classmethod
     def load(cls, path) -> "Reader":
@@ -442,8 +363,6 @@ class Reader:
             raise FormatError(f"{path}: checkpoint kind {config.get('kind')!r} is not reader")
         cfg = ReaderConfig(**{k: v for k, v in config.items() if k != "kind"})
         model = cls(cfg, seed=0)
-        from .encoder import _restore
-
         _restore(model.parameters(), arrays, path)
         return model
 

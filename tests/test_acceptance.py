@@ -109,6 +109,13 @@ def _op_cases():
     seq = P(2, 3, 7)
     q23, k43, v42, bias4 = P(2, 3), P(4, 3), P(4, 2), P(4)
     w25, w6, w3, w34, w22 = C(2, 5), C(6), C(3), C(3, 4), C(2, 2)
+    # the fused layer ops, drawn last so the cases above keep their values
+    ln_x, ln_g, ln_b = P(2, 3, 4), P(4), P(4)
+    lin_x, lin_w, lin_b = P(2, 3, 4), P(4, 5), P(5)
+    att_q, att_k, att_v, att_bias = P(2, 3, 4), P(2, 5, 4), P(2, 5, 4), P(5)
+    w234, w235 = C(2, 3, 4), C(2, 3, 5)
+    att_mask = np.zeros((2, 1, 1, 5))
+    att_mask[1, ..., 3:] = ad.MASK_NEG  # the second row's last two keys are padding
 
     return [
         ("add", [a34, b4], lambda: ad.reduce_sum(ad.add(a34, b4))),
@@ -178,6 +185,23 @@ def _op_cases():
             "biased_attention",
             [q23, k43, v42, bias4],
             lambda: ad.reduce_sum(ad.mul(ad.biased_attention(q23, k43, v42, bias4), w22)),
+        ),
+        (
+            "layer_norm",
+            [ln_x, ln_g, ln_b],
+            lambda: ad.reduce_sum(ad.mul(ad.layer_norm(ln_x, ln_g, ln_b, 1e-5), w234)),
+        ),
+        (
+            "linear",
+            [lin_x, lin_w, lin_b],
+            lambda: ad.reduce_sum(ad.mul(ad.linear(lin_x, lin_w, lin_b), w235)),
+        ),
+        (
+            "attention_masked_biased",
+            [att_q, att_k, att_v, att_bias],
+            lambda: ad.reduce_sum(
+                ad.mul(ad.attention(att_q, att_k, att_v, 2, mask=att_mask, bias=att_bias), w234)
+            ),
         ),
     ]
 

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import composed
+
 from retforge import autodiff as ad
 from retforge import e2e, optim
 from retforge.data import Corpus, QAExample, SpanAnnotation
-from retforge.encoder import DualEncoder, EncoderConfig, layer_norm
+from retforge.encoder import LN_EPS, DualEncoder, EncoderConfig
 from retforge.errors import ConfigError, DomainError
 from retforge.index import EvidenceIndex, top_k
 from retforge.reader import Reader, ReaderConfig, with_eos
@@ -338,7 +340,7 @@ def reference_decode_logits(reader, memory, bias, decoder_input):
     h = ad.embedding(p["token_emb"], ids) + ad.embedding(p["pos_emb"], np.arange(t_dec))
     causal = np.where(np.triu(np.ones((t_dec, t_dec), dtype=bool), k=1), ad.MASK_NEG, 0.0)
     for i in range(cfg.dec_layers):
-        x = layer_norm(h, p[f"layer{i}.ln1_g"], p[f"layer{i}.ln1_b"])
+        x = composed.layer_norm(h, p[f"layer{i}.ln1_g"], p[f"layer{i}.ln1_b"], LN_EPS)
         q = heads(ad.matmul(x, p[f"layer{i}.wq"]) + p[f"layer{i}.wq_b"])
         k = heads(ad.matmul(x, p[f"layer{i}.wk"]) + p[f"layer{i}.wk_b"])
         v = heads(ad.matmul(x, p[f"layer{i}.wv"]) + p[f"layer{i}.wv_b"])
@@ -346,7 +348,7 @@ def reference_decode_logits(reader, memory, bias, decoder_input):
         self_out = merge(ad.matmul(ad.softmax(scores, mask=causal), v))
         h = h + (ad.matmul(self_out, p[f"layer{i}.wo"]) + p[f"layer{i}.wo_b"])
 
-        x = layer_norm(h, p[f"layer{i}.lnc_g"], p[f"layer{i}.lnc_b"])
+        x = composed.layer_norm(h, p[f"layer{i}.lnc_g"], p[f"layer{i}.lnc_b"], LN_EPS)
         q = heads(ad.matmul(x, p[f"layer{i}.cq"]) + p[f"layer{i}.cq_b"])
         k = heads(ad.matmul(memory, p[f"layer{i}.ck"]) + p[f"layer{i}.ck_b"])
         v = heads(ad.matmul(memory, p[f"layer{i}.cv"]) + p[f"layer{i}.cv_b"])
@@ -356,10 +358,10 @@ def reference_decode_logits(reader, memory, bias, decoder_input):
         cross_out = merge(ad.matmul(ad.softmax(scores), v))
         h = h + (ad.matmul(cross_out, p[f"layer{i}.co"]) + p[f"layer{i}.co_b"])
 
-        x = layer_norm(h, p[f"layer{i}.ln2_g"], p[f"layer{i}.ln2_b"])
+        x = composed.layer_norm(h, p[f"layer{i}.ln2_g"], p[f"layer{i}.ln2_b"], LN_EPS)
         inner = ad.gelu(ad.matmul(x, p[f"layer{i}.w1"]) + p[f"layer{i}.w1_b"])
         h = h + (ad.matmul(inner, p[f"layer{i}.w2"]) + p[f"layer{i}.w2_b"])
-    h = layer_norm(h, p["final_ln_g"], p["final_ln_b"])
+    h = composed.layer_norm(h, p["final_ln_g"], p["final_ln_b"], LN_EPS)
     return ad.matmul(h, p["out_proj"]) + p["out_proj_b"]
 
 
