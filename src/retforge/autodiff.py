@@ -731,8 +731,7 @@ def grad_check(
 
     for p in params:
         p.zero_grad()
-    loss = loss_fn()
-    loss.backward()
+    loss_fn().backward()
     analytic = [p.grad.copy() for p in params]
 
     worst = 0.0

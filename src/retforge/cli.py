@@ -17,7 +17,7 @@ import sys
 import types
 import typing
 import warnings
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +58,6 @@ PATH_KEYS = ("corpus", "train", "dev", "spans")
 RETRIEVER_RECIPES = ("ict", "supervised")
 READER_RECIPES = ("salient", "e2e-individual", "e2e-joint")
 RECIPES = RETRIEVER_RECIPES + READER_RECIPES
-ENCODER_KEYS = {"layers", "hidden_size", "heads", "max_seq_len"}
-READER_ONLY_KEYS = {"enc_layers", "dec_layers"}
 SWEEP_AXES = ("topk", "tau", "train-fraction")
 
 
@@ -115,16 +113,15 @@ def _coerce(value: str, typ):
     raise ConfigError(f"no parser for config type {typ}")
 
 
+@dataclass
 class ResolvedRun:
     """Everything a training run needs, parsed out of one flat namespace."""
 
-    def __init__(self, recipe: str, config, paths: dict[str, str],
-                 encoder_kwargs: dict, reader_kwargs: dict):
-        self.recipe = recipe
-        self.config = config
-        self.paths = paths
-        self.encoder_kwargs = encoder_kwargs
-        self.reader_kwargs = reader_kwargs
+    recipe: str
+    config: object
+    paths: dict[str, str]
+    encoder_kwargs: dict
+    reader_kwargs: dict
 
 
 def _resolve_run(recipe: str, file_raw: dict[str, str],
@@ -153,30 +150,23 @@ def _resolve_run(recipe: str, file_raw: dict[str, str],
         if "mode" in merged:
             raise ConfigError(f"mode is only meaningful for e2e recipes, not {recipe}")
 
-    main_hints = typing.get_type_hints(cls)
-    main_known = {f.name for f in fields(cls)}
-    enc_hints = typing.get_type_hints(EncoderConfig)
-    reader_hints = typing.get_type_hints(ReaderConfig)
-    reader_shared = ENCODER_KEYS | READER_ONLY_KEYS | {"max_answer_len"}
-
     main_kwargs: dict = {}
     encoder_kwargs: dict = {}
     reader_kwargs: dict = {}
     paths: dict[str, str] = {}
+    # a key sets the field of its name in every config that has one; the
+    # model configs' vocab_size comes from the corpus
+    routes = [(cls, main_kwargs), (EncoderConfig, encoder_kwargs), (ReaderConfig, reader_kwargs)]
     for key, value in merged.items():
-        routed = False
         if key in PATH_KEYS:
             paths[key] = str(value)
             continue
-        if key in main_known:
-            main_kwargs[key] = _coerce(value, main_hints[key])
-            routed = True
-        if key in ENCODER_KEYS:
-            encoder_kwargs[key] = _coerce(value, enc_hints[key])
-            routed = True
-        if key in reader_shared and key in reader_hints and key != "layers":
-            reader_kwargs[key] = _coerce(value, reader_hints[key])
-            routed = True
+        routed = False
+        for target, kwargs in routes:
+            hints = typing.get_type_hints(target)
+            if key in hints and key != "vocab_size":
+                kwargs[key] = _coerce(value, hints[key])
+                routed = True
         if not routed:
             raise ConfigError(f"unknown config key {key!r}")
     return ResolvedRun(recipe, cls(**main_kwargs), paths, encoder_kwargs, reader_kwargs)
@@ -207,24 +197,13 @@ def _write_resolved_config(path, run: ResolvedRun) -> None:
 
 
 def _json_safe(record: dict) -> dict:
-    out = {}
-    for key, value in record.items():
-        if isinstance(value, np.generic):
-            value = value.item()
-        out[key] = value
-    return out
-
-
-def _write_metrics(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(_json_safe(record), sort_keys=True) + "\n")
+    return {k: v.item() if isinstance(v, np.generic) else v for k, v in record.items()}
 
 
 def _write_jsonl(path, records) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(json.dumps(_json_safe(record), ensure_ascii=False, sort_keys=True) + "\n")
 
 
 # Shared run machinery ---------------------------------------------------------
@@ -243,34 +222,18 @@ def _mine_unmined(examples, corpus, n_hard_negatives):
     ]
 
 
-def _load_retriever(run: ResolvedRun, corpus: Corpus, init: str | None) -> DualEncoder:
-    if init:
-        dual = DualEncoder.load(init)
-        if dual.config.vocab_size != len(corpus.vocab):
-            raise DimensionError(
-                f"checkpoint vocabulary size {dual.config.vocab_size} does not "
-                f"match corpus vocabulary size {len(corpus.vocab)}"
-            )
-        return dual
-    enc_config = EncoderConfig(vocab_size=len(corpus.vocab), **run.encoder_kwargs)
-    return DualEncoder(enc_config, seed=run.config.seed)
-
-
-def _load_reader(run: ResolvedRun, corpus: Corpus, init: str | None) -> Reader:
-    if init:
-        reader = Reader.load(init)
-        if reader.config.vocab_size != len(corpus.vocab):
-            raise DimensionError(
-                f"reader checkpoint vocabulary size {reader.config.vocab_size} "
-                f"does not match corpus vocabulary size {len(corpus.vocab)}"
-            )
-        return reader
-    kwargs = dict(run.reader_kwargs)
-    for key in ENCODER_KEYS & set(run.encoder_kwargs):
-        if key != "layers":
-            kwargs.setdefault(key, run.encoder_kwargs[key])
-    reader_config = ReaderConfig(vocab_size=len(corpus.vocab), **kwargs)
-    return Reader(reader_config, seed=run.config.seed + 1)
+def _init_model(cls, config_cls, kwargs: dict, seed: int, corpus: Corpus, init: str | None):
+    """A new model over the corpus vocabulary, or the one saved at `init`,
+    whose vocabulary must be the corpus's."""
+    if not init:
+        return cls(config_cls(vocab_size=len(corpus.vocab), **kwargs), seed=seed)
+    model = cls.load(init)
+    if model.config.vocab_size != len(corpus.vocab):
+        raise DimensionError(
+            f"{init}: checkpoint vocabulary size {model.config.vocab_size} does not "
+            f"match corpus vocabulary size {len(corpus.vocab)}"
+        )
+    return model
 
 
 def _require_path(run: ResolvedRun, key: str) -> str:
@@ -284,7 +247,9 @@ def run_training(run: ResolvedRun, out_dir: Path,
     """Execute one recipe; write checkpoints, metrics, index, and the
     resolved config under out_dir. Returns (metrics, retriever, reader)."""
     corpus = load_corpus(_require_path(run, "corpus"))
-    retriever = _load_retriever(run, corpus, init)
+    retriever = _init_model(
+        DualEncoder, EncoderConfig, run.encoder_kwargs, run.config.seed, corpus, init
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     reader = None
     config = run.config
@@ -301,7 +266,9 @@ def run_training(run: ResolvedRun, out_dir: Path,
         metrics = train_supervised(dataset, corpus, retriever, config, dev=dev)
     elif run.recipe == "salient":
         annotations = load_spans(_require_path(run, "spans"))
-        reader = _load_reader(run, corpus, init_reader)
+        reader = _init_model(
+            Reader, ReaderConfig, run.reader_kwargs, run.config.seed + 1, corpus, init_reader
+        )
         index = EvidenceIndex(corpus)
         index.build(retriever)
         metrics = train_salient_spans(
@@ -310,7 +277,9 @@ def run_training(run: ResolvedRun, out_dir: Path,
     else:  # e2e-individual / e2e-joint
         dataset = load_qa(_require_path(run, "train"))
         dev = load_qa(run.paths["dev"]) if "dev" in run.paths else None
-        reader = _load_reader(run, corpus, init_reader)
+        reader = _init_model(
+            Reader, ReaderConfig, run.reader_kwargs, run.config.seed + 1, corpus, init_reader
+        )
         index = EvidenceIndex(corpus)
         index.build(retriever)
         metrics = train_e2e(dataset, corpus, retriever, reader, index, config, dev=dev)
@@ -319,7 +288,7 @@ def run_training(run: ResolvedRun, out_dir: Path,
     if reader is not None:
         reader.save(out_dir / "reader.ckpt")
     save_index(build_snapshot(retriever, corpus), out_dir / "index.ridx")
-    _write_metrics(out_dir / "metrics.jsonl", metrics)
+    _write_jsonl(out_dir / "metrics.jsonl", metrics)
     _write_resolved_config(out_dir / "resolved.cfg", run)
     return metrics, retriever, reader
 

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import Corpus, QAExample
-from .encoder import DualEncoder
+from .encoder import DualEncoder, document_input, question_input
 from .errors import ConfigError, DomainError
 from .evaluation import exact_match, topk_accuracy
 from .index import EvidenceIndex, IndexSnapshot, RetrievalResult, top_k
-from .optim import ParamGroup, linear_schedule, make_optimizer
+from .optim import ParamGroup, descend, linear_schedule, make_optimizer
 from .reader import Reader, with_eos
 
 MODES = ("individual", "joint")
@@ -87,9 +87,9 @@ def _live_log_probs(
     tau: float,
 ) -> ad.Tensor:
     """Top-k-normalized log p(z_i|q,K) from freshly encoded representations."""
-    q_vec = ad.reshape(retriever.encode_question(question_tokens), (1, -1))
+    q_vec = retriever.question_encoder.encode_batch([question_input(question_tokens)])
     z_rows = [
-        ad.reshape(retriever.encode_document(corpus.by_id[i], corpus.vocab), (1, -1))
+        retriever.context_encoder.encode_batch([document_input(corpus.by_id[i], corpus.vocab)])
         for i in doc_ids
     ]
     z = ad.concat(z_rows, axis=0) if len(z_rows) > 1 else z_rows[0]
@@ -297,10 +297,7 @@ def train_e2e(
                 answer = example.answers[int(rng.integers(len(example.answers)))]
                 pairs.append((corpus.vocab.encode(example.question), corpus.vocab.encode(answer)))
             loss = topk_batch_loss(pairs, snapshot, k, tau, loss_fn, corpus, retriever, reader)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step(linear_schedule(step, total_steps, config.warmup_ratio))
-            epoch_losses.append(loss.item())
+            epoch_losses.append(descend(optimizer, loss, step, total_steps, config.warmup_ratio))
         record: dict = {
             "epoch": epoch,
             "step": step,

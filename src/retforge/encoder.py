@@ -14,14 +14,14 @@ forward; their contract is the gradient, checked by finite differences.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import DimensionError, DomainError, FormatError
+from .checkpoint import load_model, save_model
+from .errors import DimensionError, DomainError
 from .text import CLS_ID, PAD_ID, SEP_ID, Vocabulary
 
 INIT_STD = 0.02
@@ -43,6 +43,8 @@ class EncoderConfig:
             raise DomainError(f"layers must be >= 1, got {self.layers}")
         if self.hidden_size < 8:
             raise DomainError(f"hidden_size must be >= 8, got {self.hidden_size}")
+        if self.heads < 1:
+            raise DomainError(f"heads must be >= 1, got {self.heads}")
         if self.hidden_size % self.heads != 0:
             raise DomainError(
                 f"heads ({self.heads}) must divide hidden_size ({self.hidden_size})"
@@ -270,6 +272,11 @@ def context_input(title_tokens: Sequence[int], text_tokens: Sequence[int]) -> li
     return [CLS_ID] + list(title_tokens) + [SEP_ID] + list(text_tokens)
 
 
+def document_input(doc, vocab: Vocabulary) -> list[int]:
+    """Context-tower input of a corpus document: its title, then its text."""
+    return context_input(vocab.encode(doc.title), doc.tokens)
+
+
 class DualEncoder:
     """Question tower and context tower with disjoint parameters."""
 
@@ -289,46 +296,12 @@ class DualEncoder:
         """Inference: (N, d) question vectors, each equal to `encode_question`."""
         return self.question_encoder.embed([question_input(q) for q in questions])
 
-    def encode_context(
-        self, title_tokens: Sequence[int], text_tokens: Sequence[int]
-    ) -> ad.Tensor:
-        return self.context_encoder.encode(context_input(title_tokens, text_tokens))
-
-    def encode_document(self, doc, vocab: Vocabulary) -> ad.Tensor:
-        return self.encode_context(vocab.encode(doc.title), doc.tokens)
-
     def save(self, path) -> None:
-        arrays = {p.name: p.data for p in self.parameters()}
-        save_checkpoint(path, {"kind": "dual_encoder", **asdict(self.config)}, arrays)
+        save_model(path, "dual_encoder", self.config, self.parameters())
 
     @classmethod
     def load(cls, path) -> "DualEncoder":
-        config, arrays = load_checkpoint(path)
-        if config.get("kind") != "dual_encoder":
-            raise FormatError(f"{path}: checkpoint kind {config.get('kind')!r} is not dual_encoder")
-        cfg = EncoderConfig(**{k: v for k, v in config.items() if k != "kind"})
-        model = cls(cfg, seed=0)
-        _restore(model.parameters(), arrays, path)
-        return model
-
-
-def _restore(params: Sequence[ad.Parameter], arrays: dict[str, np.ndarray], path) -> None:
-    names = {p.name for p in params}
-    missing = names - set(arrays)
-    extra = set(arrays) - names
-    if missing or extra:
-        raise FormatError(
-            f"{path}: parameter names disagree (missing {sorted(missing)[:3]}, "
-            f"unexpected {sorted(extra)[:3]})"
-        )
-    for p in params:
-        arr = arrays[p.name]
-        if arr.shape != p.data.shape:
-            raise FormatError(
-                f"{path}: shape mismatch for {p.name}: {arr.shape} vs {p.data.shape}"
-            )
-        p.data = arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
-        p.zero_grad()
+        return load_model(path, "dual_encoder", EncoderConfig, cls)
 
 
 def relevance_score(q_vec: np.ndarray, z_vec: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import context_input
+from .encoder import document_input
 from .errors import DimensionError, DomainError, FormatError
 
 MAGIC = b"RIDX1\x00\x00\x00"
@@ -91,15 +91,16 @@ def build_snapshot(dual_encoder, corpus, version: int = 0) -> IndexSnapshot:
     """Embed every corpus document with the context tower.
 
     Documents go through `TransformerEncoder.embed`: graph-free, in chunks of
-    equal-length inputs. Each float64 vector equals the document's own
-    `encode_document` bit for bit before the float32 cast, so a rebuild with
-    unchanged parameters reproduces the matrix exactly.
+    equal-length inputs. Each float64 vector equals the context tower's
+    `encode(document_input(doc, vocab))` bit for bit before the float32
+    cast, so a rebuild with unchanged parameters reproduces the matrix
+    exactly.
     """
     if len(corpus) == 0:
         raise DomainError("cannot index an empty corpus")
-    vectors = dual_encoder.context_encoder.embed([
-        context_input(corpus.vocab.encode(doc.title), doc.tokens) for doc in corpus
-    ])
+    vectors = dual_encoder.context_encoder.embed(
+        [document_input(doc, corpus.vocab) for doc in corpus]
+    )
     return IndexSnapshot(
         version=version,
         doc_ids=np.array([doc.id for doc in corpus], dtype=np.int64),

@@ -100,6 +100,15 @@ def make_optimizer(dual, config, extra: Sequence[ParamGroup] = ()) -> AdamW:
     return AdamW(groups, lr=config.learning_rate, weight_decay=config.weight_decay)
 
 
+def descend(optimizer: AdamW, loss, step: int, total_steps: int, warmup_ratio: float) -> float:
+    """One update: the gradients of `loss` alone, then one `optimizer.step`
+    at the schedule's rate for this 1-based step. Returns the loss value."""
+    optimizer.zero_grad()
+    loss.backward()
+    optimizer.step(linear_schedule(step, total_steps, warmup_ratio))
+    return loss.item()
+
+
 def linear_schedule(step: int, total_steps: int, warmup_ratio: float = 0.01) -> float:
     """Learning-rate multiplier for a 1-based step.
 

@@ -22,24 +22,23 @@ context keeps its own encoder forward and the decoder runs one row.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_model, save_model
 from .encoder import (
     EncoderConfig,
     TransformerEncoder,
-    _restore,
     group_by_length,
     norm,
     project,
     transformer_layer,
     transformer_params,
 )
-from .errors import DimensionError, DomainError, FormatError
+from .errors import DimensionError, DomainError
 from .text import BOS_ID, EOS_ID, SEP_ID
 
 PROB_SUM_TOL = 1e-9
@@ -353,18 +352,11 @@ class Reader:
     # Persistence -----------------------------------------------------------
 
     def save(self, path) -> None:
-        arrays = {p.name: p.data for p in self.parameters()}
-        save_checkpoint(path, {"kind": "reader", **asdict(self.config)}, arrays)
+        save_model(path, "reader", self.config, self.parameters())
 
     @classmethod
     def load(cls, path) -> "Reader":
-        config, arrays = load_checkpoint(path)
-        if config.get("kind") != "reader":
-            raise FormatError(f"{path}: checkpoint kind {config.get('kind')!r} is not reader")
-        cfg = ReaderConfig(**{k: v for k, v in config.items() if k != "kind"})
-        model = cls(cfg, seed=0)
-        _restore(model.parameters(), arrays, path)
-        return model
+        return load_model(path, "reader", ReaderConfig, cls)
 
 
 def _take_rows(cross: CrossKV, rows: np.ndarray) -> CrossKV:

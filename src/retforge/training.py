@@ -18,11 +18,11 @@ import numpy as np
 from . import autodiff as ad
 from .data import Corpus, Document, QAExample, SpanAnnotation, mask_salient_spans, sample_ict_pair
 from .e2e import evaluate_retrieval, individual_topk_loss, tau_value, topk_batch_loss
-from .encoder import DualEncoder, context_input, question_input
+from .encoder import DualEncoder, context_input, document_input, question_input
 from .errors import ConfigError, DomainError
 from .evaluation import DEFAULT_KS
 from .index import EvidenceIndex, build_snapshot, top_k
-from .optim import ParamGroup, linear_schedule, make_optimizer
+from .optim import ParamGroup, descend, linear_schedule, make_optimizer
 from .reader import Reader
 from .text import segment_sentences
 
@@ -67,9 +67,16 @@ class TrainConfig:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
 
 
-def supervised_loss_from_scores(scores: ad.Tensor, targets: np.ndarray, tau: float) -> ad.Tensor:
-    """Mean over questions of -log softmax(row / tau)[own positive]."""
-    return ad.cross_entropy_rows(scores, targets, tau=tau)
+def in_batch_loss(
+    dual: DualEncoder, questions: Sequence[Sequence[int]], contexts: Sequence[Sequence[int]],
+    targets: np.ndarray, tau: float,
+) -> ad.Tensor:
+    """Mean over questions of -log softmax(q . z / tau)[own context], every
+    question scored against every context of the batch; `questions` and
+    `contexts` are tower inputs, `targets` the context column of each question."""
+    q = dual.question_encoder.encode_batch(questions)
+    z = dual.context_encoder.encode_batch(contexts)
+    return ad.cross_entropy_rows(ad.matmul(q, ad.transpose(z, (1, 0))), targets, tau=tau)
 
 
 def batch_loss_supervised(
@@ -105,14 +112,13 @@ def batch_loss_supervised(
             "treating a question's own positive as a negative",
             stacklevel=2,
         )
-    questions = dual.question_encoder.encode_batch(
-        [question_input(q) for q, _, _ in batch]
+    return in_batch_loss(
+        dual,
+        [question_input(q) for q, _, _ in batch],
+        [document_input(d, corpus.vocab) for d in context_docs],
+        targets,
+        tau,
     )
-    contexts = dual.context_encoder.encode_batch(
-        [context_input(corpus.vocab.encode(d.title), d.tokens) for d in context_docs]
-    )
-    scores = ad.matmul(questions, ad.transpose(contexts, (1, 0)))
-    return supervised_loss_from_scores(scores, targets, tau)
 
 
 def _positive_rank_accuracy(
@@ -175,10 +181,7 @@ def train_supervised(
                     negatives,
                 ))
             loss = batch_loss_supervised(dual, batch, corpus, tau)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step(linear_schedule(step, total_steps, config.warmup_ratio))
-            epoch_losses.append(loss.item())
+            epoch_losses.append(descend(optimizer, loss, step, total_steps, config.warmup_ratio))
         record: dict = {
             "step": step,
             "epoch": epoch,
@@ -236,16 +239,10 @@ def train_ict(
                 context_seqs.append(ctx_ids)
             questions.append(question_input(query))
             targets.append(column_of[key])
-        q = dual.question_encoder.encode_batch(questions)
-        z = dual.context_encoder.encode_batch(context_seqs)
-        scores = ad.matmul(q, ad.transpose(z, (1, 0)))
-        loss = supervised_loss_from_scores(scores, np.array(targets), tau)
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step(linear_schedule(step, config.steps, config.warmup_ratio))
+        loss = in_batch_loss(dual, questions, context_seqs, np.array(targets), tau)
         metrics.append({
             "step": step,
-            "loss": loss.item(),
+            "loss": descend(optimizer, loss, step, config.steps, config.warmup_ratio),
             "lr": config.learning_rate * linear_schedule(step, config.steps, config.warmup_ratio),
         })
     return metrics
@@ -288,12 +285,9 @@ def train_salient_spans(
         loss = topk_batch_loss(
             pairs, snapshot, k, tau, individual_topk_loss, corpus, retriever, reader
         )
-        optimizer.zero_grad()
-        loss.backward()
-        optimizer.step(linear_schedule(step, config.steps, config.warmup_ratio))
         metrics.append({
             "step": step,
-            "loss": loss.item(),
+            "loss": descend(optimizer, loss, step, config.steps, config.warmup_ratio),
             "lr": config.learning_rate * linear_schedule(step, config.steps, config.warmup_ratio),
             "index_version": snapshot.version,
         })

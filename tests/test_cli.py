@@ -195,6 +195,24 @@ def test_train_unknown_key_is_config_error(train_cfg, tmp_path):
     assert code == 3
 
 
+def test_train_model_vocab_size_key_is_config_error(train_cfg, tmp_path):
+    # the model configs' vocab_size always comes from the corpus
+    code = cli.main([
+        "train", "supervised", "--config", str(train_cfg),
+        "--out-dir", str(tmp_path / "x"), "--set", "vocab_size=5",
+    ])
+    assert code == 3
+
+
+def test_train_zero_heads_is_input_error(train_cfg, tmp_path, capsys):
+    code = cli.main([
+        "train", "ict", "--config", str(train_cfg),
+        "--out-dir", str(tmp_path / "x"), "--set", "heads=0",
+    ])
+    assert code == 2
+    assert "heads must be >= 1" in capsys.readouterr().err
+
+
 def test_train_joint_context_switch_is_config_error(e2e_cfg, tmp_path):
     code = cli.main([
         "train", "e2e-joint", "--config", str(e2e_cfg),
@@ -249,6 +267,22 @@ def test_retrieve_k_too_large_is_input_error(toy_dir, sup_run):
         "--k", "999", "--question", "anything ?",
     ])
     assert code == 2
+
+
+def test_retrieve_flipped_checkpoint_is_input_error(toy_dir, sup_run, tmp_path, capsys):
+    raw = (sup_run / "retriever.ckpt").read_bytes()
+    at = raw.index(b'"name"') + 1
+    flipped = tmp_path / "flipped.ckpt"
+    flipped.write_bytes(raw[:at] + bytes([raw[at] ^ 1]) + raw[at + 1:])  # "name" -> "oame"
+    code = cli.main([
+        "retrieve",
+        "--index", str(sup_run / "index.ridx"),
+        "--checkpoint", str(flipped),
+        "--corpus", str(toy_dir / "corpus.jsonl"),
+        "--question", "anything ?",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_retrieve_missing_index_is_io_error(toy_dir, sup_run, tmp_path):

@@ -25,6 +25,9 @@ def test_config_validation():
         EncoderConfig(vocab_size=16, hidden_size=4)
     with pytest.raises(DomainError):
         EncoderConfig(vocab_size=16, hidden_size=64, heads=5)
+    for heads in (0, -4):  # 64 % -4 == 0, and 64 % 0 divides by zero
+        with pytest.raises(DomainError, match="heads"):
+            EncoderConfig(vocab_size=16, hidden_size=64, heads=heads)
     with pytest.raises(DomainError):
         EncoderConfig(vocab_size=3)
 
@@ -44,10 +47,10 @@ def test_question_and_context_input_layout():
 
 def test_tower_disjointness():
     model = DualEncoder(TINY, seed=0)
-    before = model.encode_context([7], [8, 9]).data.copy()
+    before = model.context_encoder.encode(context_input([7], [8, 9])).data.copy()
     for p in model.question_encoder.parameters():
         p.data = p.data + 0.5
-    after = model.encode_context([7], [8, 9]).data
+    after = model.context_encoder.encode(context_input([7], [8, 9])).data
     np.testing.assert_array_equal(before, after)
     q_names = {p.name for p in model.question_encoder.parameters()}
     z_names = {p.name for p in model.context_encoder.parameters()}
@@ -185,7 +188,8 @@ def test_grad_check_dual_encoder_end_to_end():
     def loss():
         q = ad.reshape(model.encode_question(question), (1, 8))
         zs = ad.concat(
-            [ad.reshape(model.encode_context(t, x), (1, 8)) for t, x in contexts],
+            [ad.reshape(model.context_encoder.encode(context_input(t, x)), (1, 8))
+             for t, x in contexts],
             axis=0,
         )
         scores = ad.reshape(ad.matmul(q, ad.transpose(zs, (1, 0))), (2,))

@@ -14,10 +14,10 @@ import pytest
 import composed
 from retforge import autodiff as ad
 from retforge.data import Corpus, QAExample, SpanAnnotation
-from retforge.e2e import E2EConfig, train_e2e
+from retforge.e2e import E2EConfig, individual_topk_loss, train_e2e
 from retforge.encoder import LN_EPS, DualEncoder, EncoderConfig
 from retforge.errors import DimensionError
-from retforge.index import EvidenceIndex
+from retforge.index import EvidenceIndex, top_k
 from retforge.reader import Reader, ReaderConfig
 from retforge.text import PAD_ID
 from retforge.toy import ToySpec, generate_toy
@@ -220,3 +220,24 @@ def test_one_layer_forward_and_decoder_call_build_few_tensors(monkeypatch):
         return reader._decode_logits(np.array([[3, 8, 9]]), cross, None)
 
     assert tensors_built(monkeypatch, decode) <= 33  # 98 with the composed chains
+
+
+def test_individual_topk_loss_builds_no_reshape_only_nodes(monkeypatch):
+    corpus, train, _, _, _, _ = recipe_world()
+    v = len(corpus.vocab)
+    dual = DualEncoder(EncoderConfig(vocab_size=v, layers=1, hidden_size=16, heads=2,
+                                     max_seq_len=64), seed=0)
+    reader = Reader(ReaderConfig(vocab_size=v, enc_layers=1, dec_layers=1, hidden_size=16,
+                                 heads=2, max_seq_len=64, max_answer_len=8))
+    index = EvidenceIndex(corpus)
+    index.build(dual)
+    question = corpus.vocab.encode(train[0].question)
+    retrieved = top_k(index.snapshot, dual.embed_questions([question])[0], k=2, tau=4.0)
+    answer = corpus.vocab.encode(train[0].answers[0])
+
+    def loss():
+        return individual_topk_loss(question, answer, retrieved, corpus, dual, reader, 4.0)
+
+    # the towers' (1, d) `encode_batch` rows feed the scores directly; a
+    # reshape to (d,) and back per vector would add 2(k + 1) = 6 nodes
+    assert tensors_built(monkeypatch, loss) <= 151

@@ -6,7 +6,7 @@ import pytest
 
 from retforge import autodiff as ad
 from retforge import data as D
-from retforge.encoder import DualEncoder, EncoderConfig, context_input
+from retforge.encoder import DualEncoder, EncoderConfig, context_input, document_input
 from retforge.errors import DimensionError, DomainError, FormatError
 from retforge.index import (
     EvidenceIndex,
@@ -113,7 +113,7 @@ def test_build_snapshot_matches_context_encoder(small_corpus):
     assert snap.embeddings.shape == (3, 8)
     assert list(snap.doc_ids) == [0, 1, 2]
     for i, doc in enumerate(small_corpus):
-        expected = model.encode_document(doc, small_corpus.vocab).data
+        expected = model.context_encoder.encode(document_input(doc, small_corpus.vocab)).data
         # rows are stored at index precision: equality holds after the cast
         np.testing.assert_array_equal(snap.embeddings[i], expected.astype(np.float32))
 

@@ -80,10 +80,10 @@ def param_bytes(params):
 def test_supervised_loss_hand_value():
     scores = ad.Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
     targets = np.array([0, 1])
-    loss = T.supervised_loss_from_scores(scores, targets, tau=2.0)
+    loss = ad.cross_entropy_rows(scores, targets, tau=2.0)
     # each row: -ln(e^{1/2} / (e^{1/2} + e^0)) = ln(1 + e^{-1/2})
     assert abs(loss.item() - 0.4740769841801067) < 1e-14
-    loss1 = T.supervised_loss_from_scores(scores, targets, tau=1.0)
+    loss1 = ad.cross_entropy_rows(scores, targets, tau=1.0)
     assert abs(loss1.item() - 0.31326168751822286) < 1e-14
 
 
@@ -113,7 +113,7 @@ def test_batch_loss_matches_composed_scores():
         [context_input(corpus.vocab.encode(d.title), d.tokens) for d in docs]
     )
     scores = ad.matmul(questions, ad.transpose(contexts, (1, 0)))
-    composed = T.supervised_loss_from_scores(scores, np.arange(3), tau)
+    composed = ad.cross_entropy_rows(scores, np.arange(3), tau=tau)
     assert loss.item() == composed.item()
 
 
