@@ -37,7 +37,7 @@ from .e2e import (
     tau_value,
     train_e2e,
 )
-from .encoder import DualEncoder, EncoderConfig, TransformerEncoder, relevance_score
+from .encoder import DualEncoder, EncoderConfig, TransformerEncoder
 from .errors import (
     ConfigError,
     DeterminismError,
@@ -100,7 +100,6 @@ __all__ = [
     "save_corpus",
     "save_qa",
     "save_spans",
-    "relevance_score",
     "tau_value",
     "top_k",
     "topk_accuracy",

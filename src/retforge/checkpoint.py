@@ -17,6 +17,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .errors import FormatError
+from .files import write_atomic
 
 MAGIC = b"RFORGE1\x00"
 FORMAT_VERSION = 1
@@ -35,12 +36,7 @@ def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray]) -> None:
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    write_atomic(path, b"".join([MAGIC, struct.pack("<I", len(header)), header, *blobs]))
 
 
 def _is_descriptor(desc) -> bool:

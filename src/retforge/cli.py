@@ -17,7 +17,7 @@ import sys
 import types
 import typing
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,8 @@ from .errors import (
     InputError,
 )
 from .evaluation import DEFAULT_KS, EvalReport, emit_report
+from .files import json_safe as _json_safe  # perfbench/workloads.py reads cli._json_safe
+from .files import jsonl, write_atomic
 from .index import EvidenceIndex, build_snapshot, load_index, save_index, top_k
 from .reader import Reader, ReaderConfig
 from .toy import ToySpec, generate_toy
@@ -130,6 +132,9 @@ def _resolve_run(recipe: str, file_raw: dict[str, str],
         raise ConfigError(f"unknown recipe {recipe!r}; choose from {', '.join(RECIPES)}")
     merged = dict(file_raw)
     merged.update(overrides)  # flags win over the file
+    stated = merged.pop("recipe", recipe)  # as a run's resolved.cfg states it
+    if stated != recipe:
+        raise ConfigError(f"the config is for recipe {stated}, not {recipe}")
 
     if recipe.startswith("e2e-"):
         cls = E2EConfig
@@ -183,27 +188,17 @@ def _format_value(value) -> str:
 
 
 def _write_resolved_config(path, run: ResolvedRun) -> None:
+    """Each key once, so --config can read the file back. A key of a model
+    config and the recipe's config is written only if the run set it: unset,
+    each config keeps its own default, which one line cannot state."""
     lines = [f"recipe={run.recipe}"]
-    for key, value in sorted(run.paths.items()):
-        lines.append(f"{key}={value}")
-    for key, value in sorted(run.encoder_kwargs.items()):
-        lines.append(f"{key}={_format_value(value)}")
-    for key, value in sorted(run.reader_kwargs.items()):
-        if key not in run.encoder_kwargs:
-            lines.append(f"{key}={_format_value(value)}")
-    for f in sorted(fields(run.config), key=lambda f: f.name):
-        lines.append(f"{f.name}={_format_value(getattr(run.config, f.name))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _json_safe(record: dict) -> dict:
-    return {k: v.item() if isinstance(v, np.generic) else v for k, v in record.items()}
-
-
-def _write_jsonl(path, records) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(_json_safe(record), ensure_ascii=False, sort_keys=True) + "\n")
+    lines += [f"{key}={value}" for key, value in sorted(run.paths.items())]
+    reader = {k: v for k, v in run.reader_kwargs.items() if k not in run.encoder_kwargs}
+    shared = {f.name for cls in (EncoderConfig, ReaderConfig) for f in fields(cls)}
+    config = {k: v for k, v in asdict(run.config).items() if k not in shared}
+    for kwargs in (run.encoder_kwargs, reader, config):
+        lines += [f"{key}={_format_value(value)}" for key, value in sorted(kwargs.items())]
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 # Shared run machinery ---------------------------------------------------------
@@ -264,31 +259,25 @@ def run_training(run: ResolvedRun, out_dir: Path,
         )
         dev = load_qa(run.paths["dev"]) if "dev" in run.paths else None
         metrics = train_supervised(dataset, corpus, retriever, config, dev=dev)
-    elif run.recipe == "salient":
-        annotations = load_spans(_require_path(run, "spans"))
+    else:
         reader = _init_model(
-            Reader, ReaderConfig, run.reader_kwargs, run.config.seed + 1, corpus, init_reader
+            Reader, ReaderConfig, run.reader_kwargs, config.seed + 1, corpus, init_reader
         )
         index = EvidenceIndex(corpus)
         index.build(retriever)
-        metrics = train_salient_spans(
-            corpus, annotations, retriever, reader, index, config
-        )
-    else:  # e2e-individual / e2e-joint
-        dataset = load_qa(_require_path(run, "train"))
-        dev = load_qa(run.paths["dev"]) if "dev" in run.paths else None
-        reader = _init_model(
-            Reader, ReaderConfig, run.reader_kwargs, run.config.seed + 1, corpus, init_reader
-        )
-        index = EvidenceIndex(corpus)
-        index.build(retriever)
-        metrics = train_e2e(dataset, corpus, retriever, reader, index, config, dev=dev)
+        if run.recipe == "salient":
+            annotations = load_spans(_require_path(run, "spans"))
+            metrics = train_salient_spans(corpus, annotations, retriever, reader, index, config)
+        else:  # e2e-individual / e2e-joint
+            dataset = load_qa(_require_path(run, "train"))
+            dev = load_qa(run.paths["dev"]) if "dev" in run.paths else None
+            metrics = train_e2e(dataset, corpus, retriever, reader, index, config, dev=dev)
 
     retriever.save(out_dir / "retriever.ckpt")
     if reader is not None:
         reader.save(out_dir / "reader.ckpt")
     save_index(build_snapshot(retriever, corpus), out_dir / "index.ridx")
-    _write_jsonl(out_dir / "metrics.jsonl", metrics)
+    write_atomic(out_dir / "metrics.jsonl", jsonl(metrics))
     _write_resolved_config(out_dir / "resolved.cfg", run)
     return metrics, retriever, reader
 
@@ -302,10 +291,8 @@ def cmd_make_toy(args) -> int:
     ))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_jsonl(out / "corpus.jsonl", data.corpus)
-    _write_jsonl(out / "train.jsonl", data.train)
-    _write_jsonl(out / "dev.jsonl", data.dev)
-    _write_jsonl(out / "spans.jsonl", data.spans)
+    for name in ("corpus", "train", "dev", "spans"):
+        write_atomic(out / f"{name}.jsonl", jsonl(getattr(data, name)))
     print(json.dumps({
         "documents": len(data.corpus),
         "train": len(data.train),
@@ -325,9 +312,7 @@ def cmd_ingest(args) -> int:
         counts["qa"] = len(load_qa(args.qa))
     if args.spans:
         counts["spans"] = len(load_spans(args.spans))
-    (out / "counts.json").write_text(
-        json.dumps(counts, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_atomic(out / "counts.json", json.dumps(counts, sort_keys=True, indent=2) + "\n")
     print(json.dumps(counts, sort_keys=True))
     return 0
 
@@ -370,67 +355,65 @@ def _read_questions(args) -> list[str]:
     return questions
 
 
-def _emit_lines(lines, out_path) -> None:
-    text = "".join(line + "\n" for line in lines)
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_retrieve(args) -> int:
+def _deployment(args):
+    """The corpus, retriever, index snapshot and tau of --corpus, --checkpoint,
+    --index and --tau-multiple."""
     corpus = load_corpus(args.corpus)
     dual = DualEncoder.load(args.checkpoint)
     snapshot = load_index(args.index)
-    tau = tau_value(args.tau_multiple, dual.config.hidden_size)
+    return corpus, dual, snapshot, tau_value(args.tau_multiple, dual.config.hidden_size)
+
+
+def cmd_retrieve(args) -> int:
+    corpus, dual, snapshot, tau = _deployment(args)
     questions = _read_questions(args)
     q_vecs = dual.embed_questions([corpus.vocab.encode(q) for q in questions])
-    lines = []
+    records = []
     for question, q_vec in zip(questions, q_vecs):
         result = top_k(snapshot, q_vec, k=args.k, tau=tau)
-        lines.append(json.dumps({
+        records.append({
             "question": question,
             "doc_ids": list(result.doc_ids),
             "scores": [float(s) for s in result.scores],
             "probs": [float(p) for p in result.probs],
             "titles": [corpus.by_id[i].title for i in result.doc_ids],
-        }, ensure_ascii=False, sort_keys=True))
-    _emit_lines(lines, args.out)
+        })
+    if args.out:
+        write_atomic(args.out, jsonl(records))
+    else:
+        sys.stdout.write(jsonl(records))
     return 0
 
 
 def cmd_answer(args) -> int:
-    corpus = load_corpus(args.corpus)
-    dual = DualEncoder.load(args.checkpoint)
+    corpus, dual, snapshot, tau = _deployment(args)
     reader = Reader.load(args.reader)
-    snapshot = load_index(args.index)
-    tau = tau_value(args.tau_multiple, dual.config.hidden_size)
     infer = individual_topk_infer if args.mode == "individual" else joint_topk_infer
-    lines = []
+    records = []
     for question in _read_questions(args):
         result = infer(
             corpus.vocab.encode(question), dual, reader, snapshot, corpus,
             k=args.k, tau=tau, max_len=args.max_len,
         )
-        lines.append(json.dumps({
+        records.append({
             "question": question,
             "answer": result.answer,
             "candidates": list(result.candidates),
             "doc_ids": list(result.retrieved.doc_ids),
-        }, ensure_ascii=False, sort_keys=True))
-    _emit_lines(lines, args.out)
+        })
+    if args.out:
+        write_atomic(args.out, jsonl(records))
+    else:
+        sys.stdout.write(jsonl(records))
     return 0
 
 
 def cmd_eval(args) -> int:
-    corpus = load_corpus(args.corpus)
-    dual = DualEncoder.load(args.checkpoint)
-    snapshot = load_index(args.index)
+    corpus, dual, snapshot, tau = _deployment(args)
     examples = load_qa(args.dataset)
     ks = tuple(int(v) for v in args.ks.split(",") if v.strip())
     if not ks:
         raise ConfigError("--ks must name at least one cutoff")
-    tau = tau_value(args.tau_multiple, dual.config.hidden_size)
     accuracies = evaluate_retrieval(examples, corpus, dual, snapshot, ks, tau)
     em = None
     if args.reader:
@@ -529,10 +512,9 @@ def cmd_sweep(args) -> int:
         rows.append((args.axis, value, metric, score))
 
     csv_path = out / "sweep.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("axis,value,metric,score\n")
-        for axis, value, metric, score in rows:
-            fh.write(f"{axis},{value},{metric},{score!r}\n")
+    write_atomic(csv_path, "axis,value,metric,score\n" + "".join(
+        f"{axis},{value},{metric},{score!r}\n" for axis, value, metric, score in rows
+    ))
     print(json.dumps({"points": len(rows), "csv": str(csv_path)}, sort_keys=True))
     return 0
 
@@ -548,6 +530,14 @@ def _add_train_flags(sub) -> None:
     sub.add_argument("--k", type=int, default=None, help="retrieval depth override")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override any config key")
+
+
+def _add_deployment_flags(sub) -> None:
+    sub.add_argument("--index", required=True)
+    sub.add_argument("--checkpoint", required=True)
+    sub.add_argument("--corpus", required=True)
+    sub.add_argument("--k", type=int, default=4)
+    sub.add_argument("--tau-multiple", type=float, default=1.0, dest="tau_multiple")
 
 
 def _add_question_flags(sub) -> None:
@@ -588,37 +578,25 @@ def _build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=cmd_train)
 
     retrieve = commands.add_parser("retrieve", help="rank documents for questions")
-    retrieve.add_argument("--index", required=True)
-    retrieve.add_argument("--checkpoint", required=True)
-    retrieve.add_argument("--corpus", required=True)
-    retrieve.add_argument("--k", type=int, default=4)
-    retrieve.add_argument("--tau-multiple", type=float, default=1.0, dest="tau_multiple")
+    _add_deployment_flags(retrieve)
     _add_question_flags(retrieve)
     retrieve.set_defaults(func=cmd_retrieve)
 
     answer = commands.add_parser("answer", help="answer questions end to end")
-    answer.add_argument("--index", required=True)
-    answer.add_argument("--checkpoint", required=True)
+    _add_deployment_flags(answer)
     answer.add_argument("--reader", required=True)
-    answer.add_argument("--corpus", required=True)
     answer.add_argument("--mode", choices=("individual", "joint"), default="individual")
-    answer.add_argument("--k", type=int, default=4)
     answer.add_argument("--max-len", type=int, default=16, dest="max_len")
-    answer.add_argument("--tau-multiple", type=float, default=1.0, dest="tau_multiple")
     _add_question_flags(answer)
     answer.set_defaults(func=cmd_answer)
 
     evaluate = commands.add_parser("eval", help="score retrieval and answers")
     evaluate.add_argument("--dataset", required=True, help="QA JSONL to evaluate")
-    evaluate.add_argument("--index", required=True)
-    evaluate.add_argument("--checkpoint", required=True)
-    evaluate.add_argument("--corpus", required=True)
+    _add_deployment_flags(evaluate)
     evaluate.add_argument("--reader", default=None, help="add exact match scoring")
     evaluate.add_argument("--mode", choices=("individual", "joint"), default="individual")
-    evaluate.add_argument("--k", type=int, default=4)
     evaluate.add_argument("--max-len", type=int, default=16, dest="max_len")
     evaluate.add_argument("--ks", default=",".join(str(k) for k in DEFAULT_KS))
-    evaluate.add_argument("--tau-multiple", type=float, default=1.0, dest="tau_multiple")
     evaluate.add_argument("--out-dir", default="eval")
     evaluate.set_defaults(func=cmd_eval)
 

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, InputError
+from .files import jsonl, write_atomic
 from .text import MASK_ID, Vocabulary, contains_answer, segment_sentences
 
 BM25_K1 = 1.2
@@ -145,12 +146,8 @@ def load_corpus(path, vocab: Vocabulary | None = None) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in corpus:
-            fh.write(json.dumps(
-                {"id": doc.id, "title": doc.title, "text": doc.text},
-                ensure_ascii=False,
-            ) + "\n")
+    records = ({"id": doc.id, "title": doc.title, "text": doc.text} for doc in corpus)
+    write_atomic(path, jsonl(records))
 
 
 def load_qa(path) -> list[QAExample]:
@@ -172,16 +169,17 @@ def load_qa(path) -> list[QAExample]:
 
 
 def save_qa(examples: Sequence[QAExample], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            record: dict = {"question": ex.question, "answers": list(ex.answers)}
-            if ex.positive_ctx is not None:
-                record["positive_ctx"] = ex.positive_ctx
-            if ex.hard_negatives:
-                record["hard_negatives"] = list(ex.hard_negatives)
-            if ex.filtered:
-                record["filtered"] = True
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    records = []
+    for ex in examples:
+        record: dict = {"question": ex.question, "answers": list(ex.answers)}
+        if ex.positive_ctx is not None:
+            record["positive_ctx"] = ex.positive_ctx
+        if ex.hard_negatives:
+            record["hard_negatives"] = list(ex.hard_negatives)
+        if ex.filtered:
+            record["filtered"] = True
+        records.append(record)
+    write_atomic(path, jsonl(records))
 
 
 def load_spans(path) -> dict[int, SpanAnnotation]:
@@ -203,12 +201,9 @@ def load_spans(path) -> dict[int, SpanAnnotation]:
 
 
 def save_spans(annotations: Sequence[SpanAnnotation], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ann in annotations:
-            fh.write(json.dumps(
-                {"doc_id": ann.doc_id, "spans": [list(s) for s in ann.spans]},
-                ensure_ascii=False,
-            ) + "\n")
+    write_atomic(path, jsonl(
+        {"doc_id": ann.doc_id, "spans": [list(s) for s in ann.spans]} for ann in annotations
+    ))
 
 
 # BM25 and distant supervision ---------------------------------------------

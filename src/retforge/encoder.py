@@ -302,12 +302,3 @@ class DualEncoder:
     @classmethod
     def load(cls, path) -> "DualEncoder":
         return load_model(path, "dual_encoder", EncoderConfig, cls)
-
-
-def relevance_score(q_vec: np.ndarray, z_vec: np.ndarray) -> float:
-    """Dot-product relevance between two d-vectors."""
-    q = np.asarray(q_vec, dtype=np.float64)
-    z = np.asarray(z_vec, dtype=np.float64)
-    if q.ndim != 1 or z.ndim != 1 or q.shape != z.shape:
-        raise DimensionError(f"relevance_score shapes disagree: {q.shape} vs {z.shape}")
-    return float(q @ z)

@@ -13,6 +13,7 @@ from typing import Mapping, Sequence
 
 from .data import Corpus, QAExample
 from .errors import DomainError
+from .files import write_atomic
 from .index import RetrievalResult
 from .text import contains_answer, normalize_answer
 
@@ -102,13 +103,10 @@ class EvalReport:
 def emit_report(report: EvalReport, path_json, path_csv) -> None:
     """Write the JSON report and a flat metric,k,value CSV; output bytes are
     a pure function of the report."""
-    payload = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-    with open(path_json, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+    write_atomic(path_json, json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
     lines = ["metric,k,value"]
     for k in sorted(report.accuracies):
         lines.append(f"top_k_accuracy,{k},{report.accuracies[k]!r}")
     em_value = "" if report.em is None else repr(report.em)
     lines.append(f"exact_match,,{em_value}")
-    with open(path_csv, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path_csv, "\n".join(lines) + "\n")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .encoder import document_input
 from .errors import DimensionError, DomainError, FormatError
+from .files import write_atomic
 
 MAGIC = b"RIDX1\x00\x00\x00"
 DTYPE_TAG = b"f32\x00"
@@ -138,12 +139,10 @@ class EvidenceIndex:
 
 
 def save_index(snapshot: IndexSnapshot, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<QQQ", snapshot.version, snapshot.size, snapshot.dim))
-        fh.write(DTYPE_TAG)
-        fh.write(snapshot.doc_ids.astype("<i8").tobytes())
-        fh.write(snapshot.embeddings.astype("<f4").tobytes())
+    write_atomic(path, b"".join([
+        MAGIC, struct.pack("<QQQ", snapshot.version, snapshot.size, snapshot.dim), DTYPE_TAG,
+        snapshot.doc_ids.astype("<i8").tobytes(), snapshot.embeddings.astype("<f4").tobytes(),
+    ]))
 
 
 def load_index(path) -> IndexSnapshot:

@@ -11,6 +11,7 @@ import string
 from typing import Iterable, Sequence
 
 from .errors import FormatError
+from .files import write_atomic
 
 # Reserved token ids; corpus text can never collide with the bracketed names
 # because the tokenizer splits brackets off as punctuation.
@@ -71,9 +72,7 @@ class Vocabulary:
         return " ".join(self.token(int(i)) for i in ids)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self._tokens[len(RESERVED_TOKENS):]:
-                fh.write(tok + "\n")
+        write_atomic(path, "".join(tok + "\n" for tok in self._tokens[len(RESERVED_TOKENS):]))
 
     @classmethod
     def load(cls, path) -> "Vocabulary":

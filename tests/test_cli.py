@@ -180,6 +180,44 @@ def test_train_salient_artifacts(train_cfg, tmp_path):
     assert all("index_version" in r for r in records)
 
 
+@pytest.mark.parametrize("recipe, cfg, drop", [
+    ("supervised", "train_cfg", None),
+    ("e2e-joint", "e2e_cfg", None),
+    # unset, max_answer_len keeps E2EConfig's and ReaderConfig's different defaults
+    ("e2e-joint", "e2e_cfg", "max_answer_len="),
+])
+def test_resolved_config_reruns_the_run_byte_for_byte(request, tmp_path, recipe, cfg, drop):
+    config = tmp_path / "run.cfg"
+    lines = request.getfixturevalue(cfg).read_text().splitlines(keepends=True)
+    config.write_text("".join(line for line in lines if not drop or not line.startswith(drop)))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert cli.main(["train", recipe, "--config", str(config), "--out-dir", str(first)]) == 0
+    assert cli.main([
+        "train", recipe, "--config", str(first / "resolved.cfg"), "--out-dir", str(again),
+    ]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_train_config_of_another_recipe_is_config_error(sup_run, tmp_path, capsys):
+    code = cli.main([
+        "train", "ict", "--config", str(sup_run / "resolved.cfg"),
+        "--out-dir", str(tmp_path / "x"),
+    ])
+    assert code == 3
+    assert "recipe supervised" in capsys.readouterr().err
+
+
+def test_train_failed_write_is_io_error_and_leaves_no_temp_file(train_cfg, tmp_path):
+    out = tmp_path / "run"
+    (out / "metrics.jsonl").mkdir(parents=True)
+    code = cli.main(["train", "ict", "--config", str(train_cfg), "--out-dir", str(out)])
+    assert code == 4
+    assert list(out.rglob("*.tmp")) == []
+
+
 def test_train_unknown_recipe_is_config_error(train_cfg, tmp_path):
     code = cli.main([
         "train", "bm25", "--config", str(train_cfg), "--out-dir", str(tmp_path / "x"),

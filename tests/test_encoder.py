@@ -9,7 +9,6 @@ from retforge.encoder import (
     EncoderConfig,
     context_input,
     question_input,
-    relevance_score,
     truncated_normal,
 )
 from retforge.errors import DimensionError, DomainError, FormatError
@@ -169,14 +168,6 @@ def test_truncated_normal_bounds():
     x = truncated_normal(np.random.default_rng(0), (1000,), std=0.02)
     assert np.abs(x).max() <= 0.04
     assert abs(float(x.mean())) < 0.005
-
-
-def test_relevance_score_examples():
-    assert relevance_score([1.0, 2.0], [3.0, 4.0]) == 11.0
-    assert relevance_score([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert relevance_score([1.0, 2.0], [3.0, 4.0]) == relevance_score([3.0, 4.0], [1.0, 2.0])
-    with pytest.raises(DimensionError):
-        relevance_score([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_grad_check_dual_encoder_end_to_end():

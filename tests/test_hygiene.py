@@ -1,7 +1,8 @@
-"""Source hygiene: every imported name is used.
+"""Source hygiene: every imported name is used, and only `retforge.files`
+writes files.
 
-`src/retforge/__init__.py` is skipped: it imports names to re-export them
-through `__all__`.
+`src/retforge/__init__.py` is skipped by the import check: it imports names to
+re-export them through `__all__`.
 """
 
 import ast
@@ -10,9 +11,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = sorted(
-    p for p in (ROOT / "src" / "retforge").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "retforge").glob("*.py"))
+CHECKED = [p for p in SOURCES if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.AST) -> dict[str, int]:
@@ -61,3 +61,54 @@ def test_scan_catches_an_unused_import():
     )
     used = used_names(tree)
     assert sorted(n for n in imported_names(tree) if n not in used) == ["field", "os"]
+
+
+def file_writes(tree: ast.AST) -> list[int]:
+    """Lines that write a file: `.write_text`, `.write_bytes`, or an `open`
+    whose mode is not a constant read mode (for `open(file, mode)`, the second
+    argument; for a method such as `Path.open(mode)`, the first)."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if isinstance(func, ast.Attribute) and name in ("write_text", "write_bytes"):
+            lines.append(node.lineno)
+        elif name == "open":
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            if any(
+                not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+                or set(m.value) - set("rbt")
+                for m in modes
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_retforge_files_writes_files():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES if path.name != "files.py"
+        for line in file_writes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [], "write through retforge.files instead: " + ", ".join(found)
+
+
+def test_scan_catches_every_way_to_write_a_file():
+    tree = ast.parse(
+        'open(p, "w")\n'
+        'open(p, mode="ab")\n'
+        'open(p, m)\n'
+        'p.open("x")\n'
+        'p.write_text("")\n'
+        'p.write_bytes(b"")\n'
+        'open(p, "r+")\n'
+        'os.open(p, flags)\n'
+        'open(p)\n'
+        'open(p, "rb")\n'
+        'open(p, encoding="utf-8")\n'
+        'p.open()\n'
+    )
+    assert file_writes(tree) == [1, 2, 3, 4, 5, 6, 7, 8]
