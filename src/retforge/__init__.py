@@ -27,6 +27,7 @@ from .data import (
 from .e2e import (
     E2EConfig,
     InferenceResult,
+    answer_questions,
     evaluate_em,
     evaluate_retrieval,
     individual_topk_infer,
@@ -79,6 +80,7 @@ __all__ = [
     "ToyData",
     "ToySpec",
     "TrainConfig",
+    "answer_questions",
     "bm25_score",
     "build_corpus_stats",
     "build_snapshot",

@@ -32,11 +32,11 @@ from .data import (
     save_qa,
 )
 from .e2e import (
+    MODES,
     E2EConfig,
+    answer_questions,
     evaluate_em,
     evaluate_retrieval,
-    individual_topk_infer,
-    joint_topk_infer,
     tau_value,
     train_e2e,
 )
@@ -56,7 +56,7 @@ from .reader import Reader, ReaderConfig
 from .toy import ToySpec, generate_toy
 from .training import TrainConfig, train_ict, train_salient_spans, train_supervised
 
-PATH_KEYS = ("corpus", "train", "dev", "spans")
+PATH_KEYS = ("corpus", "train", "dev", "spans", "init", "init_reader")
 RETRIEVER_RECIPES = ("ict", "supervised")
 READER_RECIPES = ("salient", "e2e-individual", "e2e-joint")
 RECIPES = RETRIEVER_RECIPES + READER_RECIPES
@@ -237,13 +237,15 @@ def _require_path(run: ResolvedRun, key: str) -> str:
     return run.paths[key]
 
 
-def run_training(run: ResolvedRun, out_dir: Path,
-                 init: str | None = None, init_reader: str | None = None):
-    """Execute one recipe; write checkpoints, metrics, index, and the
-    resolved config under out_dir. Returns (metrics, retriever, reader)."""
+def run_training(run: ResolvedRun, out_dir: Path):
+    """Execute one recipe, starting from the run's `init`/`init_reader`
+    checkpoints if it names them; write checkpoints, metrics, index, and the
+    resolved config under out_dir. Returns (metrics, retriever, reader,
+    corpus, the saved index snapshot)."""
     corpus = load_corpus(_require_path(run, "corpus"))
     retriever = _init_model(
-        DualEncoder, EncoderConfig, run.encoder_kwargs, run.config.seed, corpus, init
+        DualEncoder, EncoderConfig, run.encoder_kwargs, run.config.seed, corpus,
+        run.paths.get("init"),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     reader = None
@@ -261,7 +263,8 @@ def run_training(run: ResolvedRun, out_dir: Path,
         metrics = train_supervised(dataset, corpus, retriever, config, dev=dev)
     else:
         reader = _init_model(
-            Reader, ReaderConfig, run.reader_kwargs, config.seed + 1, corpus, init_reader
+            Reader, ReaderConfig, run.reader_kwargs, config.seed + 1, corpus,
+            run.paths.get("init_reader"),
         )
         index = EvidenceIndex(corpus)
         index.build(retriever)
@@ -276,10 +279,11 @@ def run_training(run: ResolvedRun, out_dir: Path,
     retriever.save(out_dir / "retriever.ckpt")
     if reader is not None:
         reader.save(out_dir / "reader.ckpt")
-    save_index(build_snapshot(retriever, corpus), out_dir / "index.ridx")
+    snapshot = build_snapshot(retriever, corpus)
+    save_index(snapshot, out_dir / "index.ridx")
     write_atomic(out_dir / "metrics.jsonl", jsonl(metrics))
     _write_resolved_config(out_dir / "resolved.cfg", run)
-    return metrics, retriever, reader
+    return metrics, retriever, reader, corpus, snapshot
 
 
 # Commands --------------------------------------------------------------------
@@ -324,21 +328,18 @@ def _collect_overrides(args) -> dict[str, str]:
             raise ConfigError(f"--set needs key=value, got {pair!r}")
         key, _, value = pair.partition("=")
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if getattr(args, "tau_multiple", None) is not None:
-        overrides["tau_multiple"] = str(args.tau_multiple)
-    if getattr(args, "k", None) is not None:
-        overrides["top_k"] = str(args.k)
+    # a flag sets the key of its name, except --k, which sets top_k
+    for flag in ("seed", "tau_multiple", "k", "init", "init_reader"):
+        value = getattr(args, flag, None)
+        if value is not None:
+            overrides["top_k" if flag == "k" else flag] = str(value)
     return overrides
 
 
 def cmd_train(args) -> int:
     file_raw = _read_config_file(args.config) if args.config else {}
     run = _resolve_run(args.recipe, file_raw, _collect_overrides(args))
-    metrics, _, _ = run_training(
-        run, Path(args.out_dir), init=args.init, init_reader=args.init_reader
-    )
+    metrics = run_training(run, Path(args.out_dir))[0]
     final = _json_safe(metrics[-1]) if metrics else {}
     print(json.dumps({"recipe": run.recipe, "records": len(metrics), "final": final},
                      sort_keys=True))
@@ -388,19 +389,17 @@ def cmd_retrieve(args) -> int:
 def cmd_answer(args) -> int:
     corpus, dual, snapshot, tau = _deployment(args)
     reader = Reader.load(args.reader)
-    infer = individual_topk_infer if args.mode == "individual" else joint_topk_infer
-    records = []
-    for question in _read_questions(args):
-        result = infer(
-            corpus.vocab.encode(question), dual, reader, snapshot, corpus,
-            k=args.k, tau=tau, max_len=args.max_len,
-        )
-        records.append({
-            "question": question,
-            "answer": result.answer,
-            "candidates": list(result.candidates),
-            "doc_ids": list(result.retrieved.doc_ids),
-        })
+    questions = _read_questions(args)
+    results = answer_questions(
+        [corpus.vocab.encode(q) for q in questions], dual, reader, snapshot, corpus,
+        args.mode, args.k, tau, args.max_len,
+    )
+    records = [{
+        "question": question,
+        "answer": result.answer,
+        "candidates": list(result.candidates),
+        "doc_ids": list(result.retrieved.doc_ids),
+    } for question, result in zip(questions, results)]
     if args.out:
         write_atomic(args.out, jsonl(records))
     else:
@@ -417,9 +416,8 @@ def cmd_eval(args) -> int:
     accuracies = evaluate_retrieval(examples, corpus, dual, snapshot, ks, tau)
     em = None
     if args.reader:
-        reader = Reader.load(args.reader)
-        config = E2EConfig(mode=args.mode, top_k=args.k, max_answer_len=args.max_len)
-        em = evaluate_em(examples, corpus, dual, reader, snapshot, config)
+        em = evaluate_em(examples, corpus, dual, Reader.load(args.reader), snapshot,
+                         args.mode, args.k, tau, args.max_len)
     report = EvalReport(
         accuracies=accuracies,
         em=em,
@@ -460,32 +458,33 @@ def cmd_sweep(args) -> int:
     overrides = _collect_overrides(args)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if args.axis == "train-fraction":
+        # every point mines from the same questions, corpus and shuffle
+        base = _resolve_run(args.recipe, file_raw, overrides)
+        if base.recipe != "supervised":
+            raise ConfigError("train-fraction sweeps apply to the supervised recipe")
+        full = load_qa(_require_path(base, "train"))
+        pool = load_corpus(_require_path(base, "corpus"))
+        stats = build_corpus_stats(pool)
+        order = np.random.default_rng(base.config.seed).permutation(len(full))
 
     rows = []
     for value in values:
         point = dict(overrides)
-        recipe = args.recipe
         if args.axis == "topk":
             point["top_k"] = str(value)
         elif args.axis == "tau":
             point["tau_multiple"] = repr(value)
-        run = _resolve_run(recipe, file_raw, point)
+        run = _resolve_run(args.recipe, file_raw, point)
         sub_dir = out / f"{args.axis}-{value}"
 
         if args.axis == "train-fraction":
-            if recipe != "supervised":
-                raise ConfigError("train-fraction sweeps apply to the supervised recipe")
             if not (0.0 < value <= 1.0):
                 raise ConfigError(f"train fraction must lie in (0, 1], got {value}")
-            full = load_qa(_require_path(run, "train"))
-            rng = np.random.default_rng(run.config.seed)
             keep = max(1, round(value * len(full)))
-            order = rng.permutation(len(full))
-            corpus = load_corpus(_require_path(run, "corpus"))
-            stats = build_corpus_stats(corpus)
             subset = [
                 mine_distant_supervision(
-                    full[int(i)], corpus, stats,
+                    full[int(i)], pool, stats,
                     n_hard_negatives=run.config.hard_negatives_per_example,
                 )
                 for i in order[:keep]
@@ -495,15 +494,13 @@ def cmd_sweep(args) -> int:
             save_qa(subset, sub_path)
             run.paths["train"] = str(sub_path)
 
-        metrics, retriever, reader = run_training(run, sub_dir)
-        corpus = load_corpus(run.paths["corpus"])
-        snapshot = load_index(sub_dir / "index.ridx")
-        eval_path = run.paths.get("dev", run.paths.get("train"))
-        examples = load_qa(eval_path)
+        _, retriever, reader, corpus, snapshot = run_training(run, sub_dir)
+        examples = load_qa(run.paths.get("dev", run.paths.get("train")))
         tau = tau_value(run.config.tau_multiple, retriever.config.hidden_size)
         if reader is not None and run.recipe.startswith("e2e-"):
             metric, score = "em", evaluate_em(
-                examples, corpus, retriever, reader, snapshot, run.config
+                examples, corpus, retriever, reader, snapshot, run.config.mode,
+                run.config.top_k, tau, run.config.max_answer_len,
             )
         else:
             metric, score = "top1", evaluate_retrieval(
@@ -585,7 +582,7 @@ def _build_parser() -> argparse.ArgumentParser:
     answer = commands.add_parser("answer", help="answer questions end to end")
     _add_deployment_flags(answer)
     answer.add_argument("--reader", required=True)
-    answer.add_argument("--mode", choices=("individual", "joint"), default="individual")
+    answer.add_argument("--mode", choices=tuple(MODES), default="individual")
     answer.add_argument("--max-len", type=int, default=16, dest="max_len")
     _add_question_flags(answer)
     answer.set_defaults(func=cmd_answer)
@@ -594,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--dataset", required=True, help="QA JSONL to evaluate")
     _add_deployment_flags(evaluate)
     evaluate.add_argument("--reader", default=None, help="add exact match scoring")
-    evaluate.add_argument("--mode", choices=("individual", "joint"), default="individual")
+    evaluate.add_argument("--mode", choices=tuple(MODES), default="individual")
     evaluate.add_argument("--max-len", type=int, default=16, dest="max_len")
     evaluate.add_argument("--ks", default=",".join(str(k) for k in DEFAULT_KS))
     evaluate.add_argument("--out-dir", default="eval")

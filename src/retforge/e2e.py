@@ -27,8 +27,6 @@ from .index import EvidenceIndex, IndexSnapshot, RetrievalResult, top_k
 from .optim import ParamGroup, descend, linear_schedule, make_optimizer
 from .reader import Reader, with_eos
 
-MODES = ("individual", "joint")
-
 
 @dataclass(frozen=True)
 class E2EConfig:
@@ -49,7 +47,7 @@ class E2EConfig:
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.tau_multiple <= 0:
@@ -156,29 +154,17 @@ class InferenceResult:
     all_empty: bool = False
 
 
-@ad.no_grad()
-def individual_topk_infer(
-    question_tokens: Sequence[int],
-    retriever: DualEncoder,
-    reader: Reader,
-    snapshot,
-    corpus: Corpus,
-    k: int,
-    tau: float,
-    max_len: int | None = None,
+def _read_individually(
+    question_tokens: Sequence[int], retrieved: RetrievalResult, reader: Reader,
+    corpus: Corpus, max_len: int | None,
 ) -> InferenceResult:
     """Greedy-decode one candidate per retrieved document, then pick the
     candidate with the highest marginal likelihood over the whole set.
 
-    Each retrieved document is encoded once: greedy decoding runs every
-    document in one decoder call per step, and scoring every (candidate,
-    document) pair in one call per length group, with results equal bit for
-    bit to decoding and scoring each pair on its own. Duplicate candidates
-    are scored once; ties go to the candidate first produced by a
-    higher-ranked document. Records no graph.
-    """
-    q_vec = retriever.encode_question(question_tokens).data
-    retrieved = top_k(snapshot, q_vec, k=k, tau=tau)
+    Each document is encoded once; decoding runs every document in one decoder
+    call per step and scoring every (candidate, document) pair in one call per
+    length group, bit for bit as one pair at a time. Duplicate candidates are
+    scored once; ties go to the candidate a higher-ranked document produced."""
     contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
     groups = reader.memory_groups(question_tokens, contexts)
     candidates: list[tuple[int, ...]] = []
@@ -194,41 +180,65 @@ def individual_topk_infer(
         marginals.append(total)
     best = max(range(len(candidates)), key=lambda i: (marginals[i], -i))
     strings = tuple(corpus.vocab.decode(c) for c in candidates)
-    return InferenceResult(
-        answer=strings[best],
-        candidates=strings,
-        marginals=tuple(marginals),
-        retrieved=retrieved,
-        all_empty=all(not c for c in candidates),
-    )
+    return InferenceResult(strings[best], strings, tuple(marginals), retrieved,
+                           all_empty=all(not c for c in candidates))
+
+
+def _read_jointly(
+    question_tokens: Sequence[int], retrieved: RetrievalResult, reader: Reader,
+    corpus: Corpus, max_len: int | None,
+) -> InferenceResult:
+    """One greedy decode fused over all k retrieved contexts."""
+    contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
+    tokens = reader.joint_greedy_decode(question_tokens, contexts, list(retrieved.probs), max_len)
+    answer = corpus.vocab.decode(tokens)
+    return InferenceResult(answer, (answer,), (), retrieved, all_empty=not tokens)
+
+
+# How the reader takes in the retrieved documents: mode -> (training loss,
+# reader pass at inference). A loss is looked up by name when called, so a
+# rebinding of the module's name (a profiler's wrapper, say) sees the call.
+MODES = {
+    "individual": (lambda *args: individual_topk_loss(*args), _read_individually),
+    "joint": (lambda *args: joint_topk_loss(*args), _read_jointly),
+}
 
 
 @ad.no_grad()
-def joint_topk_infer(
-    question_tokens: Sequence[int],
-    retriever: DualEncoder,
-    reader: Reader,
-    snapshot,
-    corpus: Corpus,
-    k: int,
-    tau: float,
+def answer_questions(
+    questions: Sequence[Sequence[int]], retriever: DualEncoder, reader: Reader,
+    snapshot: IndexSnapshot, corpus: Corpus, mode: str, k: int, tau: float,
     max_len: int | None = None,
+) -> list[InferenceResult]:
+    """Answer each question from its top-k documents in `snapshot` with the
+    reader pass of `mode`. The questions are encoded in one call; each row
+    equals encoding its question alone. Records no graph."""
+    _, read = MODES[mode]
+    q_vecs = retriever.embed_questions(questions)
+    return [
+        read(question, top_k(snapshot, q_vec, k=k, tau=tau), reader, corpus, max_len)
+        for question, q_vec in zip(questions, q_vecs)
+    ]
+
+
+def individual_topk_infer(
+    question_tokens: Sequence[int], retriever: DualEncoder, reader: Reader,
+    snapshot: IndexSnapshot, corpus: Corpus, k: int, tau: float, max_len: int | None = None,
 ) -> InferenceResult:
-    """One greedy decode fused over all k retrieved contexts; records no graph."""
-    q_vec = retriever.encode_question(question_tokens).data
-    retrieved = top_k(snapshot, q_vec, k=k, tau=tau)
-    contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
-    tokens = reader.joint_greedy_decode(
-        question_tokens, contexts, list(retrieved.probs), max_len
-    )
-    answer = corpus.vocab.decode(tokens)
-    return InferenceResult(
-        answer=answer,
-        candidates=(answer,),
-        marginals=(),
-        retrieved=retrieved,
-        all_empty=not tokens,
-    )
+    """`answer_questions` for one question in individual mode."""
+    return answer_questions(
+        [question_tokens], retriever, reader, snapshot, corpus, "individual", k, tau, max_len
+    )[0]
+
+
+def joint_topk_infer(
+    question_tokens: Sequence[int], retriever: DualEncoder, reader: Reader,
+    snapshot: IndexSnapshot, corpus: Corpus, k: int, tau: float, max_len: int | None = None,
+) -> InferenceResult:
+    """`answer_questions` for one question in joint mode."""
+    return answer_questions(
+        [question_tokens], retriever, reader, snapshot, corpus, "joint", k, tau, max_len
+    )[0]
 
 
 # Training --------------------------------------------------------------------
@@ -274,10 +284,8 @@ def train_e2e(
         raise DomainError("empty training dataset")
     rng = np.random.default_rng(config.seed)
     tau = tau_value(config.tau_multiple, retriever.config.hidden_size)
-    loss_fn = individual_topk_loss if config.mode == "individual" else joint_topk_loss
-    optimizer = make_optimizer(
-        retriever, config, extra=[ParamGroup(reader.parameters(), name="reader")]
-    )
+    loss_fn, _ = MODES[config.mode]
+    optimizer = make_optimizer(retriever, config, extra=[ParamGroup(reader.parameters())])
     n = len(dataset)
     batches_per_epoch = max(1, math.ceil(n / config.batch_size))
     total_steps = config.epochs * batches_per_epoch
@@ -306,9 +314,10 @@ def train_e2e(
             "k": k,
         }
         if dev is not None or config.target_train_em is not None:
-            eval_set = list(dev) if dev is not None else list(dataset)
-            em = evaluate_em(eval_set, corpus, retriever, reader, index.snapshot, config)
-            record["em"] = em
+            record["em"] = evaluate_em(
+                dev if dev is not None else dataset, corpus, retriever, reader,
+                index.snapshot, config.mode, k, tau, config.max_answer_len,
+            )
         metrics.append(record)
         if (
             config.target_train_em is not None
@@ -319,33 +328,18 @@ def train_e2e(
 
 
 def evaluate_em(
-    examples: Sequence[QAExample],
-    corpus: Corpus,
-    retriever: DualEncoder,
-    reader: Reader,
-    snapshot,
-    config: E2EConfig,
+    examples: Sequence[QAExample], corpus: Corpus, retriever: DualEncoder, reader: Reader,
+    snapshot: IndexSnapshot, mode: str, k: int, tau: float, max_len: int | None,
 ) -> float:
-    """Exact-match fraction under the configured inference mode."""
+    """Exact-match fraction of the answers `answer_questions` gives, with k
+    capped at the snapshot size."""
     if not examples:
         raise DomainError("cannot evaluate zero examples")
-    infer = individual_topk_infer if config.mode == "individual" else joint_topk_infer
-    tau = tau_value(config.tau_multiple, retriever.config.hidden_size)
-    k = min(config.top_k, snapshot.size)
-    hits = 0
-    for example in examples:
-        result = infer(
-            corpus.vocab.encode(example.question),
-            retriever,
-            reader,
-            snapshot,
-            corpus,
-            k=k,
-            tau=tau,
-            max_len=config.max_answer_len,
-        )
-        if exact_match(result.answer, example.answers):
-            hits += 1
+    results = answer_questions(
+        [corpus.vocab.encode(example.question) for example in examples],
+        retriever, reader, snapshot, corpus, mode, min(k, snapshot.size), tau, max_len,
+    )
+    hits = sum(exact_match(r.answer, ex.answers) for r, ex in zip(results, examples))
     return hits / len(examples)
 
 

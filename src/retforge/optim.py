@@ -25,7 +25,6 @@ from .errors import DomainError
 class ParamGroup:
     params: list[Parameter]
     enabled: bool = True
-    name: str = ""
 
 
 class AdamW:
@@ -85,16 +84,8 @@ def make_optimizer(dual, config, extra: Sequence[ParamGroup] = ()) -> AdamW:
     by the config's `update_query_encoder` / `update_context_encoder`, plus
     any `extra` groups; lr and decay come from the config."""
     groups = [
-        ParamGroup(
-            dual.question_encoder.parameters(),
-            enabled=config.update_query_encoder,
-            name="query_encoder",
-        ),
-        ParamGroup(
-            dual.context_encoder.parameters(),
-            enabled=config.update_context_encoder,
-            name="context_encoder",
-        ),
+        ParamGroup(dual.question_encoder.parameters(), enabled=config.update_query_encoder),
+        ParamGroup(dual.context_encoder.parameters(), enabled=config.update_context_encoder),
         *extra,
     ]
     return AdamW(groups, lr=config.learning_rate, weight_decay=config.weight_decay)

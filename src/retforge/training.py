@@ -21,7 +21,7 @@ from .e2e import evaluate_retrieval, individual_topk_loss, tau_value, topk_batch
 from .encoder import DualEncoder, context_input, document_input, question_input
 from .errors import ConfigError, DomainError
 from .evaluation import DEFAULT_KS
-from .index import EvidenceIndex, build_snapshot, top_k
+from .index import EvidenceIndex, IndexSnapshot, build_snapshot, top_k
 from .optim import ParamGroup, descend, linear_schedule, make_optimizer
 from .reader import Reader
 from .text import segment_sentences
@@ -125,10 +125,10 @@ def _positive_rank_accuracy(
     dataset: Sequence[QAExample],
     corpus: Corpus,
     dual: DualEncoder,
+    snapshot: IndexSnapshot,
     tau: float,
 ) -> float:
-    """Fraction of examples whose own positive document ranks first."""
-    snapshot = build_snapshot(dual, corpus)
+    """Fraction of examples whose own positive document ranks first in `snapshot`."""
     q_vecs = dual.embed_questions([corpus.vocab.encode(ex.question) for ex in dataset])
     hits = 0
     for example, q_vec in zip(dataset, q_vecs):
@@ -188,14 +188,15 @@ def train_supervised(
             "loss": float(np.mean(epoch_losses)) if epoch_losses else float("nan"),
             "lr": config.learning_rate * linear_schedule(max(step, 1), total_steps, config.warmup_ratio),
         }
-        if dev is not None:
+        if dev is not None or config.target_train_top1 is not None:
             snapshot = build_snapshot(dual, corpus)
+        if dev is not None:
             ks = [k for k in config.eval_ks if k <= snapshot.size]
             for k, v in evaluate_retrieval(dev, corpus, dual, snapshot, ks, tau).items():
                 record[f"top{k}"] = v
         metrics.append(record)
         if config.target_train_top1 is not None:
-            train_top1 = _positive_rank_accuracy(usable, corpus, dual, tau)
+            train_top1 = _positive_rank_accuracy(usable, corpus, dual, snapshot, tau)
             record["train_top1"] = train_top1
             if train_top1 >= config.target_train_top1:
                 break
@@ -271,9 +272,7 @@ def train_salient_spans(
         raise DomainError("no annotated spans to train on")
     rng = np.random.default_rng(config.seed)
     tau = tau_value(config.tau_multiple, retriever.config.hidden_size)
-    optimizer = make_optimizer(
-        retriever, config, extra=[ParamGroup(reader.parameters(), name="reader")]
-    )
+    optimizer = make_optimizer(retriever, config, extra=[ParamGroup(reader.parameters())])
     k = min(config.top_k, index.snapshot.size)
     metrics: list[dict] = []
     for step in range(1, config.steps + 1):

@@ -2,8 +2,17 @@ import json
 
 import pytest
 
-from retforge import cli
-from retforge.data import load_corpus, load_qa, load_spans
+from retforge import cli, e2e
+from retforge.data import (
+    QAExample,
+    build_corpus_stats,
+    load_corpus,
+    load_qa,
+    load_spans,
+    mine_distant_supervision,
+    save_qa,
+)
+from retforge.index import top_k
 
 
 def read_lines(path):
@@ -180,18 +189,31 @@ def test_train_salient_artifacts(train_cfg, tmp_path):
     assert all("index_version" in r for r in records)
 
 
-@pytest.mark.parametrize("recipe, cfg, drop", [
-    ("supervised", "train_cfg", None),
-    ("e2e-joint", "e2e_cfg", None),
+@pytest.mark.parametrize("recipe, cfg, drop, inits", [
+    pytest.param("supervised", "train_cfg", None, {}, id="supervised-train_cfg-None"),
+    pytest.param("e2e-joint", "e2e_cfg", None, {}, id="e2e-joint-e2e_cfg-None"),
     # unset, max_answer_len keeps E2EConfig's and ReaderConfig's different defaults
-    ("e2e-joint", "e2e_cfg", "max_answer_len="),
+    pytest.param("e2e-joint", "e2e_cfg", "max_answer_len=", {},
+                 id="e2e-joint-e2e_cfg-max_answer_len="),
+    # chained runs: the starting checkpoints are keys of the resolved run
+    pytest.param("supervised", "train_cfg", None, {"--init": ("sup_run", "retriever.ckpt")},
+                 id="supervised-init"),
+    pytest.param("e2e-joint", "e2e_cfg", None, {"--init": ("sup_run", "retriever.ckpt"),
+                                                "--init-reader": ("e2e_run", "reader.ckpt")},
+                 id="e2e-joint-init-init_reader"),
 ])
-def test_resolved_config_reruns_the_run_byte_for_byte(request, tmp_path, recipe, cfg, drop):
+def test_resolved_config_reruns_the_run_byte_for_byte(request, tmp_path, recipe, cfg, drop,
+                                                      inits):
     config = tmp_path / "run.cfg"
     lines = request.getfixturevalue(cfg).read_text().splitlines(keepends=True)
     config.write_text("".join(line for line in lines if not drop or not line.startswith(drop)))
+    flags = []
+    for flag, (run, name) in inits.items():
+        flags += [flag, str(request.getfixturevalue(run) / name)]
     first, again = tmp_path / "first", tmp_path / "again"
-    assert cli.main(["train", recipe, "--config", str(config), "--out-dir", str(first)]) == 0
+    assert cli.main([
+        "train", recipe, "--config", str(config), "--out-dir", str(first), *flags,
+    ]) == 0
     assert cli.main([
         "train", recipe, "--config", str(first / "resolved.cfg"), "--out-dir", str(again),
     ]) == 0
@@ -199,6 +221,41 @@ def test_resolved_config_reruns_the_run_byte_for_byte(request, tmp_path, recipe,
     assert names == sorted(p.name for p in again.iterdir())
     for name in names:
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_train_flags_write_what_their_set_forms_write(e2e_cfg, sup_run, tmp_path):
+    init = str(sup_run / "retriever.ckpt")
+    runs = {
+        "flags": ["--seed", "5", "--tau-multiple", "0.5", "--k", "1", "--init", init],
+        "set": ["--set", "seed=5", "--set", "tau_multiple=0.5", "--set", "top_k=1",
+                "--set", f"init={init}"],
+    }
+    for name, flags in runs.items():
+        assert cli.main([
+            "train", "e2e-joint", "--config", str(e2e_cfg), "--out-dir", str(tmp_path / name),
+            *flags,
+        ]) == 0
+    names = sorted(p.name for p in (tmp_path / "flags").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "set").iterdir())
+    for name in names:
+        assert (tmp_path / "flags" / name).read_bytes() == (tmp_path / "set" / name).read_bytes()
+    resolved = (tmp_path / "set" / "resolved.cfg").read_text()
+    assert "seed=5\n" in resolved and "top_k=1\n" in resolved and f"init={init}\n" in resolved
+
+
+def test_train_mines_questions_without_a_positive(toy_dir, train_cfg, tmp_path):
+    corpus = load_corpus(toy_dir / "corpus.jsonl")
+    stats = build_corpus_stats(corpus)
+    bare = [QAExample(ex.question, ex.answers) for ex in load_qa(toy_dir / "train.jsonl")]
+    save_qa(bare, tmp_path / "bare.jsonl")
+    save_qa([mine_distant_supervision(ex, corpus, stats) for ex in bare], tmp_path / "mined.jsonl")
+    for name in ("bare", "mined"):
+        assert cli.main([
+            "train", "supervised", "--config", str(train_cfg), "--out-dir", str(tmp_path / name),
+            "--set", f"train={tmp_path / name}.jsonl",
+        ]) == 0
+    for name in ("retriever.ckpt", "index.ridx", "metrics.jsonl"):
+        assert (tmp_path / "bare" / name).read_bytes() == (tmp_path / "mined" / name).read_bytes()
 
 
 def test_train_config_of_another_recipe_is_config_error(sup_run, tmp_path, capsys):
@@ -334,22 +391,26 @@ def test_retrieve_missing_index_is_io_error(toy_dir, sup_run, tmp_path):
     assert code == 4
 
 
-def test_answer_both_modes(toy_dir, e2e_run, tmp_path):
+def test_answer_both_modes(toy_dir, e2e_run, tmp_path, capsys):
     questions = tmp_path / "questions.txt"
     examples = load_qa(toy_dir / "train.jsonl")[:2]
     questions.write_text("".join(ex.question + "\n" for ex in examples))
     for mode in ("individual", "joint"):
         out = tmp_path / f"answers-{mode}.jsonl"
-        code = cli.main([
+        args = [
             "answer",
             "--index", str(e2e_run / "index.ridx"),
             "--checkpoint", str(e2e_run / "retriever.ckpt"),
             "--reader", str(e2e_run / "reader.ckpt"),
             "--corpus", str(toy_dir / "corpus.jsonl"),
             "--mode", mode, "--k", "2", "--max-len", "4",
-            "--file", str(questions), "--out", str(out),
-        ])
-        assert code == 0
+            "--file", str(questions),
+        ]
+        capsys.readouterr()
+        assert cli.main(args) == 0
+        printed = capsys.readouterr().out
+        assert cli.main([*args, "--out", str(out)]) == 0
+        assert printed.encode("utf-8") == out.read_bytes()
         records = [json.loads(line) for line in read_lines(out)]
         assert len(records) == 2
         for record in records:
@@ -397,6 +458,27 @@ def test_eval_with_reader_scores_em(toy_dir, e2e_run, tmp_path):
     assert 0.0 <= report["em"] <= 1.0
 
 
+def test_eval_searches_at_its_tau_multiple(toy_dir, e2e_run, tmp_path, monkeypatch):
+    taus = set()
+
+    def spy(*args, tau, **kwargs):
+        taus.add(tau)
+        return top_k(*args, tau=tau, **kwargs)
+
+    monkeypatch.setattr(e2e, "top_k", spy)
+    assert cli.main([
+        "eval",
+        "--dataset", str(toy_dir / "dev.jsonl"),
+        "--index", str(e2e_run / "index.ridx"),
+        "--checkpoint", str(e2e_run / "retriever.ckpt"),
+        "--corpus", str(toy_dir / "corpus.jsonl"),
+        "--reader", str(e2e_run / "reader.ckpt"),
+        "--tau-multiple", "0.05", "--k", "2", "--max-len", "4",
+        "--ks", "1,2", "--out-dir", str(tmp_path / "report"),
+    ]) == 0
+    assert taus == {0.05 * 16 ** 0.5}  # hidden size 16: the EM search too, not 1.0 * 4
+
+
 # sweep ---------------------------------------------------------------------------------
 
 
@@ -427,6 +509,30 @@ def test_sweep_topk_axis_on_e2e(e2e_cfg, tmp_path):
     lines = read_lines(out / "sweep.csv")
     assert len(lines) == 3
     assert all(",em," in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("axis, values, corpus_loads", [
+    ("tau", "0.5,1.0", 2),  # one per run
+    ("train-fraction", "0.5,1.0", 3),  # and one for mining
+])
+def test_sweep_scores_on_what_each_run_built(train_cfg, tmp_path, monkeypatch, axis, values,
+                                             corpus_loads):
+    loads = {"corpus": 0, "index": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            loads[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli, "load_corpus", counted("corpus", cli.load_corpus))
+    monkeypatch.setattr(cli, "load_index", counted("index", cli.load_index))
+    assert cli.main([
+        "sweep", "--axis", axis, "--values", values, "--recipe", "supervised",
+        "--config", str(train_cfg), "--out-dir", str(tmp_path / "sweep"), "--set", "epochs=1",
+    ]) == 0
+    assert loads == {"corpus": corpus_loads, "index": 0}
 
 
 def test_sweep_duplicate_values_warn(train_cfg, tmp_path):

@@ -512,6 +512,58 @@ def test_joint_infer_matches_per_context_reference_bitwise(dec_layers):
                 assert got.answer == corpus.vocab.decode(want)
 
 
+def reference_per_question(mode, question, retriever, reader, snapshot, corpus, k, tau, max_len):
+    """One question encoded and searched on its own, then the mode's reader
+    pass as the one-question inference functions once ran it."""
+    retrieved = top_k(snapshot, retriever.encode_question(question).data, k=k, tau=tau)
+    contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
+    if mode == "joint":
+        tokens = reader.joint_greedy_decode(question, contexts, list(retrieved.probs), max_len)
+        answer = corpus.vocab.decode(tokens)
+        return answer, (answer,), (), retrieved, not tokens
+    groups = reader.memory_groups(question, contexts)
+    candidates = []
+    for tokens in map(tuple, reader.decode_groups(groups, max_len)):
+        if tokens not in candidates:
+            candidates.append(tokens)
+    log_liks = reader.score_groups(groups, [with_eos(list(c)) for c in candidates])
+    marginals = []
+    for row in log_liks:
+        total = 0.0
+        for ll, prob in zip(row.tolist(), retrieved.probs):
+            total += math.exp(ll) * prob
+        marginals.append(total)
+    best = max(range(len(candidates)), key=lambda i: (marginals[i], -i))
+    strings = tuple(corpus.vocab.decode(c) for c in candidates)
+    return strings[best], strings, tuple(marginals), retrieved, all(not c for c in candidates)
+
+
+@pytest.mark.parametrize("mode", sorted(e2e.MODES))
+def test_answer_questions_matches_one_question_at_a_time_bitwise(mode):
+    corpus, retriever, reader, index = make_mixed_world(2)
+    tau = e2e.tau_value(1.0, 16)
+    questions = [corpus.vocab.encode(text) for text in MIXED_QUESTIONS]
+    assert len({len(q) for q in questions}) == len(questions)  # mixed lengths
+    for k in (1, 3):
+        for max_len in (None, 3):
+            got = e2e.answer_questions(
+                questions, retriever, reader, index.snapshot, corpus, mode, k, tau, max_len
+            )
+            assert len(got) == len(questions)
+            for result, question in zip(got, questions):
+                answer, candidates, marginals, retrieved, all_empty = reference_per_question(
+                    mode, question, retriever, reader, index.snapshot, corpus, k, tau, max_len
+                )
+                assert result.retrieved == retrieved
+                assert (result.answer, result.candidates) == (answer, candidates)
+                assert [m.hex() for m in result.marginals] == [m.hex() for m in marginals]
+                assert result.all_empty == all_empty
+                infer = e2e.individual_topk_infer if mode == "individual" else e2e.joint_topk_infer
+                assert infer(
+                    question, retriever, reader, index.snapshot, corpus, k, tau, max_len
+                ) == result
+
+
 def reader_grads(reader, extra=()):
     return [p.grad.tobytes() for p in reader.parameters() + list(extra)]
 
@@ -680,6 +732,37 @@ def test_train_metrics_shape():
     assert all(m["lr"] > 0 for m in metrics)
 
 
+def test_train_em_records_and_target_stops_after_first_epoch():
+    corpus, retriever, reader, index = make_world()
+    config = e2e.E2EConfig(
+        top_k=2, epochs=3, batch_size=2, learning_rate=1e-3, seed=11, max_answer_len=4,
+        target_train_em=0.0,
+    )
+    metrics = e2e.train_e2e(DATASET, corpus, retriever, reader, index, config, dev=DATASET[:2])
+    assert len(metrics) == 1  # any exact match satisfies a 0.0 target
+    tau = e2e.tau_value(1.0, 16)
+    em = e2e.evaluate_em(
+        DATASET[:2], corpus, retriever, reader, index.snapshot, "individual", 2, tau, 4
+    )
+    assert metrics[0]["em"] == em
+
+
+@pytest.mark.parametrize("mode", sorted(e2e.MODES))
+def test_train_calls_the_loss_by_its_module_name(mode, monkeypatch):
+    # a profiler wraps the losses by rebinding their names in the module
+    calls = []
+    name = f"{mode}_topk_loss"
+    original = getattr(e2e, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(e2e, name, counted)
+    run_training(mode)
+    assert len(calls) == 6  # 3 examples in each of 2 epochs
+
+
 def test_train_rejects_empty_dataset():
     corpus, retriever, reader, index = make_world()
     with pytest.raises(DomainError):
@@ -688,11 +771,11 @@ def test_train_rejects_empty_dataset():
 
 def test_evaluate_em_range_and_validation():
     corpus, retriever, reader, index = make_world()
-    config = e2e.E2EConfig(top_k=2, max_answer_len=4)
-    em = e2e.evaluate_em(DATASET, corpus, retriever, reader, index.snapshot, config)
+    settings = ("individual", 2, e2e.tau_value(1.0, 16), 4)
+    em = e2e.evaluate_em(DATASET, corpus, retriever, reader, index.snapshot, *settings)
     assert 0.0 <= em <= 1.0
     with pytest.raises(DomainError):
-        e2e.evaluate_em([], corpus, retriever, reader, index.snapshot, config)
+        e2e.evaluate_em([], corpus, retriever, reader, index.snapshot, *settings)
 
 
 def test_evaluate_retrieval_uses_answer_containment():

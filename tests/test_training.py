@@ -8,7 +8,7 @@ from retforge import training as T
 from retforge.data import Corpus, QAExample, SpanAnnotation
 from retforge.encoder import DualEncoder, EncoderConfig, context_input, question_input
 from retforge.errors import ConfigError, DomainError
-from retforge.index import EvidenceIndex
+from retforge.index import EvidenceIndex, build_snapshot
 from retforge.reader import Reader, ReaderConfig
 
 DOCS = [
@@ -200,6 +200,22 @@ def test_train_supervised_dev_metrics_and_early_stop():
     record = metrics[0]
     assert "top1" in record and "top2" in record and "train_top1" in record
     assert 0.0 <= record["top1"] <= record["top2"] <= 1.0
+
+
+def test_train_supervised_builds_one_snapshot_per_epoch(monkeypatch):
+    # dev accuracy and the train-accuracy target read the same snapshot
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return build_snapshot(*args, **kwargs)
+
+    monkeypatch.setattr(T, "build_snapshot", counted)
+    corpus = make_corpus()
+    config = small_config(epochs=3, target_train_top1=1.0)
+    metrics = T.train_supervised(QA, corpus, make_dual(corpus), config, dev=QA)
+    assert all("top1" in r and "train_top1" in r for r in metrics)
+    assert len(built) == len(metrics)
 
 
 def test_train_supervised_learns_tiny_task():
