@@ -91,9 +91,10 @@ def save_model(path, kind: str, config, params) -> None:
 
 
 def load_model(path, kind: str, config_cls, build):
-    """The `build(config)` model with the saved parameters of a `save_model`
-    checkpoint. FormatError unless the kind, the config's field names and
-    types, and the parameter names and shapes all agree."""
+    """The `build(config, None)` model (zero weights, no random draw) with
+    the saved parameters of a `save_model` checkpoint. FormatError unless the
+    kind, the config's field names and types, and the parameter names and
+    shapes all agree."""
     config, arrays = load_checkpoint(path)
     if config.pop("kind", None) != kind:
         raise FormatError(f"{path}: checkpoint kind is not {kind} (field: kind)")
@@ -102,7 +103,7 @@ def load_model(path, kind: str, config_cls, build):
         type(value) is not types[name] for name, value in config.items()
     ):
         raise FormatError(f"{path}: config disagrees with {config_cls.__name__} (field: config)")
-    model = build(config_cls(**config))
+    model = build(config_cls(**config), None)
     expected = {p.name: p.data.shape for p in model.parameters()}
     found = {name: arr.shape for name, arr in arrays.items()}
     if found != expected:

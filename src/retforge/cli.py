@@ -37,6 +37,9 @@ from .e2e import (
     answer_questions,
     evaluate_em,
     evaluate_retrieval,
+    exact_match_rate,
+    read_retrieved,
+    retrieve,
     tau_value,
     train_e2e,
 )
@@ -48,7 +51,7 @@ from .errors import (
     FormatError,
     InputError,
 )
-from .evaluation import DEFAULT_KS, EvalReport, emit_report
+from .evaluation import DEFAULT_KS, EvalReport, emit_report, topk_accuracy
 from .files import json_safe as _json_safe  # perfbench/workloads.py reads cli._json_safe
 from .files import jsonl, write_atomic
 from .index import EvidenceIndex, build_snapshot, load_index, save_index, top_k
@@ -413,11 +416,16 @@ def cmd_eval(args) -> int:
     ks = tuple(int(v) for v in args.ks.split(",") if v.strip())
     if not ks:
         raise ConfigError("--ks must name at least one cutoff")
-    accuracies = evaluate_retrieval(examples, corpus, dual, snapshot, ks, tau)
+    # one search serves both metrics: EM reads the first k rows of each
+    k = min(args.k, snapshot.size)
+    questions = [corpus.vocab.encode(ex.question) for ex in examples]
+    found = retrieve(questions, dual, snapshot, max(max(ks), k if args.reader else 0), tau)
+    accuracies = topk_accuracy(found, examples, corpus, ks)
     em = None
     if args.reader:
-        em = evaluate_em(examples, corpus, dual, Reader.load(args.reader), snapshot,
-                         args.mode, args.k, tau, args.max_len)
+        results = read_retrieved(questions, [r.head(k, tau) for r in found],
+                                 Reader.load(args.reader), corpus, args.mode, args.max_len)
+        em = exact_match_rate(results, examples)
     report = EvalReport(
         accuracies=accuracies,
         em=em,

@@ -4,10 +4,19 @@ Two objectives over the k retrieved documents:
   individual: marginal likelihood, -log sum_i p(a|q,z_i) p(z_i|q,K),
   joint: one fused decode over all k contexts with retrieval-prob bias.
 
-Retrieval probabilities in both losses come from re-encoding the k retrieved
-documents with the live encoders (the snapshot only selects which documents
-participate), so gradients reach the query tower and, switch permitting, the
-context tower. Snapshot embeddings stay constants.
+Retrieval probabilities in both losses come from the live question tower
+scored against the k retrieved documents (the snapshot only selects which
+documents participate), so gradients reach the query tower. A trainable
+context tower re-encodes each document with a graph, so gradients reach it
+too. A frozen one (always in joint mode) is read once per step: one graph-free
+`embed` of the step's distinct documents, whose vectors enter the losses as
+constants, bit for bit the frozen tower's graph forward. Snapshot embeddings
+stay constants.
+
+Inference (`answer_questions`) encodes all questions in one call, searches
+each, and hands every question to the mode's reader pass at once: the joint
+pass decodes across questions (`Reader.joint_decode`), the individual pass
+reads one question at a time.
 """
 
 from __future__ import annotations
@@ -83,15 +92,21 @@ def _live_log_probs(
     corpus: Corpus,
     retriever: DualEncoder,
     tau: float,
+    doc_vecs: np.ndarray | None = None,
 ) -> ad.Tensor:
-    """Top-k-normalized log p(z_i|q,K) from freshly encoded representations."""
+    """Top-k-normalized log p(z_i|q,K) from the live question tower against
+    `doc_vecs`, the documents' (k, d) vectors from a frozen context tower, or
+    with None against the documents encoded live."""
     q_vec = retriever.question_encoder.encode_batch([question_input(question_tokens)])
-    z_rows = [
-        retriever.context_encoder.encode_batch([document_input(corpus.by_id[i], corpus.vocab)])
-        for i in doc_ids
-    ]
-    z = ad.concat(z_rows, axis=0) if len(z_rows) > 1 else z_rows[0]
-    scores = ad.reshape(ad.matmul(q_vec, ad.transpose(z, (1, 0))), (len(z_rows),))
+    if doc_vecs is None:
+        z_rows = [
+            retriever.context_encoder.encode_batch([document_input(corpus.by_id[i], corpus.vocab)])
+            for i in doc_ids
+        ]
+        z = ad.concat(z_rows, axis=0) if len(z_rows) > 1 else z_rows[0]
+    else:
+        z = ad.Tensor(doc_vecs)
+    scores = ad.reshape(ad.matmul(q_vec, ad.transpose(z, (1, 0))), (len(doc_ids),))
     scaled = ad.scale(scores, 1.0 / tau)
     return scaled - ad.logsumexp(scaled)
 
@@ -104,8 +119,10 @@ def individual_topk_loss(
     retriever: DualEncoder,
     reader: Reader,
     tau: float,
+    doc_vecs: np.ndarray | None = None,
 ) -> ad.Tensor:
-    """Negative marginal log-likelihood over the retrieved set."""
+    """Negative marginal log-likelihood over the retrieved set (`doc_vecs`
+    as in `_live_log_probs`)."""
     if len(retrieved.doc_ids) < 1:
         raise DomainError("retrieved set is empty")
     answer = with_eos(answer_tokens)
@@ -116,7 +133,7 @@ def individual_topk_loss(
         for doc_id in retrieved.doc_ids
     ])
     log_probs = _live_log_probs(
-        question_tokens, retrieved.doc_ids, corpus, retriever, tau
+        question_tokens, retrieved.doc_ids, corpus, retriever, tau, doc_vecs
     )
     return ad.neg(marginal_log_likelihood(log_liks, log_probs))
 
@@ -129,13 +146,15 @@ def joint_topk_loss(
     retriever: DualEncoder,
     reader: Reader,
     tau: float,
+    doc_vecs: np.ndarray | None = None,
 ) -> ad.Tensor:
-    """Negative fused log-likelihood; retrieval probs bias cross-attention."""
+    """Negative fused log-likelihood; retrieval probs bias cross-attention
+    (`doc_vecs` as in `_live_log_probs`)."""
     if len(retrieved.doc_ids) < 1:
         raise DomainError("retrieved set is empty")
     answer = with_eos(answer_tokens)
     log_probs = _live_log_probs(
-        question_tokens, retrieved.doc_ids, corpus, retriever, tau
+        question_tokens, retrieved.doc_ids, corpus, retriever, tau, doc_vecs
     )
     probs = ad.exp(log_probs)
     contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
@@ -155,70 +174,95 @@ class InferenceResult:
 
 
 def _read_individually(
-    question_tokens: Sequence[int], retrieved: RetrievalResult, reader: Reader,
+    questions: Sequence[Sequence[int]], retrieved: Sequence[RetrievalResult], reader: Reader,
     corpus: Corpus, max_len: int | None,
-) -> InferenceResult:
-    """Greedy-decode one candidate per retrieved document, then pick the
-    candidate with the highest marginal likelihood over the whole set.
+) -> list[InferenceResult]:
+    """Per question: greedy-decode one candidate per retrieved document, then
+    pick the candidate with the highest marginal likelihood over the whole set.
 
     Each document is encoded once; decoding runs every document in one decoder
     call per step and scoring every (candidate, document) pair in one call per
     length group, bit for bit as one pair at a time. Duplicate candidates are
     scored once; ties go to the candidate a higher-ranked document produced."""
-    contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
-    groups = reader.memory_groups(question_tokens, contexts)
-    candidates: list[tuple[int, ...]] = []
-    for tokens in map(tuple, reader.decode_groups(groups, max_len)):
-        if tokens not in candidates:
-            candidates.append(tokens)
-    log_liks = reader.score_groups(groups, [with_eos(list(c)) for c in candidates])
-    marginals = []
-    for row in log_liks:
-        total = 0.0
-        for ll, prob in zip(row.tolist(), retrieved.probs):
-            total += math.exp(ll) * prob
-        marginals.append(total)
-    best = max(range(len(candidates)), key=lambda i: (marginals[i], -i))
-    strings = tuple(corpus.vocab.decode(c) for c in candidates)
-    return InferenceResult(strings[best], strings, tuple(marginals), retrieved,
-                           all_empty=all(not c for c in candidates))
+    results = []
+    for question_tokens, found in zip(questions, retrieved):
+        contexts = [corpus.by_id[doc_id].tokens for doc_id in found.doc_ids]
+        groups = reader.memory_groups(question_tokens, contexts)
+        candidates: list[tuple[int, ...]] = []
+        for tokens in map(tuple, reader.decode_groups(groups, max_len)):
+            if tokens not in candidates:
+                candidates.append(tokens)
+        log_liks = reader.score_groups(groups, [with_eos(list(c)) for c in candidates])
+        marginals = []
+        for row in log_liks:
+            total = 0.0
+            for ll, prob in zip(row.tolist(), found.probs):
+                total += math.exp(ll) * prob
+            marginals.append(total)
+        best = max(range(len(candidates)), key=lambda i: (marginals[i], -i))
+        strings = tuple(corpus.vocab.decode(c) for c in candidates)
+        results.append(InferenceResult(strings[best], strings, tuple(marginals), found,
+                                       all_empty=all(not c for c in candidates)))
+    return results
 
 
 def _read_jointly(
-    question_tokens: Sequence[int], retrieved: RetrievalResult, reader: Reader,
+    questions: Sequence[Sequence[int]], retrieved: Sequence[RetrievalResult], reader: Reader,
     corpus: Corpus, max_len: int | None,
-) -> InferenceResult:
-    """One greedy decode fused over all k retrieved contexts."""
-    contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
-    tokens = reader.joint_greedy_decode(question_tokens, contexts, list(retrieved.probs), max_len)
-    answer = corpus.vocab.decode(tokens)
-    return InferenceResult(answer, (answer,), (), retrieved, all_empty=not tokens)
+) -> list[InferenceResult]:
+    """One greedy decode per question fused over its k retrieved contexts, all
+    questions in one `Reader.joint_decode` pass."""
+    answers = reader.joint_decode([
+        (question, [corpus.by_id[doc_id].tokens for doc_id in found.doc_ids], list(found.probs))
+        for question, found in zip(questions, retrieved)
+    ], max_len)
+    results = []
+    for tokens, found in zip(answers, retrieved):
+        answer = corpus.vocab.decode(tokens)
+        results.append(InferenceResult(answer, (answer,), (), found, all_empty=not tokens))
+    return results
 
 
 # How the reader takes in the retrieved documents: mode -> (training loss,
-# reader pass at inference). A loss is looked up by name when called, so a
-# rebinding of the module's name (a profiler's wrapper, say) sees the call.
+# reader pass over a list of questions at inference). A loss is looked up by
+# name when called, so a rebinding of the module's name (a profiler's
+# wrapper, say) sees the call.
 MODES = {
     "individual": (lambda *args: individual_topk_loss(*args), _read_individually),
     "joint": (lambda *args: joint_topk_loss(*args), _read_jointly),
 }
 
 
+def retrieve(
+    questions: Sequence[Sequence[int]], retriever: DualEncoder, snapshot: IndexSnapshot,
+    k: int, tau: float,
+) -> list[RetrievalResult]:
+    """Each question's top-k documents in `snapshot`. The questions are
+    encoded in one call; each row equals encoding its question alone."""
+    return [top_k(snapshot, q_vec, k=k, tau=tau) for q_vec in retriever.embed_questions(questions)]
+
+
 @ad.no_grad()
+def read_retrieved(
+    questions: Sequence[Sequence[int]], retrieved: Sequence[RetrievalResult], reader: Reader,
+    corpus: Corpus, mode: str, max_len: int | None = None,
+) -> list[InferenceResult]:
+    """The reader pass of `mode` over each question's retrieved documents.
+    Records no graph."""
+    _, read_pass = MODES[mode]
+    return read_pass(questions, retrieved, reader, corpus, max_len)
+
+
 def answer_questions(
     questions: Sequence[Sequence[int]], retriever: DualEncoder, reader: Reader,
     snapshot: IndexSnapshot, corpus: Corpus, mode: str, k: int, tau: float,
     max_len: int | None = None,
 ) -> list[InferenceResult]:
     """Answer each question from its top-k documents in `snapshot` with the
-    reader pass of `mode`. The questions are encoded in one call; each row
-    equals encoding its question alone. Records no graph."""
-    _, read = MODES[mode]
-    q_vecs = retriever.embed_questions(questions)
-    return [
-        read(question, top_k(snapshot, q_vec, k=k, tau=tau), reader, corpus, max_len)
-        for question, q_vec in zip(questions, q_vecs)
-    ]
+    reader pass of `mode`: `retrieve`, then `read_retrieved`. Records no
+    graph."""
+    found = retrieve(questions, retriever, snapshot, k, tau)
+    return read_retrieved(questions, found, reader, corpus, mode, max_len)
 
 
 def individual_topk_infer(
@@ -257,14 +301,24 @@ def topk_batch_loss(
     """Mean `loss_fn` over (question tokens, answer tokens) pairs, each
     against its top-k documents in the (possibly stale) snapshot.
 
-    The search reads graph-free question vectors; the loss re-encodes with the
-    live towers, so gradients reach every enabled parameter.
+    The search reads graph-free question vectors; the loss encodes the
+    questions with the live question tower, so gradients reach every enabled
+    parameter. A context tower with no trainable parameter is read once: one
+    `embed` of the step's distinct documents, whose rows are constants to
+    every loss. A trainable one re-encodes each document with a graph.
     """
-    q_vecs = retriever.embed_questions([question for question, _ in pairs])
+    found = retrieve([question for question, _ in pairs], retriever, snapshot, k, tau)
+    context = retriever.context_encoder
+    if any(p.requires_grad for p in context.parameters()):
+        doc_vecs = [None] * len(found)
+    else:
+        distinct = list(dict.fromkeys(doc_id for r in found for doc_id in r.doc_ids))
+        vecs = context.embed([document_input(corpus.by_id[i], corpus.vocab) for i in distinct])
+        row = {doc_id: n for n, doc_id in enumerate(distinct)}
+        doc_vecs = [vecs[[row[doc_id] for doc_id in r.doc_ids]] for r in found]
     losses = [
-        loss_fn(question, answer, top_k(snapshot, q_vec, k=k, tau=tau),
-                corpus, retriever, reader, tau)
-        for (question, answer), q_vec in zip(pairs, q_vecs)
+        loss_fn(question, answer, retrieved, corpus, retriever, reader, tau, vecs)
+        for (question, answer), retrieved, vecs in zip(pairs, found, doc_vecs)
     ]
     return ad.reduce_mean(ad.stack_scalars(losses))
 
@@ -327,6 +381,14 @@ def train_e2e(
     return metrics
 
 
+def exact_match_rate(
+    results: Sequence[InferenceResult], examples: Sequence[QAExample]
+) -> float:
+    """Fraction of results whose answer exactly matches a gold answer."""
+    hits = sum(exact_match(r.answer, ex.answers) for r, ex in zip(results, examples))
+    return hits / len(examples)
+
+
 def evaluate_em(
     examples: Sequence[QAExample], corpus: Corpus, retriever: DualEncoder, reader: Reader,
     snapshot: IndexSnapshot, mode: str, k: int, tau: float, max_len: int | None,
@@ -339,8 +401,7 @@ def evaluate_em(
         [corpus.vocab.encode(example.question) for example in examples],
         retriever, reader, snapshot, corpus, mode, min(k, snapshot.size), tau, max_len,
     )
-    hits = sum(exact_match(r.answer, ex.answers) for r, ex in zip(results, examples))
-    return hits / len(examples)
+    return exact_match_rate(results, examples)
 
 
 def evaluate_retrieval(
@@ -352,6 +413,5 @@ def evaluate_retrieval(
     tau: float,
 ) -> dict[int, float]:
     """Top-k answer-containment accuracy for the current retriever."""
-    q_vecs = retriever.embed_questions([corpus.vocab.encode(ex.question) for ex in examples])
-    results = [top_k(snapshot, q_vec, k=max(ks), tau=tau) for q_vec in q_vecs]
-    return topk_accuracy(results, examples, corpus, ks)
+    questions = [corpus.vocab.encode(ex.question) for ex in examples]
+    return topk_accuracy(retrieve(questions, retriever, snapshot, max(ks), tau), examples, corpus, ks)

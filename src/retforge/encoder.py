@@ -15,7 +15,7 @@ forward; their contract is the gradient, checked by finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from .text import CLS_ID, PAD_ID, SEP_ID, Vocabulary
 
 INIT_STD = 0.02
 LN_EPS = 1e-5
-# padded tokens per inference chunk in `embed`; bounds activation memory
+# tokens per inference chunk of equal-length inputs (`embed` and the reader's
+# encode); bounds activation memory
 CHUNK_TOKENS = 256
 
 
@@ -70,7 +71,7 @@ def truncated_normal(
 class TransformerEncoder:
     """Pre-norm transformer over token ids; pooled output is position 0."""
 
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator, prefix: str):
+    def __init__(self, config: EncoderConfig, rng: np.random.Generator | None, prefix: str):
         self.config = config
         self.params = transformer_params(
             prefix, rng, config.vocab_size, config.hidden_size, config.max_seq_len, config.layers
@@ -151,43 +152,44 @@ class TransformerEncoder:
         cap = self.config.max_seq_len
         out = np.empty((len(sequences), self.config.hidden_size))
         with ad.no_grad():
-            for length, rows in group_by_length(min(len(s), cap) for s in sequences).items():
-                size = max(1, CHUNK_TOKENS // max(length, 1))
-                for lo in range(0, len(rows), size):
-                    chunk = rows[lo:lo + size]
-                    out[chunk] = self.encode_batch([sequences[r] for r in chunk]).data
+            for chunk in length_chunks((min(len(s), cap) for s in sequences), CHUNK_TOKENS):
+                out[chunk] = self.encode_batch([sequences[r] for r in chunk]).data
         return out
 
 
 def transformer_params(
-    prefix: str, rng: np.random.Generator, vocab_size: int, d: int, positions: int, layers: int,
-    decoder: bool = False,
+    prefix: str, rng: np.random.Generator | None, vocab_size: int, d: int, positions: int,
+    layers: int, decoder: bool = False,
 ) -> dict[str, ad.Parameter]:
     """Embeddings, `layers` layers for `transformer_layer` and the final
     layer norm, drawn from `rng` in this order; a `decoder` adds each layer's
-    cross-attention and the output projection over the vocabulary."""
+    cross-attention and the output projection over the vocabulary. With no
+    `rng` the weights are zeros and nothing is drawn (a model about to load)."""
     p: dict[str, ad.Parameter] = {}
 
     def param(name: str, values) -> None:
         p[name] = ad.Parameter(values, name=f"{prefix}.{name}")
 
-    param("token_emb", truncated_normal(rng, (vocab_size, d)))
-    param("pos_emb", truncated_normal(rng, (positions, d)))
+    def weight(shape: tuple[int, ...]) -> np.ndarray:
+        return np.zeros(shape) if rng is None else truncated_normal(rng, shape)
+
+    param("token_emb", weight((vocab_size, d)))
+    param("pos_emb", weight((positions, d)))
     for i in range(layers):
         for mat in ("wq", "wk", "wv", "wo") + (("cq", "ck", "cv", "co") if decoder else ()):
-            param(f"layer{i}.{mat}", truncated_normal(rng, (d, d)))
+            param(f"layer{i}.{mat}", weight((d, d)))
             param(f"layer{i}.{mat}_b", np.zeros(d))
         for ln in ("ln1", "lnc", "ln2") if decoder else ("ln1", "ln2"):
             param(f"layer{i}.{ln}_g", np.ones(d))
             param(f"layer{i}.{ln}_b", np.zeros(d))
-        param(f"layer{i}.w1", truncated_normal(rng, (d, 4 * d)))
+        param(f"layer{i}.w1", weight((d, 4 * d)))
         param(f"layer{i}.w1_b", np.zeros(4 * d))
-        param(f"layer{i}.w2", truncated_normal(rng, (4 * d, d)))
+        param(f"layer{i}.w2", weight((4 * d, d)))
         param(f"layer{i}.w2_b", np.zeros(d))
     param("final_ln_g", np.ones(d))
     param("final_ln_b", np.zeros(d))
     if decoder:
-        param("out_proj", truncated_normal(rng, (d, vocab_size)))
+        param("out_proj", weight((d, vocab_size)))
         param("out_proj_b", np.zeros(vocab_size))
     return p
 
@@ -248,6 +250,15 @@ def group_by_length(lengths) -> dict[int, list[int]]:
     return groups
 
 
+def length_chunks(lengths, budget: int) -> Iterator[list[int]]:
+    """Positions grouped by length, each group cut in order into chunks of
+    at most `budget` tokens (one position when its length alone exceeds it)."""
+    for length, rows in group_by_length(lengths).items():
+        size = max(1, budget // max(length, 1))
+        for lo in range(0, len(rows), size):
+            yield rows[lo:lo + size]
+
+
 def _pooled_rows(x: ad.Tensor) -> ad.Tensor:
     """Position-0 rows of a (B, T, d) no-grad activation, shaped so that the
     last layer's matmuls round exactly as they do over all T positions.
@@ -280,9 +291,10 @@ def document_input(doc, vocab: Vocabulary) -> list[int]:
 class DualEncoder:
     """Question tower and context tower with disjoint parameters."""
 
-    def __init__(self, config: EncoderConfig, seed: int = 0):
+    def __init__(self, config: EncoderConfig, seed: int | None = 0):
+        """Weights drawn from `seed`; with None they are zeros (see `load`)."""
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.question_encoder = TransformerEncoder(config, rng, prefix="q")
         self.context_encoder = TransformerEncoder(config, rng, prefix="z")
 

@@ -61,6 +61,26 @@ class RetrievalResult:
     scores: tuple[float, ...]  # descending; ties broken by ascending doc id
     probs: tuple[float, ...]  # softmax(scores / tau) over exactly these k
 
+    def head(self, k: int, tau: float) -> "RetrievalResult":
+        """The first k documents, probabilities renormalised over them: what
+        `top_k` at k returns when this is its result at a deeper k."""
+        if not (1 <= k <= len(self.doc_ids)):
+            raise DomainError(f"k must be in [1, {len(self.doc_ids)}], got {k}")
+        return _result(self.doc_ids[:k], np.array(self.scores[:k]), tau)
+
+
+def _result(doc_ids, scores: np.ndarray, tau: float) -> RetrievalResult:
+    """The result for these documents and float64 scores: softmax(scores / tau)."""
+    z = scores / tau
+    z = z - z.max()
+    e = np.exp(z)
+    probs = e / e.sum()
+    return RetrievalResult(
+        doc_ids=tuple(int(i) for i in doc_ids),
+        scores=tuple(float(s) for s in scores),
+        probs=tuple(float(p) for p in probs),
+    )
+
 
 def top_k(snapshot: IndexSnapshot, q_vec: np.ndarray, k: int, tau: float) -> RetrievalResult:
     """Exact search: argsort of q . z over all rows, first k taken."""
@@ -76,16 +96,7 @@ def top_k(snapshot: IndexSnapshot, q_vec: np.ndarray, k: int, tau: float) -> Ret
     scores = snapshot.embeddings @ q  # float64 result
     # lexsort: last key is primary, so order is (-score, doc_id)
     order = np.lexsort((snapshot.doc_ids, -scores))[:k]
-    sel_scores = scores[order]
-    z = sel_scores / tau
-    z = z - z.max()
-    e = np.exp(z)
-    probs = e / e.sum()
-    return RetrievalResult(
-        doc_ids=tuple(int(i) for i in snapshot.doc_ids[order]),
-        scores=tuple(float(s) for s in sel_scores),
-        probs=tuple(float(p) for p in probs),
-    )
+    return _result(snapshot.doc_ids[order], scores[order], tau)
 
 
 def build_snapshot(dual_encoder, corpus, version: int = 0) -> IndexSnapshot:

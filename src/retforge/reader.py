@@ -7,17 +7,21 @@ the positions of the owning context. The bias is re-centered by its maximum
 (a constant shift softmax ignores), so a single context, or lambda = 0,
 reproduces the unbiased reader bit for bit.
 
-Inference computes each thing once. Under `autodiff.no_grad()` the k
-question + [SEP] + context inputs of a question go through one encoder
-forward per group of equal length, so each retrieved document is encoded
-once, and each memory's cross-attention keys and values are projected once
-per decoder layer and reused by every decoder call. The decoder takes a
-batch of rows, each attending to its own memory: greedy decoding runs all
-documents of a memory length in one call per step, and scoring runs every
-(answer, document) pair of an answer length in one call. Nothing is
-padded and every matmul runs per row with that row's own shapes, so each
-row equals the one-pair path bit for bit. With a graph (training) each
-context keeps its own encoder forward and the decoder runs one row.
+Inference computes each thing once. Under `autodiff.no_grad()` the
+question + [SEP] + context inputs go through one encoder forward per chunk
+of equal length (at most CHUNK_TOKENS tokens), so each retrieved document is
+encoded once, and each memory's cross-attention keys and values are
+projected once per decoder layer and reused by every decoder call. The
+decoder takes a batch of rows, each attending to its own memory (and, in
+joint mode, adding its own bias row): individual greedy decoding runs all
+documents of a memory length in one call per step, scoring runs every
+(answer, document) pair of an answer length in one call, and joint decoding
+(`joint_decode`) runs the fused memories of many questions that share a
+length in one call per step, at most DECODE_MEMORY_TOKENS memory tokens per
+call. Nothing is padded and every matmul runs per row with that row's own
+shapes, so each row equals the one-pair, one-question path bit for bit.
+With a graph (training) each context keeps its own encoder forward and the
+decoder runs one row.
 """
 
 from __future__ import annotations
@@ -30,9 +34,11 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import load_model, save_model
 from .encoder import (
+    CHUNK_TOKENS,
     EncoderConfig,
     TransformerEncoder,
     group_by_length,
+    length_chunks,
     norm,
     project,
     transformer_layer,
@@ -42,6 +48,9 @@ from .errors import DimensionError, DomainError
 from .text import BOS_ID, EOS_ID, SEP_ID
 
 PROB_SUM_TOL = 1e-9
+# rows x fused-memory length per joint decoder call; bounds the cross K/V and
+# attention activations one greedy step holds
+DECODE_MEMORY_TOKENS = 1024
 
 # per decoder layer: cross-attention key and value projections, each (n, T_mem, d)
 CrossKV = list[tuple[ad.Tensor, ad.Tensor]]
@@ -85,9 +94,10 @@ def with_eos(tokens: Sequence[int]) -> list[int]:
 
 
 class Reader:
-    def __init__(self, config: ReaderConfig, seed: int = 0):
+    def __init__(self, config: ReaderConfig, seed: int | None = 0):
+        """Weights drawn from `seed`; with None they are zeros (see `load`)."""
         self.config = config
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.encoder = TransformerEncoder(config.encoder_config(), rng, prefix="reader_enc")
         self.dec_params = transformer_params(
             "reader_dec", rng, config.vocab_size, config.hidden_size, config.max_answer_len,
@@ -106,25 +116,26 @@ class Reader:
     # Encoding ------------------------------------------------------------
 
     def _encode_groups(
-        self, question_tokens: Sequence[int], contexts: Sequence[Sequence[int]]
+        self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
     ) -> Iterator[tuple[list[int], ad.Tensor]]:
-        """Yield (positions, states): context positions and the (n, T, d)
-        encoder states of their question + [SEP] + context inputs.
+        """Yield (positions, states): positions in `pairs` of (question,
+        context) tokens and the (n, T, d) encoder states of their
+        question + [SEP] + context inputs.
 
-        With a graph every context gets its own forward. Under `ad.no_grad()`
-        each group of equal (truncated) input length goes through one
-        unpadded forward, whose rows equal the one-context forward bit for
-        bit (the rule `TransformerEncoder.embed` relies on).
+        With a graph every pair gets its own forward. Under `ad.no_grad()`
+        the inputs of equal (truncated) length go through one unpadded
+        forward per chunk of at most CHUNK_TOKENS tokens, whose rows equal
+        the one-pair forward bit for bit (the rule `TransformerEncoder.embed`
+        relies on).
         """
         inputs = [
-            (list(question_tokens) + [SEP_ID] + list(z))[: self.config.max_seq_len]
-            for z in contexts
+            (list(q) + [SEP_ID] + list(z))[: self.config.max_seq_len] for q, z in pairs
         ]
         if ad.grad_enabled():
-            groups = [[r] for r in range(len(inputs))]
+            chunks = [[r] for r in range(len(inputs))]
         else:
-            groups = list(group_by_length(map(len, inputs)).values())
-        for rows in groups:
+            chunks = length_chunks(map(len, inputs), CHUNK_TOKENS)
+        for rows in chunks:
             ids = np.array([inputs[r] for r in rows], dtype=np.int64)
             yield rows, self.encoder.forward(ids)
 
@@ -133,7 +144,7 @@ class Reader:
     ) -> list[ad.Tensor]:
         """One (T_i, d) memory per context, in context order."""
         memories: list = [None] * len(contexts)
-        for rows, states in self._encode_groups(question_tokens, contexts):
+        for rows, states in self._encode_groups([(question_tokens, z) for z in contexts]):
             if len(rows) == 1:
                 memories[rows[0]] = ad.reshape(states, states.shape[1:])
             else:  # a no-grad group
@@ -152,7 +163,7 @@ class Reader:
         contexts whose memories share one length."""
         return [
             (rows, self._cross_kv(states))
-            for rows, states in self._encode_groups(question_tokens, contexts)
+            for rows, states in self._encode_groups([(question_tokens, z) for z in contexts])
         ]
 
     # Decoding ------------------------------------------------------------
@@ -192,41 +203,35 @@ class Reader:
         h = ad.embedding(p["token_emb"], ids) + ad.embedding(p["pos_emb"], np.arange(t_dec))
         causal = np.where(np.triu(np.ones((t_dec, t_dec), dtype=bool), k=1), ad.MASK_NEG, 0.0)
         for i, kv in enumerate(cross):
-            # bias: (T_mem,) broadcast over rows, heads and steps
+            # bias: (T_mem,), or one (1, 1, T_mem) row per batch row; broadcast
+            # over heads and steps
             h = transformer_layer(h, p, f"layer{i}", cfg.heads, causal, cross=kv, bias=bias)
         return project(norm(h, p, "final_ln"), p, "out_proj")
 
-    def _fusion_memory(
-        self,
-        question_tokens: Sequence[int],
-        contexts: Sequence[Sequence[int]],
-        probs,
-    ) -> tuple[ad.Tensor, ad.Tensor]:
-        """probs may be a plain sequence (inference) or a Tensor carrying
-        gradient back into whatever produced the retrieval distribution."""
-        if len(contexts) < 1:
+    def _fusion_bias(self, probs, lengths: Sequence[int]) -> ad.Tensor:
+        """(T_mem,) cross-attention logit bias: lambda * p_i over the
+        `lengths[i]` memory positions of context i. probs may be a plain
+        sequence (inference) or a Tensor carrying gradient back into whatever
+        produced the retrieval distribution."""
+        if len(lengths) < 1:
             raise DomainError("fusion needs at least one context")
         probs_t = probs if isinstance(probs, ad.Tensor) else ad.Tensor(np.asarray(probs, dtype=np.float64))
         probs_arr = probs_t.data
-        if probs_arr.ndim != 1 or probs_arr.shape[0] != len(contexts):
+        if probs_arr.ndim != 1 or probs_arr.shape[0] != len(lengths):
             raise DimensionError("one probability per context required")
         if (probs_arr < 0).any() or abs(probs_arr.sum() - 1.0) > PROB_SUM_TOL:
             raise DomainError(
                 f"context probabilities must be a distribution, got sum {probs_arr.sum()!r}"
             )
-        encoded = self.encode_contexts(question_tokens, contexts)
-        memory = ad.concat(encoded, axis=0) if len(encoded) > 1 else encoded[0]
         # in-graph bias lambda * p_i per context, broadcast over its positions
-        lengths = [e.shape[0] for e in encoded]
-        spread = np.repeat(np.eye(len(contexts)), lengths, axis=0)
+        spread = np.repeat(np.eye(len(lengths)), lengths, axis=0)
         per_position = ad.matmul(
-            ad.Tensor(spread), ad.reshape(ad.mul(self.lambda_bias, probs_t), (len(contexts), 1))
+            ad.Tensor(spread), ad.reshape(ad.mul(self.lambda_bias, probs_t), (len(lengths), 1))
         )
         # constant re-centering: softmax is shift-invariant, and this makes
         # k=1 and lambda=0 reduce to the unbiased decoder exactly
         shift = float(-(float(self.lambda_bias.data) * probs_arr).max())
-        bias = ad.reshape(per_position, (sum(lengths),)) + ad.Tensor(np.array(shift))
-        return memory, bias
+        return ad.reshape(per_position, (sum(lengths),)) + ad.Tensor(np.array(shift))
 
     # Public likelihood / generation API -----------------------------------
 
@@ -251,7 +256,9 @@ class Reader:
         """log p(answer | question, all k contexts, retrieval probs).
 
         probs: sequence of floats, or a Tensor to backpropagate through."""
-        memory, bias = self._fusion_memory(question_tokens, contexts, probs)
+        encoded = self.encode_contexts(question_tokens, contexts)
+        bias = self._fusion_bias(probs, [e.shape[0] for e in encoded])
+        memory = ad.concat(encoded, axis=0) if len(encoded) > 1 else encoded[0]
         return self._score_memory(memory, bias, answer_tokens)
 
     def _score_memory(
@@ -301,7 +308,6 @@ class Reader:
         memory = self.encode_pair(question_tokens, context_tokens)
         return self._greedy(self._cross_kv(memory), None, max_len)[0]
 
-    @ad.no_grad()
     def joint_greedy_decode(
         self,
         question_tokens: Sequence[int],
@@ -309,8 +315,41 @@ class Reader:
         probs: Sequence[float],
         max_len: int | None = None,
     ) -> list[int]:
-        memory, bias = self._fusion_memory(question_tokens, contexts, probs)
-        return self._greedy(self._cross_kv(memory), bias, max_len)[0]
+        """`joint_decode` of one question."""
+        return self.joint_decode([(question_tokens, contexts, probs)], max_len)[0]
+
+    @ad.no_grad()
+    def joint_decode(
+        self,
+        questions: Sequence[tuple[Sequence[int], Sequence[Sequence[int]], Sequence[float]]],
+        max_len: int | None = None,
+    ) -> list[list[int]]:
+        """Greedy answer of each (question tokens, contexts, retrieval
+        probs), fused over its contexts, in order.
+
+        All the questions' inputs are encoded together (`_encode_groups`).
+        Questions whose fused memories share a length decode together, at
+        most DECODE_MEMORY_TOKENS memory tokens per decoder call, each row
+        with its own memory and bias row; a row leaves the batch on [EOS].
+        Every answer equals decoding its question alone bit for bit."""
+        pairs = [(q, z) for q, contexts, _ in questions for z in contexts]
+        states: list = [None] * len(pairs)
+        for rows, encoded in self._encode_groups(pairs):
+            for r, row in zip(rows, encoded.data):
+                states[r] = row
+        memories, biases, lo = [], [], 0
+        for _, contexts, probs in questions:
+            parts = states[lo:lo + len(contexts)]
+            lo += len(contexts)
+            biases.append(self._fusion_bias(probs, [len(x) for x in parts]).data)
+            memories.append(np.concatenate(parts))
+        answers: list = [None] * len(questions)
+        for rows in length_chunks(map(len, memories), DECODE_MEMORY_TOKENS):
+            cross = self._cross_kv(ad.Tensor(np.stack([memories[r] for r in rows])))
+            bias = ad.Tensor(np.stack([biases[r] for r in rows])[:, None, None])
+            for r, tokens in zip(rows, self._greedy(cross, bias, max_len)):
+                answers[r] = tokens
+        return answers
 
     def decode_groups(
         self, groups: MemoryGroups, max_len: int | None = None
@@ -326,9 +365,10 @@ class Reader:
     def _greedy(
         self, cross: CrossKV, bias: ad.Tensor | None, max_len: int | None
     ) -> list[list[int]]:
-        """Argmax decoding of every row of `cross` until [EOS] or the length
-        cap; a row that emits [EOS] leaves the batch, and the terminal [EOS]
-        is not included in its sequence. Ties pick the lowest id."""
+        """Argmax decoding of every row of `cross` (and of `bias`, one
+        (1, 1, T_mem) row per memory) until [EOS] or the length cap; a row
+        that emits [EOS] leaves the batch, and the terminal [EOS] is not
+        included in its sequence. Ties pick the lowest id."""
         cap = self.config.max_answer_len - 1 if max_len is None else max_len
         if cap < 1:
             raise DomainError(f"max_len must be >= 1, got {cap}")
@@ -347,6 +387,8 @@ class Reader:
                     break
                 active = [active[j] for j in going]
                 cross = _take_rows(cross, going)
+                if bias is not None:
+                    bias = ad.Tensor(bias.data[going])
         return generated
 
     # Persistence -----------------------------------------------------------

@@ -393,7 +393,7 @@ def test_retrieve_missing_index_is_io_error(toy_dir, sup_run, tmp_path):
 
 def test_answer_both_modes(toy_dir, e2e_run, tmp_path, capsys):
     questions = tmp_path / "questions.txt"
-    examples = load_qa(toy_dir / "train.jsonl")[:2]
+    examples = load_qa(toy_dir / "train.jsonl")[:8]
     questions.write_text("".join(ex.question + "\n" for ex in examples))
     for mode in ("individual", "joint"):
         out = tmp_path / f"answers-{mode}.jsonl"
@@ -404,15 +404,21 @@ def test_answer_both_modes(toy_dir, e2e_run, tmp_path, capsys):
             "--reader", str(e2e_run / "reader.ckpt"),
             "--corpus", str(toy_dir / "corpus.jsonl"),
             "--mode", mode, "--k", "2", "--max-len", "4",
-            "--file", str(questions),
         ]
         capsys.readouterr()
-        assert cli.main(args) == 0
+        assert cli.main([*args, "--file", str(questions)]) == 0
         printed = capsys.readouterr().out
-        assert cli.main([*args, "--out", str(out)]) == 0
+        assert cli.main([*args, "--file", str(questions), "--out", str(out)]) == 0
         assert printed.encode("utf-8") == out.read_bytes()
+        # the questions answered together write the bytes of one run per question
+        one = tmp_path / "one.jsonl"
+        alone = b""
+        for ex in examples:
+            assert cli.main([*args, "--question", ex.question, "--out", str(one)]) == 0
+            alone += one.read_bytes()
+        assert out.read_bytes() == alone
         records = [json.loads(line) for line in read_lines(out)]
-        assert len(records) == 2
+        assert len(records) == 8
         for record in records:
             assert isinstance(record["answer"], str)
             assert record["candidates"]
@@ -456,6 +462,53 @@ def test_eval_with_reader_scores_em(toy_dir, e2e_run, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["em"] is not None
     assert 0.0 <= report["em"] <= 1.0
+
+
+def test_eval_encodes_and_searches_each_question_once(toy_dir, e2e_run, tmp_path, monkeypatch):
+    dataset = tmp_path / "dev12.jsonl"
+    examples = load_qa(toy_dir / "train.jsonl")[:12]
+    save_qa(examples, dataset)
+    common = [
+        "--dataset", str(dataset),
+        "--index", str(e2e_run / "index.ridx"),
+        "--checkpoint", str(e2e_run / "retriever.ckpt"),
+        "--corpus", str(toy_dir / "corpus.jsonl"),
+        "--reader", str(e2e_run / "reader.ckpt"),
+        "--mode", "joint", "--k", "2", "--max-len", "4", "--ks", "1,3",
+    ]
+    # the report as two passes made it: one search at max(ks), one at k
+    corpus = load_corpus(toy_dir / "corpus.jsonl")
+    dual = cli.DualEncoder.load(e2e_run / "retriever.ckpt")
+    snapshot = cli.load_index(e2e_run / "index.ridx")
+    tau = e2e.tau_value(1.0, dual.config.hidden_size)
+    reader = cli.Reader.load(e2e_run / "reader.ckpt")
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    cli.emit_report(cli.EvalReport(
+        accuracies=e2e.evaluate_retrieval(examples, corpus, dual, snapshot, (1, 3), tau),
+        em=e2e.evaluate_em(examples, corpus, dual, reader, snapshot, "joint", 2, tau, 4),
+        n_examples=12,
+        config={"dataset": str(dataset), "ks": [1, 3], "mode": "joint", "tau_multiple": 1.0},
+    ), reference / "report.json", reference / "report.csv")
+
+    encoded, searches = [], []
+
+    def embed_questions(self, questions, _original=cli.DualEncoder.embed_questions):
+        encoded.extend(questions)
+        return _original(self, questions)
+
+    def searching(*args, **kwargs):
+        searches.append(kwargs["k"])
+        return top_k(*args, **kwargs)
+
+    monkeypatch.setattr(cli.DualEncoder, "embed_questions", embed_questions)
+    monkeypatch.setattr(e2e, "top_k", searching)
+    out = tmp_path / "report"
+    assert cli.main(["eval", *common, "--out-dir", str(out)]) == 0
+    # one search at max(k, max(ks)); EM reads its first k rows
+    assert len(encoded) == 12 and searches == [3] * 12
+    for name in ("report.json", "report.csv"):
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
 
 
 def test_eval_searches_at_its_tau_multiple(toy_dir, e2e_run, tmp_path, monkeypatch):

@@ -7,8 +7,16 @@ import composed
 
 from retforge import autodiff as ad
 from retforge import e2e, optim
+from retforge import reader as reader_module
 from retforge.data import Corpus, QAExample, SpanAnnotation
-from retforge.encoder import LN_EPS, DualEncoder, EncoderConfig
+from retforge.encoder import (
+    LN_EPS,
+    DualEncoder,
+    EncoderConfig,
+    document_input,
+    length_chunks,
+    question_input,
+)
 from retforge.errors import ConfigError, DomainError
 from retforge.index import EvidenceIndex, top_k
 from retforge.reader import Reader, ReaderConfig, with_eos
@@ -404,6 +412,15 @@ def reference_fusion_memory(reader, question, contexts, probs):
     return memory, bias
 
 
+def reference_joint_answer(reader, question, contexts, probs, max_len):
+    """The joint reader path as it ran one question at a time: one encode per
+    context, the lambda * p bias over one fused memory, and the one-row
+    greedy decoder."""
+    with ad.no_grad():
+        memory, bias = reference_fusion_memory(reader, question, contexts, probs)
+        return reference_greedy(reader, memory, bias, max_len)
+
+
 def reference_individual_infer(question, retriever, reader, snapshot, corpus, k, tau, max_len):
     """The per-pair loop: one greedy decode per document, then one
     likelihood per (candidate, document), each encoding its pair afresh."""
@@ -505,10 +522,9 @@ def test_joint_infer_matches_per_context_reference_bitwise(dec_layers):
                     question, retriever, reader, index.snapshot, corpus, k, tau, max_len
                 )
                 contexts = [corpus.by_id[i].tokens for i in got.retrieved.doc_ids]
-                memory, bias = reference_fusion_memory(
-                    reader, question, contexts, got.retrieved.probs
+                want = reference_joint_answer(
+                    reader, question, contexts, got.retrieved.probs, max_len
                 )
-                want = reference_greedy(reader, memory, bias, max_len)
                 assert got.answer == corpus.vocab.decode(want)
 
 
@@ -518,7 +534,7 @@ def reference_per_question(mode, question, retriever, reader, snapshot, corpus, 
     retrieved = top_k(snapshot, retriever.encode_question(question).data, k=k, tau=tau)
     contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
     if mode == "joint":
-        tokens = reader.joint_greedy_decode(question, contexts, list(retrieved.probs), max_len)
+        tokens = reference_joint_answer(reader, question, contexts, retrieved.probs, max_len)
         answer = corpus.vocab.decode(tokens)
         return answer, (answer,), (), retrieved, not tokens
     groups = reader.memory_groups(question, contexts)
@@ -538,17 +554,83 @@ def reference_per_question(mode, question, retriever, reader, snapshot, corpus, 
     return strings[best], strings, tuple(marginals), retrieved, all(not c for c in candidates)
 
 
-@pytest.mark.parametrize("mode", sorted(e2e.MODES))
-def test_answer_questions_matches_one_question_at_a_time_bitwise(mode):
-    corpus, retriever, reader, index = make_mixed_world(2)
-    tau = e2e.tau_value(1.0, 16)
-    questions = [corpus.vocab.encode(text) for text in MIXED_QUESTIONS]
-    assert len({len(q) for q in questions}) == len(questions)  # mixed lengths
-    for k in (1, 3):
-        for max_len in (None, 3):
-            got = e2e.answer_questions(
-                questions, retriever, reader, index.snapshot, corpus, mode, k, tau, max_len
+# five more of 6 tokens, whose fused memories can share a length with the
+# first question's, and four of 19 to 24 tokens, every input of which is cut to
+# the reader's max_seq_len of 20, so that their memories share a length at each k
+MORE_QUESTIONS = [
+    "where is the jade heron ?", "where is the moss lark ?", "where is the iris grove ?",
+    "where is the kelp fjord ?", "what is the cedar dune ?",
+] + [
+    " ".join(WORDS[(5 * j + i) % len(WORDS)] for i in range(n))
+    for j, n in enumerate([19, 21, 24, 19])
+]
+
+
+def check_joint_decoder_rows(reader, questions, results, corpus, batches):
+    """Every row of every joint decoder call gives the logits of the one-row
+    reference decoder over its own question's fused memory and bias, bit for
+    bit. `batches` holds, per greedy batch, the (ids, logits) of its decoder
+    calls. Returns (a group split over several batches, a row left on [EOS]
+    while two or more decoded on)."""
+    with ad.no_grad():
+        refs = [
+            reference_fusion_memory(
+                reader, q, [corpus.by_id[i].tokens for i in r.retrieved.doc_ids],
+                r.retrieved.probs,
             )
+            for q, r in zip(questions, results)
+        ]
+        lengths = [memory.shape[0] for memory, _ in refs]
+        chunks = list(length_chunks(lengths, reader_module.DECODE_MEMORY_TOKENS))
+        assert len(chunks) == len(batches)
+        early_stop = False
+        for active, calls in zip(chunks, batches):
+            for ids, logits in calls:
+                assert len(ids) == len(active)
+                for row, q in enumerate(active):
+                    want = reference_decode_logits(reader, *refs[q], ids[row])
+                    assert logits[row].tobytes() == want.data.tobytes()
+                going = [q for row, q in enumerate(active) if logits[row, -1].argmax() != EOS_ID]
+                early_stop |= 1 < len(going) < len(active)
+                active = going
+    return len(chunks) > len(set(lengths)), early_stop
+
+
+@pytest.mark.parametrize("mode", sorted(e2e.MODES))
+def test_answer_questions_matches_one_question_at_a_time_bitwise(mode, monkeypatch):
+    corpus, retriever, reader, index = make_mixed_world(2)
+    # two 120-token memories fill a decoder call, so the k=6 group of the
+    # long questions splits into chunks
+    monkeypatch.setattr(reader_module, "DECODE_MEMORY_TOKENS", 250)
+    batches = []  # per greedy batch, the (ids, logits) of each decoder call
+    greedy, decode = reader._greedy, reader._decode_logits
+
+    def recording_greedy(cross, bias, max_len):
+        batches.append([])
+        return greedy(cross, bias, max_len)
+
+    def recording_decode(ids, cross, bias):
+        logits = decode(ids, cross, bias)
+        batches[-1].append((ids, logits.data))
+        return logits
+
+    monkeypatch.setattr(reader, "_greedy", recording_greedy)
+    tau = e2e.tau_value(1.0, 16)
+    questions = [corpus.vocab.encode(text) for text in MIXED_QUESTIONS + MORE_QUESTIONS]
+    assert len({len(q) for q in questions}) >= 6  # mixed lengths
+    split = early_stop = False
+    for k in (1, 3, 6):
+        for max_len in (None, 3):
+            del batches[:]
+            with monkeypatch.context() as patch:
+                patch.setattr(reader, "_decode_logits", recording_decode)
+                got = e2e.answer_questions(
+                    questions, retriever, reader, index.snapshot, corpus, mode, k, tau, max_len
+                )
+            if mode == "joint":
+                coverage = check_joint_decoder_rows(reader, questions, got, corpus, batches)
+                split |= coverage[0]
+                early_stop |= coverage[1]
             assert len(got) == len(questions)
             for result, question in zip(got, questions):
                 answer, candidates, marginals, retrieved, all_empty = reference_per_question(
@@ -562,6 +644,42 @@ def test_answer_questions_matches_one_question_at_a_time_bitwise(mode):
                 assert infer(
                     question, retriever, reader, index.snapshot, corpus, k, tau, max_len
                 ) == result
+    if mode == "joint":
+        # the joint pass crossed a chunk boundary, and some batch row left on
+        # [EOS] while two or more decoded on
+        assert split and early_stop
+
+
+def test_joint_answers_take_one_decoder_call_per_step(monkeypatch):
+    corpus, retriever, reader, index = make_world()
+    questions = [corpus.vocab.encode(ex.question) for ex in DATASET[:2]]
+    # equal-length documents and questions: one input length, one memory length
+    assert len({len(doc.tokens) for doc in corpus}) == 1 == len({len(q) for q in questions})
+    calls = {"forward": 0, "decode": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(reader.encoder, "forward", counted("forward", reader.encoder.forward))
+    monkeypatch.setattr(reader, "_decode_logits", counted("decode", reader._decode_logits))
+    tau = e2e.tau_value(1.0, 16)
+    results = e2e.answer_questions(
+        questions, retriever, reader, index.snapshot, corpus, "joint", 4, tau, 4
+    )
+    counts = dict(calls)
+    decoded = [
+        reader.joint_greedy_decode(
+            q, [corpus.by_id[i].tokens for i in r.retrieved.doc_ids], r.retrieved.probs, 4
+        )
+        for q, r in zip(questions, results)
+    ]
+    memory_tokens = 4 * (len(questions[0]) + 1 + len(corpus.by_id[0].tokens))
+    assert len(questions) * memory_tokens <= reader_module.DECODE_MEMORY_TOKENS
+    assert counts == {"forward": 1, "decode": max(len(t) + (len(t) < 4) for t in decoded)}
 
 
 def reader_grads(reader, extra=()):
@@ -691,6 +809,69 @@ def test_frozen_tower_out_of_graph_is_bit_exact(run, monkeypatch):
     assert param_bytes(retriever.parameters() + reader.parameters()) == param_bytes(
         ref_retriever.parameters() + ref_reader.parameters()
     )
+
+
+def reference_live_log_probs(question_tokens, doc_ids, corpus, retriever, tau, doc_vecs=None):
+    """`_live_log_probs` as it was: every document re-encoded by a graph
+    forward of the context tower, frozen or not."""
+    q_vec = retriever.question_encoder.encode_batch([question_input(question_tokens)])
+    z_rows = [
+        retriever.context_encoder.encode_batch([document_input(corpus.by_id[i], corpus.vocab)])
+        for i in doc_ids
+    ]
+    z = ad.concat(z_rows, axis=0) if len(z_rows) > 1 else z_rows[0]
+    scores = ad.reshape(ad.matmul(q_vec, ad.transpose(z, (1, 0))), (len(z_rows),))
+    scaled = ad.scale(scores, 1.0 / tau)
+    return scaled - ad.logsumexp(scaled)
+
+
+@pytest.mark.parametrize("run", sorted(FROZEN_RUNS))
+def test_context_vectors_match_per_document_encode_bitwise(run, monkeypatch):
+    losses, retriever, reader = FROZEN_RUNS[run]()
+    monkeypatch.setattr(e2e, "_live_log_probs", reference_live_log_probs)
+    ref_losses, ref_retriever, ref_reader = FROZEN_RUNS[run]()
+    assert losses == ref_losses
+    assert param_bytes(retriever.parameters() + reader.parameters()) == param_bytes(
+        ref_retriever.parameters() + ref_reader.parameters()
+    )
+
+
+@pytest.mark.parametrize("recipe, update_z", [
+    ("e2e-joint", False), ("e2e-individual", False), ("e2e-individual", True),
+    ("salient", False), ("salient", True),
+])
+def test_frozen_context_tower_is_embedded_once_per_step(recipe, update_z, monkeypatch):
+    corpus, retriever, reader, index = make_world()
+    tower = retriever.context_encoder
+    embeds, graph_forwards = [], []
+
+    def embed(sequences, _original=tower.embed):
+        embeds.append(len(sequences))
+        return _original(sequences)
+
+    def forward(*args, _original=tower.forward, **kwargs):
+        graph_forwards.append(ad.grad_enabled())
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(tower, "embed", embed)
+    monkeypatch.setattr(tower, "forward", forward)
+    if recipe == "salient":
+        config = TrainConfig(batch_size=2, steps=3, refresh_every=1000, top_k=2,
+                             update_context_encoder=update_z, seed=5)
+        annotations = {doc.id: SpanAnnotation(doc.id, ((6, 7, ""),)) for doc in corpus}
+        steps = len(train_salient_spans(corpus, annotations, retriever, reader, index, config))
+    else:
+        config = e2e.E2EConfig(
+            mode=recipe[4:], top_k=2, epochs=2, batch_size=2, refresh_every=1000,
+            update_context_encoder=update_z, seed=5, max_answer_len=4,
+        )
+        steps = e2e.train_e2e(DATASET, corpus, retriever, reader, index, config)[-1]["step"]
+    if config.update_context_encoder:
+        assert not embeds and any(graph_forwards)
+    else:
+        # one embed per step over at most 2 documents for each of 2 questions
+        assert len(embeds) == steps and all(1 <= n <= 4 for n in embeds)
+        assert not any(graph_forwards)
 
 
 def test_joint_step_leaves_context_grads_zero():

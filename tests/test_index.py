@@ -106,6 +106,18 @@ def test_probs_are_softmax_over_selected_k():
     np.testing.assert_allclose(result.probs, expected, atol=1e-15)
 
 
+def test_head_of_a_deeper_search_is_the_search_at_k():
+    rng = np.random.default_rng(1)
+    snap = make_snapshot(rng.normal(size=(50, 8)).astype(np.float32))
+    for q in rng.normal(size=(20, 8)):
+        deep = top_k(snap, q, k=10, tau=2.5)
+        for k in (1, 4, 10):
+            assert deep.head(k, 2.5) == top_k(snap, q, k=k, tau=2.5)
+    for k in (0, 11):
+        with pytest.raises(DomainError):
+            deep.head(k, 2.5)
+
+
 def test_build_snapshot_matches_context_encoder(small_corpus):
     model = DualEncoder(TINY, seed=0)
     snap = build_snapshot(model, small_corpus)
