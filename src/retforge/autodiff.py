@@ -29,6 +29,19 @@ gradient in a buffer started as zeros, which turns -0.0 into +0.0. The
 replay skips that add. A signed zero can only produce signed zeros
 downstream, and every buffer `accumulate_grad` keeps also starts at +0.0,
 where +0.0 + -0.0 = +0.0, so no stored gradient can differ.
+
+GELU's tanh term keeps the bits of numpy's `x**3`, which is slow on a
+negative base (numpy leaves its vector pow loop there). The forward takes
+the cube as `copysign(power(|x|, 3.0), x)`, exact where x >= 0. Where x < 0
+it rests on one measured assumption: numpy's `x**3` lies within 1 ulp of
+that cube. The forward checks every cube within GELU_CUBE_ULPS = 2 ulp;
+where they do not all give the same t, and for zero, subnormal or
+overflowing cubes, it recomputes with `x**3`. So `gelu` equals the plain
+expression bit for bit, and `tests/test_autodiff.py` pins both the equality
+and the assumption. Those bits belong to the numpy build and CPU features:
+the negative-base `x**3` matches neither libm's pow nor the correctly
+rounded cube, so checkpoints, metrics and benchmark digests reproduce on
+the same numpy build and CPU features, not across hosts.
 """
 
 from __future__ import annotations
@@ -119,6 +132,10 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        if self.grad is None and g.shape == self.data.shape:
+            # 0.0 + g to the bit, signed zeros too, in the data's C layout
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+            return
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
@@ -419,18 +436,91 @@ def power(a: Tensor, p: float) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward_fn=backward, _op="power")
 
 
+GELU_C = math.sqrt(2.0 / math.pi)
+# numpy's negative-base x**3 lies within 1 ulp of -(|x|**3), pinned by
+# tests/test_autodiff.py::test_gelu_fast_path_assumptions; 2 leaves a margin.
+GELU_CUBE_ULPS = 2
+# Below this many negative inputs the fast path's fixed cost of ~50 numpy
+# calls outweighs the negative-base pow it saves (decoder steps and
+# one-question encodes).
+GELU_FAST_MIN_NEGATIVES = 512
+GELU_BLOCK = 16384  # elements per block; bounds the fast path's temporaries
+_TINY = np.finfo(np.float64).tiny
+_HUGE = 1e308  # a cube beyond this has no finite neighbours 2 ulp out
+
+
+def _gelu_tanh_exact(x: np.ndarray) -> np.ndarray:
+    return np.tanh(GELU_C * (x + 0.044715 * x**3))
+
+
+def _gelu_inner(x: np.ndarray, cube: np.ndarray) -> np.ndarray:
+    """GELU_C * (x + 0.044715 * cube), computed in place in `cube`."""
+    np.multiply(cube, 0.044715, out=cube)
+    np.add(cube, x, out=cube)
+    np.multiply(cube, GELU_C, out=cube)
+    return cube
+
+
+def _gelu_tanh_block(x: np.ndarray, t: np.ndarray) -> None:
+    """Write `_gelu_tanh_exact(x)` into t, bit for bit, for a 1-D block.
+
+    Its large temporaries span the whole block, as the plain expression's
+    do; temporaries sized by the count of negatives raised peak RSS."""
+    negative = x < 0
+    cube = np.abs(x)
+    np.power(cube, 3.0, out=cube)
+    np.copysign(cube, x, out=cube)  # x**3's bits where x >= 0
+    # Where x < 0, x**3 is the cube or one of its neighbours within
+    # GELU_CUBE_ULPS; on finite negative normals a step on the int64 view is
+    # one ulp. Zero, subnormal and overflowing cubes get a normal stand-in,
+    # which makes no NaN, and take the exact path.
+    unsure = cube > -_TINY
+    unsure &= negative
+    unsure |= cube < -_HUGE
+    cube[unsure] = -1.0
+    # IEEE * and + are monotone: where the outermost neighbours give one
+    # inner value, all do.
+    bits, steps = cube.view(np.int64), negative * GELU_CUBE_ULPS
+    lo = _gelu_inner(x, (bits + steps).view(np.float64))
+    hi = _gelu_inner(x, np.subtract(bits, steps, out=steps).view(np.float64))
+    check = (lo != hi).nonzero()[0]
+    del lo, hi, steps
+    xs, cs = x[check], cube[check]
+    np.tanh(_gelu_inner(x, cube), out=t)
+    del cube
+    if check.size:  # np.tanh need not be monotone: evaluate every neighbour
+        w = GELU_CUBE_ULPS
+        near = [[step] for step in range(-w, w + 1) if step]
+        inner = _gelu_inner(xs, (cs.view(np.int64) + near).view(np.float64))
+        unsure[check] |= (np.tanh(inner) != t[check]).any(axis=0)
+    slow = unsure.nonzero()[0]
+    if slow.size:
+        t[slow] = _gelu_tanh_exact(x[slow])
+
+
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """`_gelu_tanh_exact(x)` bit for bit, without its slow negative-base pow
+    on most elements."""
+    if np.count_nonzero(x < 0) < GELU_FAST_MIN_NEGATIVES:
+        return _gelu_tanh_exact(x)
+    t = np.empty_like(x)
+    flat_x, flat_t = x.reshape(-1), t.reshape(-1)
+    for start in range(0, flat_x.size, GELU_BLOCK):
+        block = slice(start, start + GELU_BLOCK)
+        _gelu_tanh_block(flat_x[block], flat_t[block])
+    return t
+
+
 def gelu(a: Tensor) -> Tensor:
     """Smooth GELU (tanh form); smoothness keeps finite-difference checks tight."""
-    c = math.sqrt(2.0 / math.pi)
     x = a.data
-    inner = c * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
+    t = _gelu_tanh(x)
     out_data = 0.5 * x * (1.0 + t)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             sech2 = 1.0 - t * t
-            d_inner = c * (1.0 + 3 * 0.044715 * x**2)
+            d_inner = GELU_C * (1.0 + 3 * 0.044715 * x**2)
             a.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * d_inner))
 
     return Tensor(out_data, _parents=(a,), _backward_fn=backward, _op="gelu")

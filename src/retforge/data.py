@@ -268,9 +268,16 @@ def _bm25_scores(query_tokens: Sequence[int], stats: CorpusStats) -> np.ndarray:
     return scores
 
 
-def _ranked_rows(scores: np.ndarray, stats: CorpusStats) -> np.ndarray:
-    """Rows by descending score, ascending document id on ties."""
-    return np.lexsort((stats.doc_ids, -scores))
+def ranked_rows(scores: np.ndarray, ids: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Rows by descending score, ascending id on ties: the first k of that
+    order, or all rows. With k, a partition at the k-th score keeps the rows
+    at or above it, ties included, and only those are sorted."""
+    keys = -scores
+    if k is not None and k < keys.size:
+        kth = np.partition(keys, k - 1)[k - 1]
+        rows = np.flatnonzero(~(keys > kth))  # NaN sorts last either way
+        return rows[np.lexsort((ids[rows], keys[rows]))[:k]]
+    return np.lexsort((ids, keys))[:k]
 
 
 def _check_same_corpus(corpus: Corpus, stats: CorpusStats) -> None:
@@ -293,7 +300,7 @@ def rank_bm25(
     _check_same_corpus(corpus, stats)
     scores = _bm25_scores(query_tokens, stats)
     return [
-        (int(stats.doc_ids[r]), float(scores[r])) for r in _ranked_rows(scores, stats)
+        (int(stats.doc_ids[r]), float(scores[r])) for r in ranked_rows(scores, stats.doc_ids)
     ]
 
 
@@ -316,7 +323,9 @@ def mine_distant_supervision(
     scores = _bm25_scores(corpus.vocab.encode(example.question), stats)
     positive: int | None = None
     negatives: list[int] = []
-    for row in _ranked_rows(scores, stats)[:n_candidates]:
+    # All rows: BM25 scores often tie in bulk at the n_candidates-th row (most
+    # documents match only common terms), where a partition saves nothing.
+    for row in ranked_rows(scores, stats.doc_ids)[:n_candidates]:
         doc = corpus.documents[row]
         if contains_answer(doc.text, example.answers):
             if positive is None:

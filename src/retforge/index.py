@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import ranked_rows
 from .encoder import document_input
 from .errors import DimensionError, DomainError, FormatError
 from .files import write_atomic
@@ -83,19 +84,20 @@ def _result(doc_ids, scores: np.ndarray, tau: float) -> RetrievalResult:
 
 
 def top_k(snapshot: IndexSnapshot, q_vec: np.ndarray, k: int, tau: float) -> RetrievalResult:
-    """Exact search: argsort of q . z over all rows, first k taken."""
+    """Exact search: the k rows of highest q . z, ties by ascending doc id."""
     q = np.asarray(q_vec, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != snapshot.dim:
         raise DimensionError(
             f"query dimension {q.shape} does not match index dimension {snapshot.dim}"
         )
+    if not np.isfinite(q).all():
+        raise DomainError("query vector has non-finite values")
     if not (1 <= k <= snapshot.size):
         raise DomainError(f"k must be in [1, {snapshot.size}], got {k}")
     if not tau > 0:
         raise DomainError(f"scaling factor must be positive, got {tau}")
     scores = snapshot.embeddings @ q  # float64 result
-    # lexsort: last key is primary, so order is (-score, doc_id)
-    order = np.lexsort((snapshot.doc_ids, -scores))[:k]
+    order = ranked_rows(scores, snapshot.doc_ids, k)
     return _result(snapshot.doc_ids[order], scores[order], tau)
 
 

@@ -202,6 +202,127 @@ def test_gelu_hand_value():
     assert ad.gelu(x).data[0] == pytest.approx(0.8411919906082768, abs=1e-15)
 
 
+GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def gelu_t_reference(x):
+    """GELU's tanh term with numpy's own `x**3`, as the forward always had it."""
+    return np.tanh(GELU_C * (x + 0.044715 * x**3))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_gelu_matches_reference(x):
+    assert np.count_nonzero(x < 0) >= ad.GELU_FAST_MIN_NEGATIVES  # the fast path runs
+    t = gelu_t_reference(x)
+    assert np.array_equal(bits(ad._gelu_tanh(x)), bits(t))
+    assert np.array_equal(bits(ad.gelu(ad.Tensor(x)).data), bits(0.5 * x * (1.0 + t)))
+
+
+def gelu_edge_inputs():
+    """Zeros, subnormals, underflowing and overflowing cubes, and negative
+    inputs where one ulp of the cube moves t, with their neighbours a few
+    ulp away, amid a normal sample."""
+    rng = np.random.default_rng(17)
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([
+        0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, 1e-310, -1e-310, 1e-110, -1e-110,
+        -1e-103, -2.9e-103, 1e-200, -1e-200, 4.6e102, -4.6e102, -4.65e102, -5.6e102,
+        -5.7e102, 1e103, -1e103, 1e200, -1e200,
+    ])
+    x = -np.abs(rng.normal(0.0, 1.8, 200_000))
+    off_by_an_ulp = gelu_t_reference(x) != np.tanh(GELU_C * (x + 0.044715 * -(np.abs(x) ** 3)))
+    hard = [x[off_by_an_ulp]]
+    for direction in (-np.inf, np.inf):
+        near = hard[0]
+        for _ in range(3):
+            near = np.nextafter(near, direction)
+            hard.append(near)
+    return np.concatenate([special, *hard, rng.normal(0.0, 1.8, 4000)])
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1e-2, 1e-1, 1.0, 1.8, 10.0, 1e2])
+def test_gelu_fast_path_matches_negative_base_pow_bitwise(sigma):
+    assert_gelu_matches_reference(np.random.default_rng(11).normal(0.0, sigma, 50_000))
+
+
+@pytest.mark.parametrize("block", [ad.GELU_BLOCK, 1000])
+def test_gelu_fast_path_edge_inputs_bitwise(block, monkeypatch):
+    monkeypatch.setattr(ad, "GELU_BLOCK", block)
+    x = gelu_edge_inputs()
+    with np.errstate(over="ignore"):
+        assert_gelu_matches_reference(x)
+        assert_gelu_matches_reference(x[: x.size // 2 * 2].reshape(2, -1))
+
+
+def test_gelu_edge_inputs_catch_a_window_too_narrow(monkeypatch):
+    """The edge inputs are hard enough: a 0-ulp window gets some t wrong."""
+    x = gelu_edge_inputs()
+    monkeypatch.setattr(ad, "GELU_CUBE_ULPS", 0)
+    with np.errstate(over="ignore"):
+        assert not np.array_equal(bits(ad._gelu_tanh(x)), bits(gelu_t_reference(x)))
+
+
+def test_gelu_overflowing_cube_keeps_its_bits():
+    """An overflowing x**3 saturates t: numpy warns and gelu raises nothing."""
+    with np.errstate(over="ignore"):
+        out = ad.gelu(ad.Tensor([1e103, -1e103, 1e200])).data
+    assert out.tolist() == [1e103, -0.0, 1e200]
+    assert np.signbit(out[1])
+
+
+def test_gelu_fast_path_assumptions():
+    """What the GELU fast path rests on, on this numpy build and CPU:
+    - a non-negative base's x**3 is power(|x|, 3.0), bit for bit;
+    - a negative base's x**3 is within 1 ulp of -power(|x|, 3.0) (the fast
+      path's window, GELU_CUBE_ULPS, is 2);
+    - np.tanh, np.power and ** give an element the same bits whatever its
+      offset, the array's length and its shape."""
+    rng = np.random.default_rng(3)
+    x = np.concatenate([rng.normal(0.0, s, 50_000) for s in (1e-3, 1e-1, 1.8, 1e2)])
+    cube, mag = x**3, np.power(np.abs(x), 3.0)
+    pos = x >= 0
+    assert np.array_equal(bits(cube[pos]), bits(mag[pos]))
+    normal = ~pos & (mag >= np.finfo(np.float64).tiny)
+    assert np.abs(bits(cube[normal]) - bits(-mag[normal])).max() <= 1
+
+    sample = x[-5000:]
+    for f in (np.tanh, lambda a: np.power(a, 3.0), lambda a: a**3):
+        whole = f(sample)
+        for start, stop in [(1, 5000), (3, 4099), (17, 18), (4095, 4100), (1000, 1001)]:
+            assert np.array_equal(bits(f(sample[start:stop])), bits(whole[start:stop]))
+        for i in range(0, 5000, 97):
+            assert bits(f(sample[i:i + 1]))[0] == bits(whole)[i]
+        rows = f(sample[:4998].reshape(3, 1666))
+        assert np.array_equal(bits(rows).reshape(-1), bits(whole[:4998]))
+
+
+def test_first_gradient_write_keeps_the_bits_of_a_zero_buffer_add():
+    rng = np.random.default_rng(4)
+    grads = {
+        "signed zeros": np.array([[0.0, -0.0, 1.5], [-0.0, -2.0, 0.0]]),
+        "non-contiguous": rng.normal(size=(3, 4)).T,
+        "strided": rng.normal(size=(4, 6))[:, ::2],
+        "broadcast": np.broadcast_to(np.array([-0.0, 2.5, -1.0]), (4, 3)),
+    }
+    for name, g in grads.items():
+        node = ad.Tensor(np.ones(g.shape))
+        node.accumulate_grad(g)
+        expected = np.zeros_like(node.data)
+        expected += g
+        assert node.grad.flags.c_contiguous and node.grad.flags.writeable, name
+        assert node.grad.tobytes() == expected.tobytes(), name
+        assert not np.shares_memory(node.grad, g), name
+        node.accumulate_grad(g)
+        expected += g
+        assert node.grad.tobytes() == expected.tobytes(), name
+    scalar = ad.Tensor(1.0)
+    scalar.accumulate_grad(np.array(-0.0))
+    assert isinstance(scalar.grad, np.ndarray) and scalar.grad.tobytes() == np.array(0.0).tobytes()
+
+
 def test_cross_entropy_rows_hand_value():
     scores = ad.Tensor([[1.0, 2.0], [3.0, 0.0]])
     loss = ad.cross_entropy_rows(scores, np.array([0, 1]), tau=1.0)

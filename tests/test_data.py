@@ -281,6 +281,17 @@ def test_mining_matches_per_document_reference(shuffled_toy):
     assert {(True, 0), (False, 0), (False, 1), (False, 3)} <= outcomes
 
 
+def test_ranked_rows_first_k_equal_the_full_lexsort():
+    rng = np.random.default_rng(8)
+    scores = rng.integers(-3, 4, size=300).astype(np.float64)
+    scores[::7] = -0.0  # equal to +0.0 in the order, as in a sort
+    ids = rng.permutation(10_000)[:300]
+    full = np.lexsort((ids, -scores))
+    for k in (0, 1, 2, 5, 43, 44, 150, 299, 300, 301):
+        np.testing.assert_array_equal(D.ranked_rows(scores, ids, k), full[:k])
+    np.testing.assert_array_equal(D.ranked_rows(scores, ids), full)
+
+
 def test_stats_from_another_corpus_rejected(toy_corpus):
     other = D.Corpus.build([
         {"id": 5, "title": "mat", "text": "The cat sat on the mat."},

@@ -97,6 +97,54 @@ def test_top_k_matches_brute_force_full_ranking():
     assert list(result.scores) == sorted(result.scores, reverse=True)
 
 
+def brute_force_top_k(emb, ids, q, k, tau):
+    """Sort every row by (-score, id) and take k: the search's definition."""
+    scores = emb @ q
+    order = sorted(range(len(ids)), key=lambda i: (-scores[i], ids[i]))[:k]
+    z = scores[order] / tau
+    e = np.exp(z - z.max())
+    return [int(ids[i]) for i in order], scores[order], e / e.sum()
+
+
+def assert_top_k_is_brute_force(emb, ids, q, k, tau=1.3):
+    result = top_k(make_snapshot(emb, doc_ids=ids), q, k=k, tau=tau)
+    want_ids, want_scores, want_probs = brute_force_top_k(emb, ids, q, k, tau)
+    assert list(result.doc_ids) == want_ids
+    assert np.array(result.scores).tobytes() == want_scores.tobytes()
+    assert np.array(result.probs).tobytes() == want_probs.tobytes()
+
+
+def test_top_k_ties_across_the_kth_position_match_brute_force():
+    rng = np.random.default_rng(12)
+    emb = rng.integers(-2, 3, size=(200, 4)).astype(np.float32)  # many equal scores
+    ids = rng.permutation(5000)[:200]
+    q = np.array([1.0, 1.0, 0.5, 2.0])
+    for k in (1, 2, 5, 17, 60, 199, 200):
+        assert_top_k_is_brute_force(emb, ids, q, k)
+
+
+def test_top_k_all_scores_equal_matches_brute_force():
+    ids = np.random.default_rng(13).permutation(32)
+    for k in (1, 5, 32):
+        assert_top_k_is_brute_force(np.ones((32, 4), dtype=np.float32), ids, np.ones(4), k)
+
+
+def test_top_k_random_index_matches_brute_force():
+    rng = np.random.default_rng(14)
+    emb = rng.normal(size=(2000, 32)).astype(np.float32)
+    ids = rng.permutation(2000)
+    for q in rng.normal(size=(5, 32)):
+        for k in (1, 4, 20):
+            assert_top_k_is_brute_force(emb, ids, q, k)
+
+
+def test_top_k_rejects_a_non_finite_query():
+    snap = make_snapshot([[1.0, 0.0], [0.0, 1.0]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            top_k(snap, np.array([bad, 0.0]), k=1, tau=1.0)
+
+
 def test_probs_are_softmax_over_selected_k():
     snap = make_snapshot([[1.0], [2.0], [3.0]])
     result = top_k(snap, np.array([1.0]), k=2, tau=2.0)
