@@ -14,9 +14,9 @@ constants, bit for bit the frozen tower's graph forward. Snapshot embeddings
 stay constants.
 
 Inference (`answer_questions`) encodes all questions in one call, searches
-each, and hands every question to the mode's reader pass at once: the joint
-pass decodes across questions (`Reader.joint_decode`), the individual pass
-reads one question at a time.
+each, and hands the mode's reader pass consecutive slices of at most
+READ_SLICE_PAIRS (question, document) pairs; both passes read across a
+slice's questions through `Reader`'s one inference pipeline.
 """
 
 from __future__ import annotations
@@ -177,22 +177,25 @@ def _read_individually(
     questions: Sequence[Sequence[int]], retrieved: Sequence[RetrievalResult], reader: Reader,
     corpus: Corpus, max_len: int | None,
 ) -> list[InferenceResult]:
-    """Per question: greedy-decode one candidate per retrieved document, then
-    pick the candidate with the highest marginal likelihood over the whole set.
-
-    Each document is encoded once; decoding runs every document in one decoder
-    call per step and scoring every (candidate, document) pair in one call per
-    length group, bit for bit as one pair at a time. Duplicate candidates are
-    scored once; ties go to the candidate a higher-ranked document produced."""
+    """Per question, the candidate of highest marginal likelihood over its
+    retrieved set, among one greedy candidate per document. All the (question,
+    document) pairs are encoded, decoded and scored together, bit for bit as
+    one pair at a time. A question's duplicate candidates are scored once;
+    ties go to the candidate a higher-ranked document produced."""
+    pairs = [(q, corpus.by_id[i].tokens) for q, found in zip(questions, retrieved)
+             for i in found.doc_ids]
+    chunks = list(reader.memory_chunks(reader.encode_memories(pairs)))
+    decoded = iter(reader.decode_chunks(chunks, max_len))
+    per_question = [
+        list(dict.fromkeys(tuple(next(decoded)) for _ in found.doc_ids)) for found in retrieved
+    ]
+    answers = [[with_eos(list(c)) for c in candidates] for candidates in per_question]
+    scored = iter(reader.score_chunks(chunks, [
+        own for own, found in zip(answers, retrieved) for _ in found.doc_ids
+    ]))
     results = []
-    for question_tokens, found in zip(questions, retrieved):
-        contexts = [corpus.by_id[doc_id].tokens for doc_id in found.doc_ids]
-        groups = reader.memory_groups(question_tokens, contexts)
-        candidates: list[tuple[int, ...]] = []
-        for tokens in map(tuple, reader.decode_groups(groups, max_len)):
-            if tokens not in candidates:
-                candidates.append(tokens)
-        log_liks = reader.score_groups(groups, [with_eos(list(c)) for c in candidates])
+    for candidates, found in zip(per_question, retrieved):
+        log_liks = np.stack([next(scored) for _ in found.doc_ids]).T  # (candidates, documents)
         marginals = []
         for row in log_liks:
             total = 0.0
@@ -242,15 +245,25 @@ def retrieve(
     return [top_k(snapshot, q_vec, k=k, tau=tau) for q_vec in retriever.embed_questions(questions)]
 
 
+# (question, document) pairs per reader pass; bounds the encoder states, cross
+# K/V and candidates that answering holds at once, whatever the question count
+READ_SLICE_PAIRS = 16
+
+
 @ad.no_grad()
 def read_retrieved(
     questions: Sequence[Sequence[int]], retrieved: Sequence[RetrievalResult], reader: Reader,
     corpus: Corpus, mode: str, max_len: int | None = None,
 ) -> list[InferenceResult]:
-    """The reader pass of `mode` over each question's retrieved documents.
-    Records no graph."""
+    """The reader pass of `mode` over each question's retrieved documents, on
+    consecutive slices of at most READ_SLICE_PAIRS (question, document) pairs
+    (one question when its own documents exceed that). Records no graph."""
     _, read_pass = MODES[mode]
-    return read_pass(questions, retrieved, reader, corpus, max_len)
+    n = max(1, READ_SLICE_PAIRS // max([1] + [len(found.doc_ids) for found in retrieved]))
+    results = []
+    for lo in range(0, len(questions), n):
+        results += read_pass(questions[lo:lo + n], retrieved[lo:lo + n], reader, corpus, max_len)
+    return results
 
 
 def answer_questions(

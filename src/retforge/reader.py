@@ -7,27 +7,25 @@ the positions of the owning context. The bias is re-centered by its maximum
 (a constant shift softmax ignores), so a single context, or lambda = 0,
 reproduces the unbiased reader bit for bit.
 
-Inference computes each thing once. Under `autodiff.no_grad()` the
-question + [SEP] + context inputs go through one encoder forward per chunk
-of equal length (at most CHUNK_TOKENS tokens), so each retrieved document is
-encoded once, and each memory's cross-attention keys and values are
-projected once per decoder layer and reused by every decoder call. The
-decoder takes a batch of rows, each attending to its own memory (and, in
-joint mode, adding its own bias row): individual greedy decoding runs all
-documents of a memory length in one call per step, scoring runs every
-(answer, document) pair of an answer length in one call, and joint decoding
-(`joint_decode`) runs the fused memories of many questions that share a
-length in one call per step, at most DECODE_MEMORY_TOKENS memory tokens per
-call. Nothing is padded and every matmul runs per row with that row's own
-shapes, so each row equals the one-pair, one-question path bit for bit.
-With a graph (training) each context keeps its own encoder forward and the
-decoder runs one row.
+Inference has one graph-free pipeline, which both reader modes and every
+greedy decode use: `encode_memories` runs the question + [SEP] + context
+inputs through one encoder forward per chunk of equal length (at most
+CHUNK_TOKENS tokens), so each retrieved document is encoded once;
+`memory_chunks` projects each chunk of equal-length memories' cross-attention
+keys and values once per decoder layer; `decode_chunks` greedy-decodes a
+chunk in one decoder call per step (in joint mode each row adds its own bias
+row), and `score_chunks` scores a chunk's (memory, answer) rows of an answer
+length together. A decoder call holds at most DECODE_MEMORY_TOKENS memory
+tokens, or one longer memory. Nothing is padded and every matmul runs per row
+with that row's own shapes, so each row equals the one-pair, one-question
+path bit for bit. With a graph (training) each context keeps its own encoder
+forward and the decoder runs one row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,14 +46,14 @@ from .errors import DimensionError, DomainError
 from .text import BOS_ID, EOS_ID, SEP_ID
 
 PROB_SUM_TOL = 1e-9
-# rows x fused-memory length per joint decoder call; bounds the cross K/V and
-# attention activations one greedy step holds
+# rows x memory length per decoder call, greedy or scoring, in either mode;
+# bounds the cross K/V and attention activations one call holds
 DECODE_MEMORY_TOKENS = 1024
 
 # per decoder layer: cross-attention key and value projections, each (n, T_mem, d)
 CrossKV = list[tuple[ad.Tensor, ad.Tensor]]
-# (context positions, their stacked cross K/V) per memory length
-MemoryGroups = list[tuple[list[int], CrossKV]]
+# positions of equal-length memories and their stacked cross K/V
+Chunk = tuple[list[int], CrossKV]
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,8 @@ class ReaderConfig:
     def __post_init__(self):
         if self.dec_layers < 1:
             raise DomainError(f"dec_layers must be >= 1, got {self.dec_layers}")
-        if self.max_answer_len < 1:
-            raise DomainError(f"max_answer_len must be >= 1, got {self.max_answer_len}")
+        if self.max_answer_len < 2:  # one answer token plus [EOS]
+            raise DomainError(f"max_answer_len must be >= 2, got {self.max_answer_len}")
         self.encoder_config()  # re-checks the encoder-side constraints
 
     def encoder_config(self) -> EncoderConfig:
@@ -115,56 +113,24 @@ class Reader:
 
     # Encoding ------------------------------------------------------------
 
-    def _encode_groups(
-        self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
-    ) -> Iterator[tuple[list[int], ad.Tensor]]:
-        """Yield (positions, states): positions in `pairs` of (question,
-        context) tokens and the (n, T, d) encoder states of their
-        question + [SEP] + context inputs.
-
-        With a graph every pair gets its own forward. Under `ad.no_grad()`
-        the inputs of equal (truncated) length go through one unpadded
-        forward per chunk of at most CHUNK_TOKENS tokens, whose rows equal
-        the one-pair forward bit for bit (the rule `TransformerEncoder.embed`
-        relies on).
-        """
-        inputs = [
-            (list(q) + [SEP_ID] + list(z))[: self.config.max_seq_len] for q, z in pairs
-        ]
-        if ad.grad_enabled():
-            chunks = [[r] for r in range(len(inputs))]
-        else:
-            chunks = length_chunks(map(len, inputs), CHUNK_TOKENS)
-        for rows in chunks:
-            ids = np.array([inputs[r] for r in rows], dtype=np.int64)
-            yield rows, self.encoder.forward(ids)
+    def _input(self, question_tokens: Sequence[int], context_tokens: Sequence[int]) -> list[int]:
+        """question + [SEP] + context, cut to max_seq_len."""
+        return (list(question_tokens) + [SEP_ID] + list(context_tokens))[: self.config.max_seq_len]
 
     def encode_contexts(
         self, question_tokens: Sequence[int], contexts: Sequence[Sequence[int]]
     ) -> list[ad.Tensor]:
-        """One (T_i, d) memory per context, in context order."""
-        memories: list = [None] * len(contexts)
-        for rows, states in self._encode_groups([(question_tokens, z) for z in contexts]):
-            if len(rows) == 1:
-                memories[rows[0]] = ad.reshape(states, states.shape[1:])
-            else:  # a no-grad group
-                for r, row in zip(rows, states.data):
-                    memories[r] = ad.Tensor(row)
+        """One (T_i, d) memory per context, in context order, each from its
+        own encoder forward (with a graph unless under `ad.no_grad()`)."""
+        memories = []
+        for z in contexts:
+            states = self.encoder.forward(np.array([self._input(question_tokens, z)]))
+            memories.append(ad.reshape(states, states.shape[1:]))
         return memories
 
     def encode_pair(self, question_tokens: Sequence[int], context_tokens: Sequence[int]) -> ad.Tensor:
         """Encode question + [SEP] + context into (T, d) memory states."""
         return self.encode_contexts(question_tokens, [context_tokens])[0]
-
-    def memory_groups(
-        self, question_tokens: Sequence[int], contexts: Sequence[Sequence[int]]
-    ) -> MemoryGroups:
-        """Encode every context once -> (positions, cross K/V) per group of
-        contexts whose memories share one length."""
-        return [
-            (rows, self._cross_kv(states))
-            for rows, states in self._encode_groups([(question_tokens, z) for z in contexts])
-        ]
 
     # Decoding ------------------------------------------------------------
 
@@ -281,32 +247,13 @@ class Reader:
         logits = self._decode_logits(decoder_input, cross, bias)
         return ad.sequence_log_prob(logits, answers)
 
-    def score_groups(
-        self, groups: MemoryGroups, answers: Sequence[Sequence[int]]
-    ) -> np.ndarray:
-        """(len(answers), contexts) teacher-forced log-likelihoods over
-        `memory_groups` output, one decoder call per (answer length, memory
-        length) group; each entry equals `answer_log_likelihood` bit for bit."""
-        out = np.empty((len(answers), sum(len(rows) for rows, _ in groups)))
-        by_length = group_by_length(map(len, answers)).values()
-        for rows, cross in groups:
-            for picks in by_length:
-                # batch row j * len(rows) + c scores answer picks[j] on context rows[c]
-                batch = _take_rows(cross, np.tile(np.arange(len(rows)), len(picks)))
-                targets = np.repeat(np.array([answers[a] for a in picks]), len(rows), axis=0)
-                scored = self._teacher_forced(batch, None, targets).data
-                out[np.ix_(picks, rows)] = scored.reshape(len(picks), len(rows))
-        return out
-
-    @ad.no_grad()
     def greedy_decode(
-        self,
-        question_tokens: Sequence[int],
-        context_tokens: Sequence[int],
+        self, question_tokens: Sequence[int], context_tokens: Sequence[int],
         max_len: int | None = None,
     ) -> list[int]:
-        memory = self.encode_pair(question_tokens, context_tokens)
-        return self._greedy(self._cross_kv(memory), None, max_len)[0]
+        """Greedy answer from one context: `decode_chunks` of one pair."""
+        memories = self.encode_memories([(question_tokens, context_tokens)])
+        return self.decode_chunks(self.memory_chunks(memories), max_len)[0]
 
     def joint_greedy_decode(
         self,
@@ -325,41 +272,80 @@ class Reader:
         max_len: int | None = None,
     ) -> list[list[int]]:
         """Greedy answer of each (question tokens, contexts, retrieval
-        probs), fused over its contexts, in order.
-
-        All the questions' inputs are encoded together (`_encode_groups`).
-        Questions whose fused memories share a length decode together, at
-        most DECODE_MEMORY_TOKENS memory tokens per decoder call, each row
-        with its own memory and bias row; a row leaves the batch on [EOS].
-        Every answer equals decoding its question alone bit for bit."""
-        pairs = [(q, z) for q, contexts, _ in questions for z in contexts]
-        states: list = [None] * len(pairs)
-        for rows, encoded in self._encode_groups(pairs):
-            for r, row in zip(rows, encoded.data):
-                states[r] = row
-        memories, biases, lo = [], [], 0
+        probs), fused over its contexts, in order: every input encoded
+        together (`encode_memories`), then each question's fused memory and
+        bias decoded by `decode_chunks`. Every answer equals decoding its
+        question alone bit for bit."""
+        states = iter(self.encode_memories([(q, z) for q, zs, _ in questions for z in zs]))
+        memories, biases = [], []
         for _, contexts, probs in questions:
-            parts = states[lo:lo + len(contexts)]
-            lo += len(contexts)
+            parts = [next(states) for _ in contexts]
             biases.append(self._fusion_bias(probs, [len(x) for x in parts]).data)
             memories.append(np.concatenate(parts))
-        answers: list = [None] * len(questions)
-        for rows in length_chunks(map(len, memories), DECODE_MEMORY_TOKENS):
-            cross = self._cross_kv(ad.Tensor(np.stack([memories[r] for r in rows])))
-            bias = ad.Tensor(np.stack([biases[r] for r in rows])[:, None, None])
-            for r, tokens in zip(rows, self._greedy(cross, bias, max_len)):
-                answers[r] = tokens
-        return answers
+        return self.decode_chunks(self.memory_chunks(memories), max_len, biases)
 
-    def decode_groups(
-        self, groups: MemoryGroups, max_len: int | None = None
+    # Inference pipeline: encode, project, then decode or score ------------
+
+    @ad.no_grad()
+    def encode_memories(
+        self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
+    ) -> list[np.ndarray]:
+        """The (T_i, d) encoder states of each (question, context) pair's
+        input, in order. Inputs of equal (truncated) length go through one
+        unpadded forward per chunk of at most CHUNK_TOKENS tokens, whose rows
+        equal the one-pair forward bit for bit (the rule
+        `TransformerEncoder.embed` relies on)."""
+        inputs = [self._input(q, z) for q, z in pairs]
+        memories: list = [None] * len(inputs)
+        for rows in length_chunks(map(len, inputs), CHUNK_TOKENS):
+            states = self.encoder.forward(np.array([inputs[r] for r in rows]))
+            for r, row in zip(rows, states.data):
+                memories[r] = row
+        return memories
+
+    def memory_chunks(self, memories: Sequence[np.ndarray]) -> Iterator[Chunk]:
+        """(positions, stacked cross K/V) per chunk of equal-length (T, d)
+        `memories`, at most DECODE_MEMORY_TOKENS memory tokens each (one
+        memory when it alone is longer), projected when the chunk is reached:
+        graph-free under `decode_chunks`, `score_chunks` or `ad.no_grad()`."""
+        for rows in length_chunks(map(len, memories), DECODE_MEMORY_TOKENS):
+            yield rows, self._cross_kv(ad.Tensor(np.stack([memories[r] for r in rows])))
+
+    @ad.no_grad()
+    def decode_chunks(
+        self, chunks: Iterable[Chunk], max_len: int | None = None,
+        biases: Sequence[np.ndarray] | None = None,
     ) -> list[list[int]]:
-        """Greedy answer per context over `memory_groups` output, in context
-        order; one decoder call per step and group."""
-        out: list = [None] * sum(len(rows) for rows, _ in groups)
-        for rows, cross in groups:
-            for r, tokens in zip(rows, self._greedy(cross, None, max_len)):
-                out[r] = tokens
+        """Greedy answer of every memory of `memory_chunks` output, in memory
+        order, one decoder call per step per chunk; `biases` holds each
+        memory's (T_mem,) cross-attention bias (joint fusion)."""
+        answers: dict[int, list[int]] = {}
+        for rows, cross in chunks:
+            bias = ad.Tensor(np.stack([biases[r] for r in rows])[:, None, None]) if biases else None
+            answers.update(zip(rows, self._greedy(cross, bias, max_len)))
+        return [answers[r] for r in range(len(answers))]
+
+    @ad.no_grad()
+    def score_chunks(
+        self, chunks: Iterable[Chunk], answers_per_memory: Sequence[Sequence[Sequence[int]]]
+    ) -> list[np.ndarray]:
+        """Per memory of `memory_chunks` output, the teacher-forced
+        log-likelihood of each of its answers. In a chunk, the (memory,
+        answer) rows of one answer length share decoder calls of at most
+        DECODE_MEMORY_TOKENS memory tokens; each entry equals
+        `answer_log_likelihood` bit for bit."""
+        out = [np.empty(len(answers)) for answers in answers_per_memory]
+        for rows, cross in chunks:
+            # every (row of the chunk, answer index) to score
+            pairs = [(c, a) for c, r in enumerate(rows) for a in range(len(answers_per_memory[r]))]
+            answers = [answers_per_memory[rows[c]][a] for c, a in pairs]
+            size = max(1, DECODE_MEMORY_TOKENS // cross[0][0].shape[1])
+            for picks in group_by_length(map(len, answers)).values():
+                for part in (picks[lo:lo + size] for lo in range(0, len(picks), size)):
+                    batch = _take_rows(cross, np.array([pairs[j][0] for j in part]))
+                    scored = self._teacher_forced(batch, None, np.array([answers[j] for j in part]))
+                    for j, ll in zip(part, scored.data):
+                        out[rows[pairs[j][0]]][pairs[j][1]] = ll
         return out
 
     def _greedy(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ def test_joint_infer_k1_matches_single_greedy():
 
 def test_inference_entry_points_record_no_graph(monkeypatch):
     corpus, retriever, reader, index = make_world()
-    seen = {"_encode_groups": [], "_decode_logits": []}
+    seen = {"encode_memories": [], "_decode_logits": []}
     for name, calls in seen.items():
         def recording(*args, _original=getattr(reader, name), _calls=calls, **kwargs):
             _calls.append(ad.grad_enabled())
@@ -530,28 +531,18 @@ def test_joint_infer_matches_per_context_reference_bitwise(dec_layers):
 
 def reference_per_question(mode, question, retriever, reader, snapshot, corpus, k, tau, max_len):
     """One question encoded and searched on its own, then the mode's reader
-    pass as the one-question inference functions once ran it."""
+    pass over that question alone: the per-pair loop, or one fused memory."""
+    if mode == "individual":
+        answer, candidates, marginals, retrieved = reference_individual_infer(
+            question, retriever, reader, snapshot, corpus, k, tau, max_len
+        )
+        # a candidate decodes to "" only when it has no tokens
+        return answer, candidates, marginals, retrieved, all(not c for c in candidates)
     retrieved = top_k(snapshot, retriever.encode_question(question).data, k=k, tau=tau)
     contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
-    if mode == "joint":
-        tokens = reference_joint_answer(reader, question, contexts, retrieved.probs, max_len)
-        answer = corpus.vocab.decode(tokens)
-        return answer, (answer,), (), retrieved, not tokens
-    groups = reader.memory_groups(question, contexts)
-    candidates = []
-    for tokens in map(tuple, reader.decode_groups(groups, max_len)):
-        if tokens not in candidates:
-            candidates.append(tokens)
-    log_liks = reader.score_groups(groups, [with_eos(list(c)) for c in candidates])
-    marginals = []
-    for row in log_liks:
-        total = 0.0
-        for ll, prob in zip(row.tolist(), retrieved.probs):
-            total += math.exp(ll) * prob
-        marginals.append(total)
-    best = max(range(len(candidates)), key=lambda i: (marginals[i], -i))
-    strings = tuple(corpus.vocab.decode(c) for c in candidates)
-    return strings[best], strings, tuple(marginals), retrieved, all(not c for c in candidates)
+    tokens = reference_joint_answer(reader, question, contexts, retrieved.probs, max_len)
+    answer = corpus.vocab.decode(tokens)
+    return answer, (answer,), (), retrieved, not tokens
 
 
 # five more of 6 tokens, whose fused memories can share a length with the
@@ -566,12 +557,13 @@ MORE_QUESTIONS = [
 ]
 
 
-def check_joint_decoder_rows(reader, questions, results, corpus, batches):
+def check_joint_decoder_rows(reader, questions, results, corpus, passes, batches):
     """Every row of every joint decoder call gives the logits of the one-row
     reference decoder over its own question's fused memory and bias, bit for
-    bit. `batches` holds, per greedy batch, the (ids, logits) of its decoder
-    calls. Returns (a group split over several batches, a row left on [EOS]
-    while two or more decoded on)."""
+    bit. `passes` holds the question positions of each reader pass, in order,
+    and `batches`, per greedy batch, the (ids, logits) of its decoder calls.
+    Returns (a group of one pass split over several batches, a row left on
+    [EOS] while two or more decoded on)."""
     with ad.no_grad():
         refs = [
             reference_fusion_memory(
@@ -581,7 +573,14 @@ def check_joint_decoder_rows(reader, questions, results, corpus, batches):
             for q, r in zip(questions, results)
         ]
         lengths = [memory.shape[0] for memory, _ in refs]
-        chunks = list(length_chunks(lengths, reader_module.DECODE_MEMORY_TOKENS))
+        chunks, groups = [], 0
+        for rows in passes:
+            own = [lengths[q] for q in rows]
+            chunks += [
+                [rows[i] for i in chunk]
+                for chunk in length_chunks(own, reader_module.DECODE_MEMORY_TOKENS)
+            ]
+            groups += len(set(own))
         assert len(chunks) == len(batches)
         early_stop = False
         for active, calls in zip(chunks, batches):
@@ -593,23 +592,38 @@ def check_joint_decoder_rows(reader, questions, results, corpus, batches):
                 going = [q for row, q in enumerate(active) if logits[row, -1].argmax() != EOS_ID]
                 early_stop |= 1 < len(going) < len(active)
                 active = going
-    return len(chunks) > len(set(lengths)), early_stop
+    return len(chunks) > groups, early_stop
 
 
 @pytest.mark.parametrize("mode", sorted(e2e.MODES))
 def test_answer_questions_matches_one_question_at_a_time_bitwise(mode, monkeypatch):
     corpus, retriever, reader, index = make_mixed_world(2)
     # two 120-token memories fill a decoder call, so the k=6 group of the
-    # long questions splits into chunks
+    # long questions splits into chunks; a reader pass takes at most 24 pairs
     monkeypatch.setattr(reader_module, "DECODE_MEMORY_TOKENS", 250)
+    monkeypatch.setattr(e2e, "READ_SLICE_PAIRS", 24)
+    passes = []  # the question positions each reader pass received
     batches = []  # per greedy batch, the (ids, logits) of each decoder call
+    greedy_groups = []  # per greedy batch, (its reader pass, its memory length)
+    loss, read_pass = e2e.MODES[mode]
     greedy, decode = reader._greedy, reader._decode_logits
+
+    def recording_pass(questions, retrieved, *args):
+        pairs = sum(len(found.doc_ids) for found in retrieved)
+        assert pairs <= e2e.READ_SLICE_PAIRS or len(questions) == 1
+        lo = passes[-1][-1] + 1 if passes else 0
+        passes.append(list(range(lo, lo + len(questions))))
+        return read_pass(questions, retrieved, *args)
 
     def recording_greedy(cross, bias, max_len):
         batches.append([])
+        greedy_groups.append((len(passes), cross[0][0].shape[1]))
         return greedy(cross, bias, max_len)
 
     def recording_decode(ids, cross, bias):
+        # every decoder call, greedy or scoring, keeps to the memory bound
+        memory_tokens = len(ids) * cross[0][0].shape[1]
+        assert len(ids) == 1 or memory_tokens <= reader_module.DECODE_MEMORY_TOKENS
         logits = decode(ids, cross, bias)
         batches[-1].append((ids, logits.data))
         return logits
@@ -621,15 +635,19 @@ def test_answer_questions_matches_one_question_at_a_time_bitwise(mode, monkeypat
     split = early_stop = False
     for k in (1, 3, 6):
         for max_len in (None, 3):
-            del batches[:]
+            del passes[:], batches[:], greedy_groups[:]
             with monkeypatch.context() as patch:
                 patch.setattr(reader, "_decode_logits", recording_decode)
+                patch.setitem(e2e.MODES, mode, (loss, recording_pass))
                 got = e2e.answer_questions(
                     questions, retriever, reader, index.snapshot, corpus, mode, k, tau, max_len
                 )
+            assert len(passes) > 1 or k == 1  # 13 questions of 3 or 6 pairs cross a slice
+            # a memory-length group of one pass decoded over several chunks
+            split |= len(set(greedy_groups)) < len(greedy_groups)
             if mode == "joint":
-                coverage = check_joint_decoder_rows(reader, questions, got, corpus, batches)
-                split |= coverage[0]
+                coverage = check_joint_decoder_rows(reader, questions, got, corpus, passes, batches)
+                assert coverage[0] == (len(set(greedy_groups)) < len(greedy_groups))
                 early_stop |= coverage[1]
             assert len(got) == len(questions)
             for result, question in zip(got, questions):
@@ -644,10 +662,29 @@ def test_answer_questions_matches_one_question_at_a_time_bitwise(mode, monkeypat
                 assert infer(
                     question, retriever, reader, index.snapshot, corpus, k, tau, max_len
                 ) == result
+    # some pass split a memory-length group over decoder chunks
+    assert split
     if mode == "joint":
-        # the joint pass crossed a chunk boundary, and some batch row left on
-        # [EOS] while two or more decoded on
-        assert split and early_stop
+        # some batch row left on [EOS] while two or more decoded on
+        assert early_stop
+
+
+@pytest.mark.parametrize("mode", sorted(e2e.MODES))
+def test_answer_questions_memory_does_not_grow_with_the_question_count(mode):
+    corpus, retriever, reader, index = make_mixed_world(2)
+    texts = MIXED_QUESTIONS + MORE_QUESTIONS
+    tau = e2e.tau_value(1.0, 16)
+    peaks = []
+    for n in (len(texts), 8 * len(texts)):
+        questions = [corpus.vocab.encode(texts[i % len(texts)]) for i in range(n)]
+        tracemalloc.start()
+        try:
+            e2e.answer_questions(questions, retriever, reader, index.snapshot, corpus, mode, 6, tau)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the reader holds one slice of pairs at a time; only the results grow
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_joint_answers_take_one_decoder_call_per_step(monkeypatch):
@@ -680,6 +717,40 @@ def test_joint_answers_take_one_decoder_call_per_step(monkeypatch):
     memory_tokens = 4 * (len(questions[0]) + 1 + len(corpus.by_id[0].tokens))
     assert len(questions) * memory_tokens <= reader_module.DECODE_MEMORY_TOKENS
     assert counts == {"forward": 1, "decode": max(len(t) + (len(t) < 4) for t in decoded)}
+
+
+def test_individual_answers_take_one_decoder_call_per_step(monkeypatch):
+    corpus, retriever, reader, index = make_world()
+    questions = [corpus.vocab.encode(ex.question) for ex in DATASET[:2]]
+    # equal-length documents and questions: one input length, one memory length
+    assert len({len(doc.tokens) for doc in corpus}) == 1 == len({len(q) for q in questions})
+    calls = {"forward": 0, "decode": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(reader.encoder, "forward", counted("forward", reader.encoder.forward))
+    monkeypatch.setattr(reader, "_decode_logits", counted("decode", reader._decode_logits))
+    tau = e2e.tau_value(1.0, 16)
+    results = e2e.answer_questions(
+        questions, retriever, reader, index.snapshot, corpus, "individual", 4, tau, 4
+    )
+    counts = dict(calls)
+    decoded = [
+        reader.greedy_decode(q, corpus.by_id[i].tokens, 4)
+        for q, r in zip(questions, results) for i in r.retrieved.doc_ids
+    ]
+    # the 8 pairs share one reader pass, and even 8 candidates per question
+    # scored on its 4 documents would fit in one decoder call per answer length
+    assert len(decoded) == 8 <= e2e.READ_SLICE_PAIRS
+    memory_tokens = len(questions[0]) + 1 + len(corpus.by_id[0].tokens)
+    assert len(decoded) * 4 * memory_tokens <= reader_module.DECODE_MEMORY_TOKENS
+    steps = max(len(t) + (len(t) < 4) for t in decoded)
+    assert counts == {"forward": 1, "decode": steps + len({len(t) for t in decoded})}
 
 
 def reader_grads(reader, extra=()):

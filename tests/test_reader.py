@@ -31,6 +31,13 @@ def test_config_validation():
         ReaderConfig(vocab_size=16, dec_layers=0)
     with pytest.raises(DomainError):
         ReaderConfig(vocab_size=16, max_answer_len=0)
+    # one answer token plus [EOS]: at 1 no greedy decode could run a step
+    with pytest.raises(DomainError, match="max_answer_len must be >= 2"):
+        ReaderConfig(vocab_size=16, max_answer_len=1)
+    shortest = Reader(ReaderConfig(vocab_size=16, enc_layers=1, dec_layers=1, hidden_size=8,
+                                   heads=2, max_answer_len=2))
+    assert len(shortest.greedy_decode(Q, Z)) <= 1
+    assert len(shortest.joint_greedy_decode(Q, [Z, Z2], [0.5, 0.5])) <= 1
     with pytest.raises(DomainError):
         ReaderConfig(vocab_size=16, hidden_size=8, heads=3)
 
