@@ -14,9 +14,8 @@ constants, bit for bit the frozen tower's graph forward. Snapshot embeddings
 stay constants.
 
 Inference (`answer_questions`) encodes all questions in one call, searches
-each, and hands the mode's reader pass consecutive slices of at most
-READ_SLICE_PAIRS (question, document) pairs; both passes read across a
-slice's questions through `Reader`'s one inference pipeline.
+each, and hands every question to the mode's reader pass at once; both
+passes read across questions through `Reader`'s one inference pipeline.
 """
 
 from __future__ import annotations
@@ -173,39 +172,50 @@ class InferenceResult:
     all_empty: bool = False
 
 
+# (question, document) pairs per slice of the individual pass; bounds the
+# cross K/V and candidates it holds at once, whatever the question count
+READ_SLICE_PAIRS = 16
+
+
 def _read_individually(
     questions: Sequence[Sequence[int]], retrieved: Sequence[RetrievalResult], reader: Reader,
     corpus: Corpus, max_len: int | None,
 ) -> list[InferenceResult]:
     """Per question, the candidate of highest marginal likelihood over its
-    retrieved set, among one greedy candidate per document. All the (question,
-    document) pairs are encoded, decoded and scored together, bit for bit as
-    one pair at a time. A question's duplicate candidates are scored once;
-    ties go to the candidate a higher-ranked document produced."""
-    pairs = [(q, corpus.by_id[i].tokens) for q, found in zip(questions, retrieved)
-             for i in found.doc_ids]
-    chunks = list(reader.memory_chunks(reader.encode_memories(pairs)))
-    decoded = iter(reader.decode_chunks(chunks, max_len))
-    per_question = [
-        list(dict.fromkeys(tuple(next(decoded)) for _ in found.doc_ids)) for found in retrieved
-    ]
-    answers = [[with_eos(list(c)) for c in candidates] for candidates in per_question]
-    scored = iter(reader.score_chunks(chunks, [
-        own for own, found in zip(answers, retrieved) for _ in found.doc_ids
-    ]))
+    retrieved set, among one greedy candidate per document. The (question,
+    document) pairs of a slice of consecutive questions, at most
+    READ_SLICE_PAIRS (or one question's), are encoded, decoded and scored
+    together, bit for bit as one pair at a time. A question's duplicate
+    candidates are scored once; ties go to the candidate a higher-ranked
+    document produced."""
+    n = max(1, READ_SLICE_PAIRS // max([1] + [len(found.doc_ids) for found in retrieved]))
     results = []
-    for candidates, found in zip(per_question, retrieved):
-        log_liks = np.stack([next(scored) for _ in found.doc_ids]).T  # (candidates, documents)
-        marginals = []
-        for row in log_liks:
-            total = 0.0
-            for ll, prob in zip(row.tolist(), found.probs):
-                total += math.exp(ll) * prob
-            marginals.append(total)
-        best = max(range(len(candidates)), key=lambda i: (marginals[i], -i))
-        strings = tuple(corpus.vocab.decode(c) for c in candidates)
-        results.append(InferenceResult(strings[best], strings, tuple(marginals), found,
-                                       all_empty=all(not c for c in candidates)))
+    for lo in range(0, len(questions), n):
+        own = retrieved[lo:lo + n]
+        chunks = reader.memory_chunks([
+            (q, corpus.by_id[i].tokens) for q, found in zip(questions[lo:lo + n], own)
+            for i in found.doc_ids
+        ])
+        decoded = iter(reader.decode_chunks(chunks, max_len))
+        per_question = [
+            list(dict.fromkeys(tuple(next(decoded)) for _ in found.doc_ids)) for found in own
+        ]
+        scored = iter(reader.score_chunks(chunks, [
+            [with_eos(list(c)) for c in candidates]
+            for candidates, found in zip(per_question, own) for _ in found.doc_ids
+        ]))
+        for candidates, found in zip(per_question, own):
+            log_liks = np.stack([next(scored) for _ in found.doc_ids]).T  # (candidates, documents)
+            marginals = []
+            for row in log_liks:
+                total = 0.0
+                for ll, prob in zip(row.tolist(), found.probs):
+                    total += math.exp(ll) * prob
+                marginals.append(total)
+            best = max(range(len(candidates)), key=lambda i: (marginals[i], -i))
+            strings = tuple(corpus.vocab.decode(c) for c in candidates)
+            results.append(InferenceResult(strings[best], strings, tuple(marginals), found,
+                                           all_empty=all(not c for c in candidates)))
     return results
 
 
@@ -245,25 +255,15 @@ def retrieve(
     return [top_k(snapshot, q_vec, k=k, tau=tau) for q_vec in retriever.embed_questions(questions)]
 
 
-# (question, document) pairs per reader pass; bounds the encoder states, cross
-# K/V and candidates that answering holds at once, whatever the question count
-READ_SLICE_PAIRS = 16
-
-
 @ad.no_grad()
 def read_retrieved(
     questions: Sequence[Sequence[int]], retrieved: Sequence[RetrievalResult], reader: Reader,
     corpus: Corpus, mode: str, max_len: int | None = None,
 ) -> list[InferenceResult]:
-    """The reader pass of `mode` over each question's retrieved documents, on
-    consecutive slices of at most READ_SLICE_PAIRS (question, document) pairs
-    (one question when its own documents exceed that). Records no graph."""
+    """The reader pass of `mode` over each question's retrieved documents.
+    Records no graph."""
     _, read_pass = MODES[mode]
-    n = max(1, READ_SLICE_PAIRS // max([1] + [len(found.doc_ids) for found in retrieved]))
-    results = []
-    for lo in range(0, len(questions), n):
-        results += read_pass(questions[lo:lo + n], retrieved[lo:lo + n], reader, corpus, max_len)
-    return results
+    return read_pass(questions, retrieved, reader, corpus, max_len)
 
 
 def answer_questions(

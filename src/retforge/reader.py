@@ -8,18 +8,18 @@ the positions of the owning context. The bias is re-centered by its maximum
 reproduces the unbiased reader bit for bit.
 
 Inference has one graph-free pipeline, which both reader modes and every
-greedy decode use: `encode_memories` runs the question + [SEP] + context
-inputs through one encoder forward per chunk of equal length (at most
-CHUNK_TOKENS tokens), so each retrieved document is encoded once;
-`memory_chunks` projects each chunk of equal-length memories' cross-attention
-keys and values once per decoder layer; `decode_chunks` greedy-decodes a
-chunk in one decoder call per step (in joint mode each row adds its own bias
-row), and `score_chunks` scores a chunk's (memory, answer) rows of an answer
-length together. A decoder call holds at most DECODE_MEMORY_TOKENS memory
-tokens, or one longer memory. Nothing is padded and every matmul runs per row
-with that row's own shapes, so each row equals the one-pair, one-question
-path bit for bit. With a graph (training) each context keeps its own encoder
-forward and the decoder runs one row.
+greedy decode use. `encode_memories` runs the question + [SEP] + context
+inputs of one length through one encoder forward per chunk of at most
+CHUNK_TOKENS tokens, and `memory_chunks` projects each such chunk's
+cross-attention keys and values once per decoder layer. `joint_decode`
+encodes the inputs of one chunk of equal-length fused memories at a time and
+adds each question's bias row. `decode_chunks` greedy-decodes a chunk in one
+decoder call per step and `score_chunks` scores its (memory, answer) rows of
+an answer length together, at most DECODE_MEMORY_TOKENS memory tokens per
+call. Nothing is padded and every matmul runs per row with that row's own
+shapes, so each row equals the one-pair, one-question path bit for bit. With
+a graph (training) each context keeps its own encoder forward and the decoder
+runs one row.
 """
 
 from __future__ import annotations
@@ -46,14 +46,18 @@ from .errors import DimensionError, DomainError
 from .text import BOS_ID, EOS_ID, SEP_ID
 
 PROB_SUM_TOL = 1e-9
-# rows x memory length per decoder call, greedy or scoring, in either mode;
-# bounds the cross K/V and attention activations one call holds
+# rows x memory length per decoder call in either mode (an individual chunk's
+# CHUNK_TOKENS is below it); bounds the cross K/V and activations a call holds
 DECODE_MEMORY_TOKENS = 1024
 
+# (question tokens, context tokens), and (question tokens, contexts, retrieval probs)
+Pair = tuple[Sequence[int], Sequence[int]]
+FusedQuestion = tuple[Sequence[int], Sequence[Sequence[int]], Sequence[float]]
 # per decoder layer: cross-attention key and value projections, each (n, T_mem, d)
 CrossKV = list[tuple[ad.Tensor, ad.Tensor]]
-# positions of equal-length memories and their stacked cross K/V
-Chunk = tuple[list[int], CrossKV]
+# positions of equal-length memories, their stacked cross K/V and, for fused
+# memories, their (n, 1, 1, T_mem) cross-attention bias rows
+Chunk = tuple[list[int], CrossKV, ad.Tensor | None]
 
 
 @dataclass(frozen=True)
@@ -248,12 +252,14 @@ class Reader:
         return ad.sequence_log_prob(logits, answers)
 
     def greedy_decode(
-        self, question_tokens: Sequence[int], context_tokens: Sequence[int],
+        self,
+        question_tokens: Sequence[int],
+        context_tokens: Sequence[int],
         max_len: int | None = None,
     ) -> list[int]:
         """Greedy answer from one context: `decode_chunks` of one pair."""
-        memories = self.encode_memories([(question_tokens, context_tokens)])
-        return self.decode_chunks(self.memory_chunks(memories), max_len)[0]
+        pair = (question_tokens, context_tokens)
+        return self.decode_chunks(self.memory_chunks([pair]), max_len)[0]
 
     def joint_greedy_decode(
         self,
@@ -267,61 +273,57 @@ class Reader:
 
     @ad.no_grad()
     def joint_decode(
-        self,
-        questions: Sequence[tuple[Sequence[int], Sequence[Sequence[int]], Sequence[float]]],
-        max_len: int | None = None,
+        self, questions: Sequence[FusedQuestion], max_len: int | None = None
     ) -> list[list[int]]:
         """Greedy answer of each (question tokens, contexts, retrieval
-        probs), fused over its contexts, in order: every input encoded
-        together (`encode_memories`), then each question's fused memory and
-        bias decoded by `decode_chunks`. Every answer equals decoding its
-        question alone bit for bit."""
-        states = iter(self.encode_memories([(q, z) for q, zs, _ in questions for z in zs]))
-        memories, biases = [], []
-        for _, contexts, probs in questions:
-            parts = [next(states) for _ in contexts]
-            biases.append(self._fusion_bias(probs, [len(x) for x in parts]).data)
-            memories.append(np.concatenate(parts))
-        return self.decode_chunks(self.memory_chunks(memories), max_len, biases)
+        probs), fused over its contexts, in order. Questions whose fused
+        memories share a length (known before encoding) are taken in chunks
+        of at most DECODE_MEMORY_TOKENS memory tokens, and only one chunk's
+        inputs are encoded at a time (`encode_memories`), fused with their
+        `_fusion_bias` rows and decoded (`decode_chunks`). Every answer equals
+        decoding its question alone bit for bit."""
+        return self.decode_chunks(self._fused_chunks(questions), max_len)
 
     # Inference pipeline: encode, project, then decode or score ------------
 
     @ad.no_grad()
-    def encode_memories(
-        self, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
-    ) -> list[np.ndarray]:
-        """The (T_i, d) encoder states of each (question, context) pair's
-        input, in order. Inputs of equal (truncated) length go through one
-        unpadded forward per chunk of at most CHUNK_TOKENS tokens, whose rows
-        equal the one-pair forward bit for bit (the rule
+    def encode_memories(self, pairs: Sequence[Pair]) -> list[tuple[list[int], ad.Tensor]]:
+        """(positions, (n, T, d) encoder states) per chunk of (question,
+        context) pairs whose inputs share a (truncated) length, at most
+        CHUNK_TOKENS tokens (or one longer input): one unpadded forward, whose
+        rows equal the one-pair forward bit for bit (the rule
         `TransformerEncoder.embed` relies on)."""
         inputs = [self._input(q, z) for q, z in pairs]
-        memories: list = [None] * len(inputs)
-        for rows in length_chunks(map(len, inputs), CHUNK_TOKENS):
-            states = self.encoder.forward(np.array([inputs[r] for r in rows]))
-            for r, row in zip(rows, states.data):
-                memories[r] = row
-        return memories
-
-    def memory_chunks(self, memories: Sequence[np.ndarray]) -> Iterator[Chunk]:
-        """(positions, stacked cross K/V) per chunk of equal-length (T, d)
-        `memories`, at most DECODE_MEMORY_TOKENS memory tokens each (one
-        memory when it alone is longer), projected when the chunk is reached:
-        graph-free under `decode_chunks`, `score_chunks` or `ad.no_grad()`."""
-        for rows in length_chunks(map(len, memories), DECODE_MEMORY_TOKENS):
-            yield rows, self._cross_kv(ad.Tensor(np.stack([memories[r] for r in rows])))
+        return [
+            (rows, self.encoder.forward(np.array([inputs[r] for r in rows])))
+            for rows in length_chunks(map(len, inputs), CHUNK_TOKENS)
+        ]
 
     @ad.no_grad()
-    def decode_chunks(
-        self, chunks: Iterable[Chunk], max_len: int | None = None,
-        biases: Sequence[np.ndarray] | None = None,
-    ) -> list[list[int]]:
-        """Greedy answer of every memory of `memory_chunks` output, in memory
-        order, one decoder call per step per chunk; `biases` holds each
-        memory's (T_mem,) cross-attention bias (joint fusion)."""
+    def memory_chunks(self, pairs: Sequence[Pair]) -> list[Chunk]:
+        """The chunks of `encode_memories`, each with its states' cross K/V
+        in their place and no bias."""
+        return [(rows, self._cross_kv(h), None) for rows, h in self.encode_memories(pairs)]
+
+    def _fused_chunks(self, questions: Sequence[FusedQuestion]) -> Iterator[Chunk]:
+        """The `joint_decode` chunks, each encoded and fused when reached."""
+        lengths = [[len(self._input(q, z)) for z in contexts] for q, contexts, _ in questions]
+        for rows in length_chunks(map(sum, lengths), DECODE_MEMORY_TOKENS):
+            encoded = self.encode_memories([(questions[r][0], z) for r in rows
+                                            for z in questions[r][1]])
+            states = dict(row for positions, h in encoded for row in zip(positions, h.data))
+            parts = (states[p] for p in range(len(states)))
+            memories = [np.concatenate([next(parts) for _ in lengths[r]]) for r in rows]
+            biases = [self._fusion_bias(questions[r][2], lengths[r]).data for r in rows]
+            cross = self._cross_kv(ad.Tensor(np.stack(memories)))
+            yield rows, cross, ad.Tensor(np.stack(biases)[:, None, None])
+
+    @ad.no_grad()
+    def decode_chunks(self, chunks: Iterable[Chunk], max_len: int | None = None) -> list[list[int]]:
+        """Greedy answer of every memory of `chunks`, in memory order, one
+        decoder call per step per chunk."""
         answers: dict[int, list[int]] = {}
-        for rows, cross in chunks:
-            bias = ad.Tensor(np.stack([biases[r] for r in rows])[:, None, None]) if biases else None
+        for rows, cross, bias in chunks:
             answers.update(zip(rows, self._greedy(cross, bias, max_len)))
         return [answers[r] for r in range(len(answers))]
 
@@ -329,13 +331,12 @@ class Reader:
     def score_chunks(
         self, chunks: Iterable[Chunk], answers_per_memory: Sequence[Sequence[Sequence[int]]]
     ) -> list[np.ndarray]:
-        """Per memory of `memory_chunks` output, the teacher-forced
-        log-likelihood of each of its answers. In a chunk, the (memory,
-        answer) rows of one answer length share decoder calls of at most
-        DECODE_MEMORY_TOKENS memory tokens; each entry equals
-        `answer_log_likelihood` bit for bit."""
+        """Per memory of unbiased `chunks`, the teacher-forced log-likelihood
+        of each of its answers, bit for bit `answer_log_likelihood`. A chunk's
+        (memory, answer) rows of one answer length share decoder calls of at
+        most DECODE_MEMORY_TOKENS memory tokens."""
         out = [np.empty(len(answers)) for answers in answers_per_memory]
-        for rows, cross in chunks:
+        for rows, cross, _ in chunks:
             # every (row of the chunk, answer index) to score
             pairs = [(c, a) for c, r in enumerate(rows) for a in range(len(answers_per_memory[r]))]
             answers = [answers_per_memory[rows[c]][a] for c, a in pairs]

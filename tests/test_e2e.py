@@ -557,13 +557,12 @@ MORE_QUESTIONS = [
 ]
 
 
-def check_joint_decoder_rows(reader, questions, results, corpus, passes, batches):
+def check_joint_decoder_rows(reader, questions, results, corpus, batches):
     """Every row of every joint decoder call gives the logits of the one-row
     reference decoder over its own question's fused memory and bias, bit for
-    bit. `passes` holds the question positions of each reader pass, in order,
-    and `batches`, per greedy batch, the (ids, logits) of its decoder calls.
-    Returns (a group of one pass split over several batches, a row left on
-    [EOS] while two or more decoded on)."""
+    bit. `batches` holds, per greedy batch, the (ids, logits) of its decoder
+    calls. Returns (a group split over several batches, a row left on [EOS]
+    while two or more decoded on)."""
     with ad.no_grad():
         refs = [
             reference_fusion_memory(
@@ -573,14 +572,7 @@ def check_joint_decoder_rows(reader, questions, results, corpus, passes, batches
             for q, r in zip(questions, results)
         ]
         lengths = [memory.shape[0] for memory, _ in refs]
-        chunks, groups = [], 0
-        for rows in passes:
-            own = [lengths[q] for q in rows]
-            chunks += [
-                [rows[i] for i in chunk]
-                for chunk in length_chunks(own, reader_module.DECODE_MEMORY_TOKENS)
-            ]
-            groups += len(set(own))
+        chunks = list(length_chunks(lengths, reader_module.DECODE_MEMORY_TOKENS))
         assert len(chunks) == len(batches)
         early_stop = False
         for active, calls in zip(chunks, batches):
@@ -592,32 +584,30 @@ def check_joint_decoder_rows(reader, questions, results, corpus, passes, batches
                 going = [q for row, q in enumerate(active) if logits[row, -1].argmax() != EOS_ID]
                 early_stop |= 1 < len(going) < len(active)
                 active = going
-    return len(chunks) > groups, early_stop
+    return len(chunks) > len(set(lengths)), early_stop
 
 
 @pytest.mark.parametrize("mode", sorted(e2e.MODES))
 def test_answer_questions_matches_one_question_at_a_time_bitwise(mode, monkeypatch):
     corpus, retriever, reader, index = make_mixed_world(2)
     # two 120-token memories fill a decoder call, so the k=6 group of the
-    # long questions splits into chunks; a reader pass takes at most 24 pairs
+    # long questions splits into chunks; an encoder forward and an individual
+    # memory chunk take at most 100 tokens, an individual slice 24 pairs
     monkeypatch.setattr(reader_module, "DECODE_MEMORY_TOKENS", 250)
+    monkeypatch.setattr(reader_module, "CHUNK_TOKENS", 100)
     monkeypatch.setattr(e2e, "READ_SLICE_PAIRS", 24)
-    passes = []  # the question positions each reader pass received
+    encoded = []  # the pairs of each `encode_memories` call
     batches = []  # per greedy batch, the (ids, logits) of each decoder call
-    greedy_groups = []  # per greedy batch, (its reader pass, its memory length)
-    loss, read_pass = e2e.MODES[mode]
-    greedy, decode = reader._greedy, reader._decode_logits
+    greedy_groups = []  # per greedy batch, (encode calls before it, its memory length)
+    encode, greedy, decode = reader.encode_memories, reader._greedy, reader._decode_logits
 
-    def recording_pass(questions, retrieved, *args):
-        pairs = sum(len(found.doc_ids) for found in retrieved)
-        assert pairs <= e2e.READ_SLICE_PAIRS or len(questions) == 1
-        lo = passes[-1][-1] + 1 if passes else 0
-        passes.append(list(range(lo, lo + len(questions))))
-        return read_pass(questions, retrieved, *args)
+    def recording_encode(pairs):
+        encoded.append(pairs)
+        return encode(pairs)
 
     def recording_greedy(cross, bias, max_len):
         batches.append([])
-        greedy_groups.append((len(passes), cross[0][0].shape[1]))
+        greedy_groups.append((len(encoded), cross[0][0].shape[1]))
         return greedy(cross, bias, max_len)
 
     def recording_decode(ids, cross, bias):
@@ -635,20 +625,30 @@ def test_answer_questions_matches_one_question_at_a_time_bitwise(mode, monkeypat
     split = early_stop = False
     for k in (1, 3, 6):
         for max_len in (None, 3):
-            del passes[:], batches[:], greedy_groups[:]
+            del encoded[:], batches[:], greedy_groups[:]
             with monkeypatch.context() as patch:
+                patch.setattr(reader, "encode_memories", recording_encode)
                 patch.setattr(reader, "_decode_logits", recording_decode)
-                patch.setitem(e2e.MODES, mode, (loss, recording_pass))
                 got = e2e.answer_questions(
                     questions, retriever, reader, index.snapshot, corpus, mode, k, tau, max_len
                 )
-            assert len(passes) > 1 or k == 1  # 13 questions of 3 or 6 pairs cross a slice
-            # a memory-length group of one pass decoded over several chunks
-            split |= len(set(greedy_groups)) < len(greedy_groups)
+            # the reader encodes an individual slice, or the questions of one
+            # joint decoder chunk, at a time; one question may exceed the bound
+            for pairs in encoded:
+                one_question = len({tuple(q) for q, _ in pairs}) == 1
+                if mode == "individual":
+                    assert len(pairs) <= e2e.READ_SLICE_PAIRS or one_question
+                else:
+                    memory_tokens = sum(min(len(q) + 1 + len(z), 20) for q, z in pairs)
+                    assert memory_tokens <= reader_module.DECODE_MEMORY_TOKENS or one_question
+            assert len(encoded) > 1 or k == 1  # 12 questions of 3 or 6 pairs cross a bound
             if mode == "joint":
-                coverage = check_joint_decoder_rows(reader, questions, got, corpus, passes, batches)
-                assert coverage[0] == (len(set(greedy_groups)) < len(greedy_groups))
+                coverage = check_joint_decoder_rows(reader, questions, got, corpus, batches)
+                split |= coverage[0]
                 early_stop |= coverage[1]
+            else:
+                # a memory-length group of one slice decoded over several chunks
+                split |= len(set(greedy_groups)) < len(greedy_groups)
             assert len(got) == len(questions)
             for result, question in zip(got, questions):
                 answer, candidates, marginals, retrieved, all_empty = reference_per_question(
@@ -662,7 +662,7 @@ def test_answer_questions_matches_one_question_at_a_time_bitwise(mode, monkeypat
                 assert infer(
                     question, retriever, reader, index.snapshot, corpus, k, tau, max_len
                 ) == result
-    # some pass split a memory-length group over decoder chunks
+    # the pass crossed a chunk boundary inside a memory-length group
     assert split
     if mode == "joint":
         # some batch row left on [EOS] while two or more decoded on
@@ -670,8 +670,11 @@ def test_answer_questions_matches_one_question_at_a_time_bitwise(mode, monkeypat
 
 
 @pytest.mark.parametrize("mode", sorted(e2e.MODES))
-def test_answer_questions_memory_does_not_grow_with_the_question_count(mode):
+def test_answer_questions_memory_does_not_grow_with_the_question_count(mode, monkeypatch):
     corpus, retriever, reader, index = make_mixed_world(2)
+    # two 120-token memories fill a joint decoder call, so that the first
+    # question count already fills the chunks of its memory lengths
+    monkeypatch.setattr(reader_module, "DECODE_MEMORY_TOKENS", 250)
     texts = MIXED_QUESTIONS + MORE_QUESTIONS
     tau = e2e.tau_value(1.0, 16)
     peaks = []
@@ -683,7 +686,8 @@ def test_answer_questions_memory_does_not_grow_with_the_question_count(mode):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # the reader holds one slice of pairs at a time; only the results grow
+    # the reader holds one individual slice or joint decoder chunk at a time;
+    # only the results grow
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
@@ -715,6 +719,7 @@ def test_joint_answers_take_one_decoder_call_per_step(monkeypatch):
         for q, r in zip(questions, results)
     ]
     memory_tokens = 4 * (len(questions[0]) + 1 + len(corpus.by_id[0].tokens))
+    assert len(questions) * memory_tokens <= reader_module.CHUNK_TOKENS
     assert len(questions) * memory_tokens <= reader_module.DECODE_MEMORY_TOKENS
     assert counts == {"forward": 1, "decode": max(len(t) + (len(t) < 4) for t in decoded)}
 
@@ -744,10 +749,12 @@ def test_individual_answers_take_one_decoder_call_per_step(monkeypatch):
         reader.greedy_decode(q, corpus.by_id[i].tokens, 4)
         for q, r in zip(questions, results) for i in r.retrieved.doc_ids
     ]
-    # the 8 pairs share one reader pass, and even 8 candidates per question
-    # scored on its 4 documents would fit in one decoder call per answer length
+    # the 8 pairs share one slice and one memory chunk, and even 8 candidates
+    # per question scored on its 4 documents would fit in one decoder call per
+    # answer length
     assert len(decoded) == 8 <= e2e.READ_SLICE_PAIRS
     memory_tokens = len(questions[0]) + 1 + len(corpus.by_id[0].tokens)
+    assert len(decoded) * memory_tokens <= reader_module.CHUNK_TOKENS
     assert len(decoded) * 4 * memory_tokens <= reader_module.DECODE_MEMORY_TOKENS
     steps = max(len(t) + (len(t) < 4) for t in decoded)
     assert counts == {"forward": 1, "decode": steps + len({len(t) for t in decoded})}
