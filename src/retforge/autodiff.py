@@ -94,7 +94,7 @@ class Tensor:
     closure, so a frozen parameter (`requires_grad=False`) records no graph.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "meta")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(
         self,
@@ -116,7 +116,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = _parents
         self._backward_fn = _backward_fn
-        self.meta: dict | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -590,9 +589,7 @@ def nll(probabilities: Tensor, target_index: int) -> Tensor:
     n = probabilities.shape[0]
     if not (0 <= target_index < n):
         raise IndexError(f"target index {target_index} out of range for length {n}")
-    p = float(probabilities.data[target_index])
-    clamped = p < NLL_FLOOR
-    p_eff = max(p, NLL_FLOOR)
+    p_eff = max(float(probabilities.data[target_index]), NLL_FLOOR)
 
     def backward(g: np.ndarray) -> None:
         if probabilities.requires_grad:
@@ -600,10 +597,7 @@ def nll(probabilities: Tensor, target_index: int) -> Tensor:
             buf[target_index] = -float(g.reshape(())) / p_eff
             probabilities.accumulate_grad(buf)
 
-    out = Tensor(-math.log(p_eff), _parents=(probabilities,), _backward_fn=backward, _op="nll")
-    if clamped:
-        out.meta = {"clamped_floor": True}
-    return out
+    return Tensor(-math.log(p_eff), _parents=(probabilities,), _backward_fn=backward, _op="nll")
 
 
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:

@@ -133,12 +133,21 @@ def _read_jsonl(path) -> Iterable[tuple[int, dict]]:
             yield lineno, obj
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_corpus(path, vocab: Vocabulary | None = None) -> Corpus:
     raw = []
     for lineno, obj in _read_jsonl(path):
         for key in ("id", "title", "text"):
             if key not in obj:
                 raise InputError(f"{path}:{lineno}: missing field {key!r}")
+        if not _is_int(obj["id"]):
+            raise InputError(f"{path}:{lineno}: id must be an integer, got {obj['id']!r}")
+        if not isinstance(obj["title"], str) or not isinstance(obj["text"], str):
+            raise InputError(f"{path}:{lineno}: title and text must be strings")
         raw.append(obj)
     if not raw:
         raise InputError(f"{path}: empty corpus")
@@ -158,12 +167,20 @@ def load_qa(path) -> list[QAExample]:
         answers = obj["answers"]
         if not isinstance(answers, list) or not answers:
             raise InputError(f"{path}:{lineno}: answers must be a non-empty list")
+        positive, negatives = obj.get("positive_ctx"), obj.get("hard_negatives", [])
+        filtered = obj.get("filtered", False)
+        if positive is not None and not _is_int(positive):
+            raise InputError(f"{path}:{lineno}: positive_ctx must be an id, got {positive!r}")
+        if not isinstance(negatives, list) or not all(map(_is_int, negatives)):
+            raise InputError(f"{path}:{lineno}: hard_negatives must be a list of ids, got {negatives!r}")
+        if not isinstance(filtered, bool):
+            raise InputError(f"{path}:{lineno}: filtered must be true or false, got {filtered!r}")
         out.append(QAExample(
             question=str(obj["question"]),
             answers=tuple(str(a) for a in answers),
-            positive_ctx=obj.get("positive_ctx"),
-            hard_negatives=tuple(obj.get("hard_negatives", ())),
-            filtered=bool(obj.get("filtered", False)),
+            positive_ctx=positive,
+            hard_negatives=tuple(negatives),
+            filtered=filtered,
         ))
     return out
 
@@ -187,12 +204,16 @@ def load_spans(path) -> dict[int, SpanAnnotation]:
     for lineno, obj in _read_jsonl(path):
         if "doc_id" not in obj or "spans" not in obj:
             raise InputError(f"{path}:{lineno}: need doc_id and spans fields")
-        doc_id = int(obj["doc_id"])
+        doc_id, spans = obj["doc_id"], obj["spans"]
+        if not _is_int(doc_id):
+            raise InputError(f"{path}:{lineno}: doc_id must be an integer, got {doc_id!r}")
         if doc_id in out:
             raise InputError(f"{path}:{lineno}: duplicate annotation for doc {doc_id}")
-        spans = tuple(
-            (int(s[0]), int(s[1]), str(s[2])) for s in obj["spans"]
-        )
+        if not isinstance(spans, list) or not all(
+            isinstance(s, list) and len(s) == 3 and _is_int(s[0]) and _is_int(s[1]) for s in spans
+        ):
+            raise InputError(f"{path}:{lineno}: spans must be [start, end, text] lists, got {spans!r}")
+        spans = tuple((s[0], s[1], str(s[2])) for s in spans)
         try:
             out[doc_id] = SpanAnnotation(doc_id=doc_id, spans=spans)
         except InputError as exc:

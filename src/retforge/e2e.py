@@ -192,10 +192,11 @@ def _read_individually(
     results = []
     for lo in range(0, len(questions), n):
         own = retrieved[lo:lo + n]
-        chunks = reader.memory_chunks([
-            (q, corpus.by_id[i].tokens) for q, found in zip(questions[lo:lo + n], own)
+        # decoding and scoring both walk the slice's chunks
+        chunks = list(reader.memory_chunks([
+            (q, [corpus.by_id[i].tokens], None) for q, found in zip(questions[lo:lo + n], own)
             for i in found.doc_ids
-        ])
+        ]))
         decoded = iter(reader.decode_chunks(chunks, max_len))
         per_question = [
             list(dict.fromkeys(tuple(next(decoded)) for _ in found.doc_ids)) for found in own
@@ -224,11 +225,12 @@ def _read_jointly(
     corpus: Corpus, max_len: int | None,
 ) -> list[InferenceResult]:
     """One greedy decode per question fused over its k retrieved contexts, all
-    questions in one `Reader.joint_decode` pass."""
-    answers = reader.joint_decode([
+    questions' fused memories read in one pass of `Reader.memory_chunks`,
+    one chunk of equal-length memories at a time."""
+    answers = reader.decode_chunks(reader.memory_chunks([
         (question, [corpus.by_id[doc_id].tokens for doc_id in found.doc_ids], list(found.probs))
         for question, found in zip(questions, retrieved)
-    ], max_len)
+    ]), max_len)
     results = []
     for tokens, found in zip(answers, retrieved):
         answer = corpus.vocab.decode(tokens)

@@ -2,14 +2,14 @@
 pre-norm transformer pooled at the first position, scored by dot product.
 
 The towers share no parameters, so either side can be frozen without
-touching the other. Every encode goes through `encode_batch`; `encode` is its
-one-row case. Inference (`embed`) runs it under `autodiff.no_grad()` over
-chunks of equal-length sequences, and each vector it returns equals the
-sequence's own `encode` bit for bit, for any chunk size and layer count. A
-padded batch of mixed lengths does not have that property: its rows differ
-from the one-row vectors in the last bits (measured up to ~1e-15), which is
-why inference never pads. Training batches stay padded and keep the full
-forward; their contract is the gradient, checked by finite differences.
+touching the other. Training encodes through `encode_batch`; inference
+(`infer`, under `autodiff.no_grad()`) runs unpadded chunks of equal-length
+sequences, and each row it returns equals the sequence's own one-row
+`encode_batch` bit for bit, for any chunk size and layer count. A padded batch
+of mixed lengths does not have that property: its rows differ from the one-row
+vectors in the last bits (measured up to ~1e-15), which is why inference never
+pads. Training batches stay padded and keep the full forward; their contract
+is the gradient, checked by finite differences.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from .text import CLS_ID, PAD_ID, SEP_ID, Vocabulary
 
 INIT_STD = 0.02
 LN_EPS = 1e-5
-# tokens per inference chunk of equal-length inputs (`embed` and the reader's
-# encode); bounds activation memory
+# tokens per `infer` forward of equal-length inputs; bounds activation memory
 CHUNK_TOKENS = 256
 
 
@@ -114,18 +113,6 @@ class TransformerEncoder:
             return ad.Tensor(h.data.reshape(b, -1, self.config.hidden_size)[:, 0])
         return ad.take_position(h, 0) if pooled else h
 
-    def encode(self, token_ids: Sequence[int]) -> ad.Tensor:
-        """Single sequence -> pooled (d,) vector: a one-row `encode_batch`.
-
-        A sequence cut to max_seq_len records its original length in
-        `meta["truncated_from"]`.
-        """
-        ids = list(token_ids)
-        pooled = ad.reshape(self.encode_batch([ids]), (self.config.hidden_size,))
-        if len(ids) > self.config.max_seq_len:
-            pooled.meta = {"truncated_from": len(ids)}
-        return pooled
-
     def encode_batch(self, sequences: Sequence[Sequence[int]]) -> ad.Tensor:
         """Pad to the batch maximum and pool position 0 -> (B, d).
 
@@ -142,18 +129,31 @@ class TransformerEncoder:
             ids[row, : len(seq)] = seq
         return self.forward(ids, pooled=True)
 
-    def embed(self, sequences: Sequence[Sequence[int]]) -> np.ndarray:
-        """Inference: (N, d) pooled float64 vectors in input order, no graph.
-
-        Sequences are grouped by (truncated) length and encoded in chunks of
-        at most CHUNK_TOKENS tokens (or one longer sequence), so no chunk
-        holds padding and every row equals `encode(seq).data` bit for bit.
-        """
+    def infer(
+        self, sequences: Sequence[Sequence[int]], pooled: bool = False
+    ) -> Iterator[tuple[list[int], ad.Tensor]]:
+        """Inference, no graph: (positions, output) per chunk of `sequences`
+        whose (head-truncated) lengths are equal, at most CHUNK_TOKENS tokens
+        (or one longer sequence). The output is one unpadded `forward`'s
+        (n, T, d) states, or with `pooled` its (n, d) position-0 rows; each
+        row equals the sequence's own one-row forward bit for bit. A
+        generator: a chunk is encoded when reached, and only its forward runs
+        under `ad.no_grad()`, so the caller's grad mode holds between chunks."""
         cap = self.config.max_seq_len
+        if not all(map(len, sequences)):
+            raise DomainError("cannot encode an empty token sequence")
+        for rows in length_chunks((min(len(s), cap) for s in sequences), CHUNK_TOKENS):
+            ids = np.array([list(sequences[r])[:cap] for r in rows])
+            with ad.no_grad():
+                output = self.forward(ids, pooled=pooled)
+            yield rows, output
+
+    def embed(self, sequences: Sequence[Sequence[int]]) -> np.ndarray:
+        """Inference: (N, d) pooled float64 vectors in input order, from
+        `infer`, each equal to the sequence's one-row `encode_batch`."""
         out = np.empty((len(sequences), self.config.hidden_size))
-        with ad.no_grad():
-            for chunk in length_chunks((min(len(s), cap) for s in sequences), CHUNK_TOKENS):
-                out[chunk] = self.encode_batch([sequences[r] for r in chunk]).data
+        for rows, pooled in self.infer(sequences, pooled=True):
+            out[rows] = pooled.data
         return out
 
 
@@ -302,7 +302,9 @@ class DualEncoder:
         return self.question_encoder.parameters() + self.context_encoder.parameters()
 
     def encode_question(self, question_tokens: Sequence[int]) -> ad.Tensor:
-        return self.question_encoder.encode(question_input(question_tokens))
+        """Pooled (d,) question vector: a one-row `encode_batch`."""
+        pooled = self.question_encoder.encode_batch([question_input(question_tokens)])
+        return ad.reshape(pooled, (self.config.hidden_size,))
 
     def embed_questions(self, questions: Sequence[Sequence[int]]) -> np.ndarray:
         """Inference: (N, d) question vectors, each equal to `encode_question`."""

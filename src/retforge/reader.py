@@ -8,18 +8,18 @@ the positions of the owning context. The bias is re-centered by its maximum
 reproduces the unbiased reader bit for bit.
 
 Inference has one graph-free pipeline, which both reader modes and every
-greedy decode use. `encode_memories` runs the question + [SEP] + context
-inputs of one length through one encoder forward per chunk of at most
-CHUNK_TOKENS tokens, and `memory_chunks` projects each such chunk's
-cross-attention keys and values once per decoder layer. `joint_decode`
-encodes the inputs of one chunk of equal-length fused memories at a time and
-adds each question's bias row. `decode_chunks` greedy-decodes a chunk in one
-decoder call per step and `score_chunks` scores its (memory, answer) rows of
-an answer length together, at most DECODE_MEMORY_TOKENS memory tokens per
-call. Nothing is padded and every matmul runs per row with that row's own
-shapes, so each row equals the one-pair, one-question path bit for bit. With
-a graph (training) each context keeps its own encoder forward and the decoder
-runs one row.
+greedy decode use. A memory is (question, contexts, retrieval probs): one
+context and no probs (individual), or k contexts fused with their probs
+(joint). `memory_chunks` cuts equal-length memories into chunks of at most
+DECODE_MEMORY_TOKENS memory tokens and encodes each when reached: its inputs
+through `TransformerEncoder.infer`, then its cross-attention keys and values
+once per decoder layer and each fused memory's bias row. `decode_chunks`
+greedy-decodes a chunk in one decoder call per step and `score_chunks` scores
+its (memory, answer) rows of an answer length together, at most
+DECODE_MEMORY_TOKENS memory tokens per call. Nothing is padded and every
+matmul runs per row with that row's own shapes, so each row equals the
+one-pair, one-question path bit for bit. With a graph (training) each context
+keeps its own encoder forward and the decoder runs one row.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import load_model, save_model
 from .encoder import (
-    CHUNK_TOKENS,
     EncoderConfig,
     TransformerEncoder,
     group_by_length,
@@ -46,13 +45,12 @@ from .errors import DimensionError, DomainError
 from .text import BOS_ID, EOS_ID, SEP_ID
 
 PROB_SUM_TOL = 1e-9
-# rows x memory length per decoder call in either mode (an individual chunk's
-# CHUNK_TOKENS is below it); bounds the cross K/V and activations a call holds
+# rows x memory length per decoder call in either mode; bounds the encoder
+# states, cross K/V and activations that one memory chunk holds
 DECODE_MEMORY_TOKENS = 1024
 
-# (question tokens, context tokens), and (question tokens, contexts, retrieval probs)
-Pair = tuple[Sequence[int], Sequence[int]]
-FusedQuestion = tuple[Sequence[int], Sequence[Sequence[int]], Sequence[float]]
+# (question tokens, contexts, retrieval probs, or None for one unbiased context)
+Memory = tuple[Sequence[int], Sequence[Sequence[int]], Sequence[float] | None]
 # per decoder layer: cross-attention key and value projections, each (n, T_mem, d)
 CrossKV = list[tuple[ad.Tensor, ad.Tensor]]
 # positions of equal-length memories, their stacked cross K/V and, for fused
@@ -257,9 +255,9 @@ class Reader:
         context_tokens: Sequence[int],
         max_len: int | None = None,
     ) -> list[int]:
-        """Greedy answer from one context: `decode_chunks` of one pair."""
-        pair = (question_tokens, context_tokens)
-        return self.decode_chunks(self.memory_chunks([pair]), max_len)[0]
+        """Greedy answer from one context: `decode_chunks` of one memory."""
+        memory = (question_tokens, [context_tokens], None)
+        return self.decode_chunks(self.memory_chunks([memory]), max_len)[0]
 
     def joint_greedy_decode(
         self,
@@ -268,55 +266,29 @@ class Reader:
         probs: Sequence[float],
         max_len: int | None = None,
     ) -> list[int]:
-        """`joint_decode` of one question."""
-        return self.joint_decode([(question_tokens, contexts, probs)], max_len)[0]
-
-    @ad.no_grad()
-    def joint_decode(
-        self, questions: Sequence[FusedQuestion], max_len: int | None = None
-    ) -> list[list[int]]:
-        """Greedy answer of each (question tokens, contexts, retrieval
-        probs), fused over its contexts, in order. Questions whose fused
-        memories share a length (known before encoding) are taken in chunks
-        of at most DECODE_MEMORY_TOKENS memory tokens, and only one chunk's
-        inputs are encoded at a time (`encode_memories`), fused with their
-        `_fusion_bias` rows and decoded (`decode_chunks`). Every answer equals
-        decoding its question alone bit for bit."""
-        return self.decode_chunks(self._fused_chunks(questions), max_len)
+        """Greedy answer fused over `contexts`: `decode_chunks` of one memory."""
+        memory = (question_tokens, contexts, probs)
+        return self.decode_chunks(self.memory_chunks([memory]), max_len)[0]
 
     # Inference pipeline: encode, project, then decode or score ------------
 
-    @ad.no_grad()
-    def encode_memories(self, pairs: Sequence[Pair]) -> list[tuple[list[int], ad.Tensor]]:
-        """(positions, (n, T, d) encoder states) per chunk of (question,
-        context) pairs whose inputs share a (truncated) length, at most
-        CHUNK_TOKENS tokens (or one longer input): one unpadded forward, whose
-        rows equal the one-pair forward bit for bit (the rule
-        `TransformerEncoder.embed` relies on)."""
-        inputs = [self._input(q, z) for q, z in pairs]
-        return [
-            (rows, self.encoder.forward(np.array([inputs[r] for r in rows])))
-            for rows in length_chunks(map(len, inputs), CHUNK_TOKENS)
-        ]
-
-    @ad.no_grad()
-    def memory_chunks(self, pairs: Sequence[Pair]) -> list[Chunk]:
-        """The chunks of `encode_memories`, each with its states' cross K/V
-        in their place and no bias."""
-        return [(rows, self._cross_kv(h), None) for rows, h in self.encode_memories(pairs)]
-
-    def _fused_chunks(self, questions: Sequence[FusedQuestion]) -> Iterator[Chunk]:
-        """The `joint_decode` chunks, each encoded and fused when reached."""
-        lengths = [[len(self._input(q, z)) for z in contexts] for q, contexts, _ in questions]
+    def memory_chunks(self, memories: Sequence[Memory]) -> Iterator[Chunk]:
+        """The memories in chunks of equal memory length, at most
+        DECODE_MEMORY_TOKENS memory tokens (or one longer memory), each
+        encoded only when reached: its inputs through `encoder.infer`, its
+        states' cross K/V, and a `_fusion_bias` row per memory with probs.
+        A generator: its callers run it under `ad.no_grad()`."""
+        lengths = [[len(self._input(q, z)) for z in contexts] for q, contexts, _ in memories]
         for rows in length_chunks(map(sum, lengths), DECODE_MEMORY_TOKENS):
-            encoded = self.encode_memories([(questions[r][0], z) for r in rows
-                                            for z in questions[r][1]])
-            states = dict(row for positions, h in encoded for row in zip(positions, h.data))
-            parts = (states[p] for p in range(len(states)))
-            memories = [np.concatenate([next(parts) for _ in lengths[r]]) for r in rows]
-            biases = [self._fusion_bias(questions[r][2], lengths[r]).data for r in rows]
-            cross = self._cross_kv(ad.Tensor(np.stack(memories)))
-            yield rows, cross, ad.Tensor(np.stack(biases)[:, None, None])
+            inputs = [self._input(memories[r][0], z) for r in rows for z in memories[r][1]]
+            states = {p: x for at, h in self.encoder.infer(inputs) for p, x in zip(at, h.data)}
+            parts = (states[p] for p in range(len(inputs)))
+            stacked = np.stack([np.concatenate([next(parts) for _ in lengths[r]]) for r in rows])
+            bias = None
+            if memories[rows[0]][2] is not None:
+                biases = [self._fusion_bias(memories[r][2], lengths[r]).data for r in rows]
+                bias = ad.Tensor(np.stack(biases)[:, None, None])
+            yield rows, self._cross_kv(ad.Tensor(stacked)), bias
 
     @ad.no_grad()
     def decode_chunks(self, chunks: Iterable[Chunk], max_len: int | None = None) -> list[list[int]]:

@@ -184,12 +184,10 @@ def test_nll_hand_value_and_floor():
     p = ad.Tensor([0.5, 0.5])
     loss = ad.nll(p, 0)
     assert loss.item() == pytest.approx(0.6931471805599453, abs=1e-15)
-    assert loss.meta is None
 
     tiny = ad.Tensor([1e-300, 1.0])
     clamped = ad.nll(tiny, 0)
     assert clamped.item() == pytest.approx(-math.log(1e-30))
-    assert clamped.meta == {"clamped_floor": True}
 
 
 def test_logsumexp_hand_value():

@@ -140,6 +140,44 @@ def test_ingest_malformed_line_names_lineno(tmp_path, capsys):
     assert ":3" in capsys.readouterr().err
 
 
+# each: the toy file to break, the fields that break its second line, the
+# command that loads it, and what the error must name
+BAD_FIELDS = [
+    ("corpus", {"id": "x"}, "ingest", ":2:"),
+    ("corpus", {"text": None}, "ingest", ":2:"),
+    ("spans", {"spans": 5}, "ingest", ":2:"),
+    ("spans", {"spans": [[1]]}, "ingest", ":2:"),
+    ("spans", {"spans": [["a", 2, "x"]]}, "ingest", ":2:"),
+    ("spans", {"doc_id": "x"}, "ingest", ":2:"),
+    ("train", {"positive_ctx": "abc"}, "ingest", ":2:"),
+    ("train", {"positive_ctx": "abc"}, "train", ":2:"),
+    ("train", {"hard_negatives": 5}, "train", ":2:"),
+    ("train", {"filtered": "no"}, "train", ":2:"),
+    ("train", {"positive_ctx": 999}, "train", "[999] not in the corpus"),
+    ("train", {"hard_negatives": [12345]}, "train", "[12345] not in the corpus"),
+]
+
+
+@pytest.mark.parametrize("name, fields, command, named", BAD_FIELDS)
+def test_bad_field_is_input_error(toy_dir, train_cfg, tmp_path, capsys, name, fields, command,
+                                  named):
+    lines = read_lines(toy_dir / f"{name}.jsonl")
+    lines[1] = json.dumps({**json.loads(lines[1]), **fields})
+    bad = tmp_path / f"{name}.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    if command == "train":
+        argv = ["train", "supervised", "--config", str(train_cfg), "--out-dir", out,
+                "--set", f"train={bad}"]
+    elif name == "corpus":
+        argv = ["ingest", str(bad), "--out-dir", out]
+    else:
+        flag = "--qa" if name == "train" else "--spans"
+        argv = ["ingest", str(toy_dir / "corpus.jsonl"), flag, str(bad), "--out-dir", out]
+    assert cli.main(argv) == 2
+    assert named in capsys.readouterr().err
+
+
 # train -----------------------------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import composed
 
 from retforge import autodiff as ad
 from retforge import e2e, optim
+from retforge import encoder as encoder_module
 from retforge import reader as reader_module
 from retforge.data import Corpus, QAExample, SpanAnnotation
 from retforge.encoder import (
@@ -306,13 +307,14 @@ def test_joint_infer_k1_matches_single_greedy():
 
 def test_inference_entry_points_record_no_graph(monkeypatch):
     corpus, retriever, reader, index = make_world()
-    seen = {"encode_memories": [], "_decode_logits": []}
+    spied = {"infer": reader.encoder, "_decode_logits": reader}
+    seen = {name: [] for name in spied}
     for name, calls in seen.items():
-        def recording(*args, _original=getattr(reader, name), _calls=calls, **kwargs):
+        def recording(*args, _original=getattr(spied[name], name), _calls=calls, **kwargs):
             _calls.append(ad.grad_enabled())
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(reader, name, recording)
+        monkeypatch.setattr(spied[name], name, recording)
     question = corpus.vocab.encode(DATASET[0].question)
     tau = e2e.tau_value(1.0, 16)
     for infer in (e2e.individual_topk_infer, e2e.joint_topk_infer):
@@ -320,7 +322,7 @@ def test_inference_entry_points_record_no_graph(monkeypatch):
         result = infer(question, retriever, reader, index.snapshot, corpus, k=2, tau=tau)
         q_vec = retriever.encode_question(question).data  # with a graph, outside
         assert result.retrieved == top_k(index.snapshot, q_vec, k=2, tau=tau)
-        # each mode reaches the grouped encode and the shared decoder
+        # each mode reaches the chunked encode and the shared decoder
         assert all(len(calls) > before[name] for name, calls in seen.items())
     assert not any(any(calls) for calls in seen.values())
     assert ad.grad_enabled()
@@ -591,19 +593,19 @@ def check_joint_decoder_rows(reader, questions, results, corpus, batches):
 def test_answer_questions_matches_one_question_at_a_time_bitwise(mode, monkeypatch):
     corpus, retriever, reader, index = make_mixed_world(2)
     # two 120-token memories fill a decoder call, so the k=6 group of the
-    # long questions splits into chunks; an encoder forward and an individual
-    # memory chunk take at most 100 tokens, an individual slice 24 pairs
+    # long questions splits into chunks; an encoder forward takes at most 100
+    # tokens, an individual slice 24 pairs
     monkeypatch.setattr(reader_module, "DECODE_MEMORY_TOKENS", 250)
-    monkeypatch.setattr(reader_module, "CHUNK_TOKENS", 100)
+    monkeypatch.setattr(encoder_module, "CHUNK_TOKENS", 100)
     monkeypatch.setattr(e2e, "READ_SLICE_PAIRS", 24)
-    encoded = []  # the pairs of each `encode_memories` call
+    encoded = []  # the inputs of each `encoder.infer` call
     batches = []  # per greedy batch, the (ids, logits) of each decoder call
     greedy_groups = []  # per greedy batch, (encode calls before it, its memory length)
-    encode, greedy, decode = reader.encode_memories, reader._greedy, reader._decode_logits
+    encode, greedy, decode = reader.encoder.infer, reader._greedy, reader._decode_logits
 
-    def recording_encode(pairs):
-        encoded.append(pairs)
-        return encode(pairs)
+    def recording_encode(inputs):
+        encoded.append(inputs)
+        return encode(inputs)
 
     def recording_greedy(cross, bias, max_len):
         batches.append([])
@@ -627,20 +629,20 @@ def test_answer_questions_matches_one_question_at_a_time_bitwise(mode, monkeypat
         for max_len in (None, 3):
             del encoded[:], batches[:], greedy_groups[:]
             with monkeypatch.context() as patch:
-                patch.setattr(reader, "encode_memories", recording_encode)
+                patch.setattr(reader.encoder, "infer", recording_encode)
                 patch.setattr(reader, "_decode_logits", recording_decode)
                 got = e2e.answer_questions(
                     questions, retriever, reader, index.snapshot, corpus, mode, k, tau, max_len
                 )
-            # the reader encodes an individual slice, or the questions of one
-            # joint decoder chunk, at a time; one question may exceed the bound
-            for pairs in encoded:
-                one_question = len({tuple(q) for q, _ in pairs}) == 1
+            # the reader encodes the memories of one decoder chunk, inside one
+            # individual slice, at a time; one question (its k inputs) may
+            # exceed the bound
+            for inputs in encoded:
+                one_question = len(inputs) <= k
                 if mode == "individual":
-                    assert len(pairs) <= e2e.READ_SLICE_PAIRS or one_question
-                else:
-                    memory_tokens = sum(min(len(q) + 1 + len(z), 20) for q, z in pairs)
-                    assert memory_tokens <= reader_module.DECODE_MEMORY_TOKENS or one_question
+                    assert len(inputs) <= e2e.READ_SLICE_PAIRS or one_question
+                memory_tokens = sum(map(len, inputs))  # each cut to max_seq_len 20
+                assert memory_tokens <= reader_module.DECODE_MEMORY_TOKENS or one_question
             assert len(encoded) > 1 or k == 1  # 12 questions of 3 or 6 pairs cross a bound
             if mode == "joint":
                 coverage = check_joint_decoder_rows(reader, questions, got, corpus, batches)
@@ -719,7 +721,7 @@ def test_joint_answers_take_one_decoder_call_per_step(monkeypatch):
         for q, r in zip(questions, results)
     ]
     memory_tokens = 4 * (len(questions[0]) + 1 + len(corpus.by_id[0].tokens))
-    assert len(questions) * memory_tokens <= reader_module.CHUNK_TOKENS
+    assert len(questions) * memory_tokens <= encoder_module.CHUNK_TOKENS
     assert len(questions) * memory_tokens <= reader_module.DECODE_MEMORY_TOKENS
     assert counts == {"forward": 1, "decode": max(len(t) + (len(t) < 4) for t in decoded)}
 
@@ -729,7 +731,8 @@ def test_individual_answers_take_one_decoder_call_per_step(monkeypatch):
     questions = [corpus.vocab.encode(ex.question) for ex in DATASET[:2]]
     # equal-length documents and questions: one input length, one memory length
     assert len({len(doc.tokens) for doc in corpus}) == 1 == len({len(q) for q in questions})
-    calls = {"forward": 0, "decode": 0}
+    memory_tokens = len(questions[0]) + 1 + len(corpus.by_id[0].tokens)
+    calls = {}
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -738,26 +741,33 @@ def test_individual_answers_take_one_decoder_call_per_step(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(reader.encoder, "forward", counted("forward", reader.encoder.forward))
-    monkeypatch.setattr(reader, "_decode_logits", counted("decode", reader._decode_logits))
     tau = e2e.tau_value(1.0, 16)
-    results = e2e.answer_questions(
-        questions, retriever, reader, index.snapshot, corpus, "individual", 4, tau, 4
-    )
-    counts = dict(calls)
-    decoded = [
-        reader.greedy_decode(q, corpus.by_id[i].tokens, 4)
-        for q, r in zip(questions, results) for i in r.retrieved.doc_ids
-    ]
-    # the 8 pairs share one slice and one memory chunk, and even 8 candidates
-    # per question scored on its 4 documents would fit in one decoder call per
-    # answer length
-    assert len(decoded) == 8 <= e2e.READ_SLICE_PAIRS
-    memory_tokens = len(questions[0]) + 1 + len(corpus.by_id[0].tokens)
-    assert len(decoded) * memory_tokens <= reader_module.CHUNK_TOKENS
-    assert len(decoded) * 4 * memory_tokens <= reader_module.DECODE_MEMORY_TOKENS
-    steps = max(len(t) + (len(t) < 4) for t in decoded)
-    assert counts == {"forward": 1, "decode": steps + len({len(t) for t in decoded})}
+    # the default encoder chunk takes the 8 pairs in one forward; one of 3
+    # pairs' tokens takes three, and must not cut the decoder's calls
+    for pairs_per_forward in (None, 3):
+        calls.update(forward=0, decode=0)
+        with monkeypatch.context() as patch:
+            if pairs_per_forward:
+                patch.setattr(encoder_module, "CHUNK_TOKENS", pairs_per_forward * memory_tokens)
+            patch.setattr(reader.encoder, "forward", counted("forward", reader.encoder.forward))
+            patch.setattr(reader, "_decode_logits", counted("decode", reader._decode_logits))
+            results = e2e.answer_questions(
+                questions, retriever, reader, index.snapshot, corpus, "individual", 4, tau, 4
+            )
+            chunk_tokens = encoder_module.CHUNK_TOKENS
+        decoded = [
+            reader.greedy_decode(q, corpus.by_id[i].tokens, 4)
+            for q, r in zip(questions, results) for i in r.retrieved.doc_ids
+        ]
+        # the 8 pairs share one slice and one memory chunk, and even 8
+        # candidates per question scored on its 4 documents would fit in one
+        # decoder call per answer length
+        assert len(decoded) == 8 <= e2e.READ_SLICE_PAIRS
+        forwards = math.ceil(len(decoded) / (pairs_per_forward or len(decoded)))
+        assert (len(decoded) * memory_tokens <= chunk_tokens) == (forwards == 1)
+        assert len(decoded) * 4 * memory_tokens <= reader_module.DECODE_MEMORY_TOKENS
+        steps = max(len(t) + (len(t) < 4) for t in decoded)
+        assert calls == {"forward": forwards, "decode": steps + len({len(t) for t in decoded})}
 
 
 def reader_grads(reader, extra=()):

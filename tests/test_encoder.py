@@ -46,29 +46,21 @@ def test_question_and_context_input_layout():
 
 def test_tower_disjointness():
     model = DualEncoder(TINY, seed=0)
-    before = model.context_encoder.encode(context_input([7], [8, 9])).data.copy()
+    before = model.context_encoder.encode_batch([context_input([7], [8, 9])]).data.copy()
     for p in model.question_encoder.parameters():
         p.data = p.data + 0.5
-    after = model.context_encoder.encode(context_input([7], [8, 9])).data
+    after = model.context_encoder.encode_batch([context_input([7], [8, 9])]).data
     np.testing.assert_array_equal(before, after)
     q_names = {p.name for p in model.question_encoder.parameters()}
     z_names = {p.name for p in model.context_encoder.parameters()}
     assert not (q_names & z_names)
 
 
-def test_truncation_recorded_in_meta():
-    model = DualEncoder(TINY, seed=0)
-    out = model.encode_question(list(range(7, 15)) * 2)  # 16 tokens + CLS > 8
-    assert out.meta == {"truncated_from": 17}
-    short = model.encode_question([7])
-    assert short.meta is None
-
-
 def test_truncation_is_head_truncation():
     model = DualEncoder(TINY, seed=0)
     long = [CLS_ID] + [7, 8, 9, 10, 11, 12, 13, 14, 15]
-    out = model.question_encoder.encode(long)
-    head = model.question_encoder.encode(long[:8])
+    out = model.question_encoder.encode_batch([long])
+    head = model.question_encoder.encode_batch([long[:8]])
     np.testing.assert_array_equal(out.data, head.data)
 
 
@@ -79,22 +71,22 @@ def test_forward_rejects_overlong_and_bad_shape():
     with pytest.raises(DimensionError):
         model.question_encoder.forward(np.zeros(4, dtype=np.int64))
     with pytest.raises(DomainError):
-        model.question_encoder.encode([])
+        model.question_encoder.encode_batch([[]])
 
 
 def test_pooling_reads_first_position():
     model = DualEncoder(TINY, seed=0)
     ids = np.array([[CLS_ID, 7, 8, 9]])
     h = model.question_encoder.forward(ids)
-    pooled = model.question_encoder.encode([CLS_ID, 7, 8, 9])
-    np.testing.assert_array_equal(pooled.data, h.data[0, 0])
+    pooled = model.question_encoder.encode_batch([[CLS_ID, 7, 8, 9]])
+    np.testing.assert_array_equal(pooled.data[0], h.data[0, 0])
 
 
 def test_pad_positions_do_not_leak_into_pooled_vector():
     model = DualEncoder(TINY, seed=0)
-    solo = model.question_encoder.encode([CLS_ID, 7, 8])
+    solo = model.question_encoder.encode_batch([[CLS_ID, 7, 8]])
     batch = model.question_encoder.encode_batch([[CLS_ID, 7, 8], [CLS_ID, 9, 10, 11, 12]])
-    np.testing.assert_allclose(batch.data[0], solo.data, atol=1e-12)
+    np.testing.assert_allclose(batch.data[0], solo.data[0], atol=1e-12)
 
 
 def test_batch_matches_single_encodings():
@@ -103,7 +95,7 @@ def test_batch_matches_single_encodings():
     batch = model.question_encoder.encode_batch(seqs)
     for i, seq in enumerate(seqs):
         np.testing.assert_allclose(
-            batch.data[i], model.question_encoder.encode(seq).data, atol=1e-12
+            batch.data[i], model.question_encoder.encode_batch([seq]).data[0], atol=1e-12
         )
 
 
@@ -138,9 +130,9 @@ def test_inference_encode_matches_reference_bitwise(layers):
         np.testing.assert_array_equal(chunk, want[[len(s) == length for s in seqs]])
     # one-row calls on mixed lengths, with and without a graph
     for seq, row in zip(seqs, want):
-        np.testing.assert_array_equal(encoder.encode(seq).data, row)
+        np.testing.assert_array_equal(encoder.encode_batch([seq]).data[0], row)
         with ad.no_grad():
-            np.testing.assert_array_equal(encoder.encode(seq).data, row)
+            np.testing.assert_array_equal(encoder.encode_batch([seq]).data[0], row)
 
 
 def test_embed_chunks_are_unpadded_and_bounded(monkeypatch):
@@ -179,8 +171,7 @@ def test_grad_check_dual_encoder_end_to_end():
     def loss():
         q = ad.reshape(model.encode_question(question), (1, 8))
         zs = ad.concat(
-            [ad.reshape(model.context_encoder.encode(context_input(t, x)), (1, 8))
-             for t, x in contexts],
+            [model.context_encoder.encode_batch([context_input(t, x)]) for t, x in contexts],
             axis=0,
         )
         scores = ad.reshape(ad.matmul(q, ad.transpose(zs, (1, 0))), (2,))

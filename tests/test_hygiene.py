@@ -1,5 +1,5 @@
-"""Source hygiene: every imported name is used, and only `retforge.files`
-writes files.
+"""Source hygiene: every imported name is used, only `retforge.files`
+writes files, and no generator is decorated with `no_grad()`.
 
 `src/retforge/__init__.py` is skipped by the import check: it imports names to
 re-export them through `__all__`.
@@ -112,3 +112,58 @@ def test_scan_catches_every_way_to_write_a_file():
         'p.open()\n'
     )
     assert file_writes(tree) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def no_grad_generators(tree: ast.AST) -> list[str]:
+    """Functions decorated with `no_grad()` whose own body yields. The
+    decorator's block ends when the call returns the generator, before the
+    body runs, so such a body records a graph whenever its caller does."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not any(
+            isinstance(d, ast.Call)
+            and (getattr(d.func, "id", None) or getattr(d.func, "attr", None)) == "no_grad"
+            for d in node.decorator_list
+        ):
+            continue
+        todo = list(node.body)
+        while todo:
+            inner = todo.pop()
+            if isinstance(inner, (ast.Yield, ast.YieldFrom)):
+                found.append(node.name)
+                break
+            if not isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                      ast.ClassDef)):
+                todo.extend(ast.iter_child_nodes(inner))
+    return found
+
+
+def test_no_generator_is_decorated_with_no_grad():
+    found = [
+        f"{path.name}:{name}"
+        for path in SOURCES
+        for name in no_grad_generators(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [], "no_grad() does not cover a generator's body: " + ", ".join(found)
+
+
+def test_scan_catches_a_no_grad_generator():
+    tree = ast.parse(
+        "@ad.no_grad()\n"
+        "def chunks(xs):\n"
+        "    for x in xs:\n"
+        "        yield x\n"
+        "@no_grad()\n"
+        "def delegated(xs):\n"
+        "    yield from xs\n"
+        "@ad.no_grad()\n"
+        "def eager(xs):\n"
+        "    def inner():\n"
+        "        yield 1\n"
+        "    return [x for x in xs]\n"
+        "def plain(xs):\n"
+        "    yield from xs\n"
+    )
+    assert no_grad_generators(tree) == ["chunks", "delegated"]
