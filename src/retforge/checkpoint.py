@@ -1,13 +1,18 @@
-"""Self-describing binary container for model parameters.
+"""The one self-describing binary container for every retforge artifact.
 
 Layout: 8-byte magic, u32 little-endian header length, UTF-8 JSON header
-(format version, free-form config, ordered blob descriptors), then raw
-little-endian float64 blobs in descriptor order. Round-trips are bit-exact.
-`save_model` and `load_model` are how every model is saved and checked on load.
+(format version, free-form config, ordered blob descriptors: name, shape,
+dtype), the raw blobs in descriptor order, then the SHA-256 of every
+preceding byte. A blob is `<f8` (parameters), `<f4` (embeddings) or `<i8`
+(ids), little-endian on any host. A load checks the header's structure, the
+total length, then the digest, so a flipped bit or a cut file is a
+FormatError before any array is read. Round-trips are bit-exact. Models use
+`save_model`/`load_model`, the evidence index `index.save_index`/`load_index`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -16,34 +21,37 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .files import write_atomic
 
 MAGIC = b"RFORGE1\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+DTYPES = ("<f8", "<f4", "<i8")
+DIGEST_SIZE = hashlib.sha256().digest_size
 
 
 def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray]) -> None:
-    descriptors = []
-    blobs = []
+    descriptors, blobs = [], []
     for name in sorted(arrays):
         # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        descriptors.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
-    header = json.dumps(
-        {"format_version": FORMAT_VERSION, "config": config, "params": descriptors},
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    write_atomic(path, b"".join([MAGIC, struct.pack("<I", len(header)), header, *blobs]))
+        arr = np.asarray(arrays[name])
+        dtype = arr.dtype.newbyteorder("<").str
+        if dtype not in DTYPES:
+            raise DomainError(f"array {name!r}: dtype {arr.dtype} is not one of {DTYPES}")
+        descriptors.append({"dtype": dtype, "name": name, "shape": list(arr.shape)})
+        blobs.append(arr.astype(dtype, copy=False).tobytes())
+    header = json.dumps({"format_version": FORMAT_VERSION, "config": config, "params": descriptors},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    payload = bytearray().join([MAGIC, struct.pack("<I", len(header)), header, *blobs])
+    payload += hashlib.sha256(payload).digest()  # in place: no second copy of the file
+    write_atomic(path, payload)
 
 
 def _is_descriptor(desc) -> bool:
-    """{"name": a string, "shape": a list of non-negative integers}."""
+    """{"dtype": one of DTYPES, "name": a string, "shape": a list of ints >= 0}."""
     return (
         isinstance(desc, dict) and isinstance(desc.get("name"), str)
-        and isinstance(desc.get("shape"), list)
+        and desc.get("dtype") in DTYPES and isinstance(desc.get("shape"), list)
         and all(type(n) is int and n >= 0 for n in desc["shape"])
     )
 
@@ -70,16 +78,19 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     params = header["params"]
     if not all(map(_is_descriptor, params)) or len({d["name"] for d in params}) < len(params):
         raise FormatError(f"{path}: bad or repeated parameter descriptor (field: params)")
-    sizes = [math.prod(d["shape"]) * 8 for d in params]
+    sizes = [math.prod(d["shape"]) * np.dtype(d["dtype"]).itemsize for d in params]
     offset = start + header_len
-    if offset + sum(sizes) > len(raw):
-        raise FormatError(f"{path}: truncated blobs (field: params)")
-    if offset + sum(sizes) < len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset - sum(sizes)} trailing bytes after blobs")
+    end = offset + sum(sizes)
+    if end + DIGEST_SIZE > len(raw):
+        raise FormatError(f"{path}: truncated payload (field: payload)")
+    if end + DIGEST_SIZE < len(raw):
+        raise FormatError(f"{path}: {len(raw) - end - DIGEST_SIZE} trailing bytes after payload")
+    if hashlib.sha256(memoryview(raw)[:end]).digest() != raw[end:]:
+        raise FormatError(f"{path}: digest does not match the contents (field: checksum)")
     arrays: dict[str, np.ndarray] = {}
     for desc, n_bytes in zip(params, sizes):
         arrays[desc["name"]] = np.frombuffer(
-            raw, dtype="<f8", count=n_bytes // 8, offset=offset
+            raw, dtype=desc["dtype"], count=math.prod(desc["shape"]), offset=offset
         ).reshape(desc["shape"]).copy()
         offset += n_bytes
     return header["config"], arrays
@@ -93,8 +104,8 @@ def save_model(path, kind: str, config, params) -> None:
 def load_model(path, kind: str, config_cls, build):
     """The `build(config, None)` model (zero weights, no random draw) with
     the saved parameters of a `save_model` checkpoint. FormatError unless the
-    kind, the config's field names and types, and the parameter names and
-    shapes all agree."""
+    kind, the config's field names and types, and the parameter names,
+    shapes and dtype (`<f8`) all agree."""
     config, arrays = load_checkpoint(path)
     if config.pop("kind", None) != kind:
         raise FormatError(f"{path}: checkpoint kind is not {kind} (field: kind)")
@@ -104,11 +115,11 @@ def load_model(path, kind: str, config_cls, build):
     ):
         raise FormatError(f"{path}: config disagrees with {config_cls.__name__} (field: config)")
     model = build(config_cls(**config), None)
-    expected = {p.name: p.data.shape for p in model.parameters()}
-    found = {name: arr.shape for name, arr in arrays.items()}
+    expected = {p.name: (p.data.shape, "<f8") for p in model.parameters()}
+    found = {name: (arr.shape, arr.dtype.str) for name, arr in arrays.items()}
     if found != expected:
         wrong = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))
-        raise FormatError(f"{path}: parameter names or shapes disagree (field: {wrong[0]})")
+        raise FormatError(f"{path}: parameter names, shapes or dtypes disagree (field: {wrong[0]})")
     for p in model.parameters():
         p.data = arrays[p.name]
     return model

@@ -25,6 +25,7 @@ import numpy as np
 from .data import (
     Corpus,
     build_corpus_stats,
+    check_document_ids,
     load_corpus,
     load_qa,
     load_spans,
@@ -316,7 +317,9 @@ def cmd_ingest(args) -> int:
     corpus.vocab.save(out / "vocab.txt")
     counts = {"documents": len(corpus), "vocabulary": len(corpus.vocab)}
     if args.qa:
-        counts["qa"] = len(load_qa(args.qa))
+        examples = load_qa(args.qa)
+        check_document_ids(examples, corpus)
+        counts["qa"] = len(examples)
     if args.spans:
         counts["spans"] = len(load_spans(args.spans))
     write_atomic(out / "counts.json", json.dumps(counts, sort_keys=True, indent=2) + "\n")

@@ -144,8 +144,8 @@ def load_corpus(path, vocab: Vocabulary | None = None) -> Corpus:
         for key in ("id", "title", "text"):
             if key not in obj:
                 raise InputError(f"{path}:{lineno}: missing field {key!r}")
-        if not _is_int(obj["id"]):
-            raise InputError(f"{path}:{lineno}: id must be an integer, got {obj['id']!r}")
+        if not (_is_int(obj["id"]) and 0 <= obj["id"] < 2**63):
+            raise InputError(f"{path}:{lineno}: id must be an integer in [0, 2**63), got {obj['id']!r}")
         if not isinstance(obj["title"], str) or not isinstance(obj["text"], str):
             raise InputError(f"{path}:{lineno}: title and text must be strings")
         raw.append(obj)
@@ -164,9 +164,13 @@ def load_qa(path) -> list[QAExample]:
     for lineno, obj in _read_jsonl(path):
         if "question" not in obj or "answers" not in obj:
             raise InputError(f"{path}:{lineno}: need question and answers fields")
-        answers = obj["answers"]
-        if not isinstance(answers, list) or not answers:
-            raise InputError(f"{path}:{lineno}: answers must be a non-empty list")
+        question, answers = obj["question"], obj["answers"]
+        if not isinstance(question, str):
+            raise InputError(f"{path}:{lineno}: question must be a string, got {question!r}")
+        if not (isinstance(answers, list) and answers and all(isinstance(a, str) for a in answers)):
+            raise InputError(
+                f"{path}:{lineno}: answers must be a non-empty list of strings, got {answers!r}"
+            )
         positive, negatives = obj.get("positive_ctx"), obj.get("hard_negatives", [])
         filtered = obj.get("filtered", False)
         if positive is not None and not _is_int(positive):
@@ -176,13 +180,23 @@ def load_qa(path) -> list[QAExample]:
         if not isinstance(filtered, bool):
             raise InputError(f"{path}:{lineno}: filtered must be true or false, got {filtered!r}")
         out.append(QAExample(
-            question=str(obj["question"]),
-            answers=tuple(str(a) for a in answers),
+            question=question,
+            answers=tuple(answers),
             positive_ctx=positive,
             hard_negatives=tuple(negatives),
             filtered=filtered,
         ))
     return out
+
+
+def check_document_ids(examples: Iterable[QAExample], corpus: Corpus) -> None:
+    """InputError naming the first example whose positive or hard negatives
+    are not documents of the corpus."""
+    for ex in examples:
+        ids = (ex.positive_ctx, *ex.hard_negatives)
+        unknown = [i for i in ids if i is not None and i not in corpus.by_id]
+        if unknown:
+            raise InputError(f"question {ex.question!r}: document ids {unknown} not in the corpus")
 
 
 def save_qa(examples: Sequence[QAExample], path) -> None:
@@ -210,10 +224,11 @@ def load_spans(path) -> dict[int, SpanAnnotation]:
         if doc_id in out:
             raise InputError(f"{path}:{lineno}: duplicate annotation for doc {doc_id}")
         if not isinstance(spans, list) or not all(
-            isinstance(s, list) and len(s) == 3 and _is_int(s[0]) and _is_int(s[1]) for s in spans
+            isinstance(s, list) and len(s) == 3 and _is_int(s[0]) and _is_int(s[1])
+            and isinstance(s[2], str) for s in spans
         ):
             raise InputError(f"{path}:{lineno}: spans must be [start, end, text] lists, got {spans!r}")
-        spans = tuple((s[0], s[1], str(s[2])) for s in spans)
+        spans = tuple(map(tuple, spans))
         try:
             out[doc_id] = SpanAnnotation(doc_id=doc_id, spans=spans)
         except InputError as exc:

@@ -14,7 +14,7 @@ import uuid
 import numpy as np
 
 
-def write_atomic(path, payload: bytes | str) -> None:
+def write_atomic(path, payload: bytes | bytearray | str) -> None:
     """Replace `path` with `payload` (a str is written as UTF-8). A new file's
     mode is what `open` gives it: 0o666 less the umask."""
     data = payload.encode("utf-8") if isinstance(payload, str) else payload

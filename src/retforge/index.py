@@ -3,24 +3,21 @@
 Searches take a snapshot reference and never block. Refresh is synchronous,
 on a fixed step schedule: it builds a new snapshot off to the side and
 publishes it with one reference swap, so a search holding the old snapshot
-always sees one consistent version. Embeddings are held and persisted at
-float32 (index precision); scoring math runs in float64.
+always sees one consistent version. Embeddings are held at float32 (index
+precision); scoring math runs in float64. `save_index` writes a snapshot as
+an `index` kind of the one `checkpoint` container.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import load_checkpoint, save_checkpoint
 from .data import ranked_rows
 from .encoder import document_input
 from .errors import DimensionError, DomainError, FormatError
-from .files import write_atomic
-
-MAGIC = b"RIDX1\x00\x00\x00"
-DTYPE_TAG = b"f32\x00"
 
 
 @dataclass(frozen=True)
@@ -152,33 +149,19 @@ class EvidenceIndex:
 
 
 def save_index(snapshot: IndexSnapshot, path) -> None:
-    write_atomic(path, b"".join([
-        MAGIC, struct.pack("<QQQ", snapshot.version, snapshot.size, snapshot.dim), DTYPE_TAG,
-        snapshot.doc_ids.astype("<i8").tobytes(), snapshot.embeddings.astype("<f4").tobytes(),
-    ]))
+    save_checkpoint(path, {"kind": "index", "version": int(snapshot.version)},
+                    {"doc_ids": snapshot.doc_ids, "embeddings": snapshot.embeddings})
 
 
 def load_index(path) -> IndexSnapshot:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header_len = len(MAGIC) + 24 + len(DTYPE_TAG)
-    if len(raw) < header_len:
-        raise FormatError(f"{path}: file too short (field: header)")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: bad magic (field: magic)")
-    version, m, d = struct.unpack_from("<QQQ", raw, len(MAGIC))
-    tag_start = len(MAGIC) + 24
-    if raw[tag_start:tag_start + len(DTYPE_TAG)] != DTYPE_TAG:
-        raise FormatError(f"{path}: unsupported dtype (field: dtype)")
-    ids_bytes = m * 8
-    mat_bytes = m * d * 4
-    if len(raw) != header_len + ids_bytes + mat_bytes:
-        raise FormatError(
-            f"{path}: payload length {len(raw) - header_len} does not match "
-            f"m={m}, d={d} (field: payload)"
-        )
-    doc_ids = np.frombuffer(raw, dtype="<i8", count=m, offset=header_len)
-    emb = np.frombuffer(
-        raw, dtype="<f4", count=m * d, offset=header_len + ids_bytes
-    ).reshape(m, d)
-    return IndexSnapshot(version=int(version), doc_ids=doc_ids.copy(), embeddings=emb.copy())
+    """The snapshot of a `save_index` file. FormatError unless it is an index
+    of an int version with exactly `<i8` doc ids and `<f4` embeddings."""
+    config, arrays = load_checkpoint(path)
+    if config.get("kind") != "index":
+        raise FormatError(f"{path}: checkpoint kind is not index (field: kind)")
+    if config.keys() != {"kind", "version"} or type(config["version"]) is not int:
+        raise FormatError(f"{path}: index config needs an int version (field: version)")
+    dtypes = {name: arr.dtype.str for name, arr in arrays.items()}
+    if dtypes != {"doc_ids": "<i8", "embeddings": "<f4"}:
+        raise FormatError(f"{path}: index needs <i8 doc_ids and <f4 embeddings (field: params)")
+    return IndexSnapshot(config["version"], arrays["doc_ids"], arrays["embeddings"])

@@ -16,10 +16,18 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .data import Corpus, Document, QAExample, SpanAnnotation, mask_salient_spans, sample_ict_pair
+from .data import (
+    Corpus,
+    Document,
+    QAExample,
+    SpanAnnotation,
+    check_document_ids,
+    mask_salient_spans,
+    sample_ict_pair,
+)
 from .e2e import evaluate_retrieval, individual_topk_loss, tau_value, topk_batch_loss
 from .encoder import DualEncoder, context_input, document_input, question_input
-from .errors import ConfigError, DomainError, InputError
+from .errors import ConfigError, DomainError
 from .evaluation import DEFAULT_KS
 from .index import EvidenceIndex, IndexSnapshot, build_snapshot, top_k
 from .optim import ParamGroup, descend, linear_schedule, make_optimizer
@@ -152,10 +160,7 @@ def train_supervised(
     usable = [ex for ex in dataset if ex.positive_ctx is not None and not ex.filtered]
     if not usable:
         raise DomainError("no usable examples: every example is unmined or filtered")
-    for ex in usable:
-        unknown = [i for i in (ex.positive_ctx, *ex.hard_negatives) if i not in corpus.by_id]
-        if unknown:
-            raise InputError(f"question {ex.question!r}: document ids {unknown} not in the corpus")
+    check_document_ids(usable, corpus)
     rng = np.random.default_rng(config.seed)
     tau = tau_value(config.tau_multiple, dual.config.hidden_size)
     optimizer = make_optimizer(dual, config)

@@ -155,6 +155,11 @@ BAD_FIELDS = [
     ("train", {"filtered": "no"}, "train", ":2:"),
     ("train", {"positive_ctx": 999}, "train", "[999] not in the corpus"),
     ("train", {"hard_negatives": [12345]}, "train", "[12345] not in the corpus"),
+    ("corpus", {"id": -1}, "ingest", ":2:"),
+    ("spans", {"spans": [[0, 0, None]]}, "ingest", ":2:"),
+    ("train", {"question": 5}, "ingest", ":2:"),
+    ("train", {"answers": [None]}, "ingest", ":2:"),
+    ("train", {"positive_ctx": 999}, "ingest", "[999] not in the corpus"),
 ]
 
 
@@ -427,6 +432,40 @@ def test_retrieve_missing_index_is_io_error(toy_dir, sup_run, tmp_path):
         "--question", "anything ?",
     ])
     assert code == 4
+
+
+def test_swapped_index_and_checkpoint_exit_2_naming_kind(toy_dir, e2e_run, capsys):
+    common = ["--corpus", str(toy_dir / "corpus.jsonl"), "--question", "anything ?"]
+    swapped = [
+        ["retrieve", "--index", str(e2e_run / "retriever.ckpt"),
+         "--checkpoint", str(e2e_run / "retriever.ckpt")],
+        ["answer", "--index", str(e2e_run / "index.ridx"),
+         "--checkpoint", str(e2e_run / "index.ridx"), "--reader", str(e2e_run / "reader.ckpt")],
+    ]
+    for argv in swapped:
+        capsys.readouterr()
+        assert cli.main([*argv, *common]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(field: kind)" in err
+
+
+@pytest.mark.parametrize("name, corrupt, field", [
+    ("index.ridx", lambda raw: raw[:-40] + bytes([raw[-40] ^ 4]) + raw[-39:], "checksum"),
+    ("index.ridx", lambda raw: raw[:-1], "payload"),
+    ("retriever.ckpt", lambda raw: raw[:-100] + bytes([raw[-100] ^ 1]) + raw[-99:], "checksum"),
+])
+def test_corrupt_artifact_exits_2(toy_dir, sup_run, tmp_path, capsys, name, corrupt, field):
+    paths = {n: sup_run / n for n in ("index.ridx", "retriever.ckpt")}
+    paths[name] = tmp_path / name
+    paths[name].write_bytes(corrupt((sup_run / name).read_bytes()))
+    code = cli.main([
+        "retrieve", "--index", str(paths["index.ridx"]),
+        "--checkpoint", str(paths["retriever.ckpt"]),
+        "--corpus", str(toy_dir / "corpus.jsonl"), "--question", "anything ?",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(field: {field})" in err
 
 
 def test_answer_both_modes(toy_dir, e2e_run, tmp_path, capsys):

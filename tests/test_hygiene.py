@@ -1,5 +1,6 @@
 """Source hygiene: every imported name is used, only `retforge.files`
-writes files, and no generator is decorated with `no_grad()`.
+writes files, only `retforge.checkpoint` lays out binary data, and no
+generator is decorated with `no_grad()`.
 
 `src/retforge/__init__.py` is skipped by the import check: it imports names to
 re-export them through `__all__`.
@@ -112,6 +113,58 @@ def test_scan_catches_every_way_to_write_a_file():
         'p.open()\n'
     )
     assert file_writes(tree) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def binary_layouts(tree: ast.AST) -> list[int]:
+    """Lines that lay out binary data by hand: a call into `struct` (however
+    imported), `.tobytes()` or `frombuffer`."""
+    modules, functions = {"struct"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "struct"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "struct":
+            functions |= {a.asname or a.name for a in node.names}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            owner = func.value.id if isinstance(func.value, ast.Name) else None
+            if func.attr in ("tobytes", "frombuffer") or owner in modules:
+                lines.append(node.lineno)
+        elif isinstance(func, ast.Name) and (func.id == "frombuffer" or func.id in functions):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_retforge_checkpoint_lays_out_binary_data():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES if path.name != "checkpoint.py"
+        for line in binary_layouts(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [], "save and load through retforge.checkpoint instead: " + ", ".join(found)
+
+
+def test_scan_catches_every_way_to_lay_out_binary_data():
+    tree = ast.parse(
+        'struct.pack("<I", n)\n'
+        'struct.unpack_from("<QQQ", raw, 8)\n'
+        'arr.astype("<f4").tobytes()\n'
+        'np.frombuffer(raw, dtype="<i8")\n'
+        'frombuffer(raw)\n'
+        'st.calcsize("<I")\n'
+        'pack("<Q", 1)\n'
+        'unpack("<Q", raw)\n'
+        'import struct as st\n'
+        'from struct import pack, unpack_from as unpack\n'
+        'arr.tolist()\n'
+        'np.asarray(raw)\n'
+        'packer.pack(1)\n'
+        'unpack_from(raw)\n'
+    )
+    assert binary_layouts(tree) == [1, 2, 3, 4, 5, 6, 7, 8]
 
 
 def no_grad_generators(tree: ast.AST) -> list[str]:
