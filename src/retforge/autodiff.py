@@ -30,6 +30,15 @@ replay skips that add. A signed zero can only produce signed zeros
 downstream, and every buffer `accumulate_grad` keeps also starts at +0.0,
 where +0.0 + -0.0 = +0.0, so no stored gradient can differ.
 
+A batched graph keeps the bits of the per-example graphs it replaces through
+a row order (`RowOrder`). Each row of a batched node carries a key,
+(example,) or (example, context). The row-ordered ops (`Rows`) compute each
+parameter's gradient per row exactly as the one-row graph does, and
+`backward` adds a parameter's rows to its `grad` in key order, which is the
+order in which the per-example graphs added theirs. Only the batched
+end-to-end step uses it: reordering every reduction instead would change the
+bits of the other training recipes.
+
 GELU's tanh term keeps the bits of numpy's `x**3`, which is slow on a
 negative base (numpy leaves its vector pow loop there). The forward takes
 the cube as `copysign(power(|x|, 3.0), x)`, exact where x >= 0. Where x < 0
@@ -346,6 +355,18 @@ def stack_scalars(parts: Sequence[Tensor]) -> Tensor:
 
     out = np.array([p.data.reshape(()) for p in parts])
     return Tensor(out, _parents=tuple(parts), _backward_fn=backward, _op="stack_scalars")
+
+
+def take_row(a: Tensor, row: int) -> Tensor:
+    """Row `row` of `a` along its first axis, as a (1, ...) tensor."""
+
+    def backward(g: np.ndarray) -> None:
+        if a.requires_grad:
+            buf = np.zeros_like(a.data)
+            buf[row:row + 1] = g
+            a.accumulate_grad(buf)
+
+    return Tensor(a.data[row:row + 1], _parents=(a,), _backward_fn=backward, _op="take_row")
 
 
 def take_position(a: Tensor, pos: int) -> Tensor:
@@ -689,8 +710,11 @@ def biased_attention(
 # Fused layer ops (see the module docstring) ------------------------------
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
+def layer_norm(
+    x: Tensor, gain: Tensor, bias: Tensor, eps: float, rows: Rows | None = None
+) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis; with
+    `rows`, over (n, T, d) rows, row-ordered (see `Rows`)."""
     c = 1.0 / x.shape[-1]
     mean = x.data.sum(axis=-1, keepdims=True) * c
     centered = x.data - mean
@@ -701,10 +725,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
     out_data = normed * gain.data + bias.data
 
     def backward(g: np.ndarray) -> None:
-        if bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.shape))
-        if gain.requires_grad:
-            gain.accumulate_grad(_unbroadcast(g * normed, gain.shape))
+        if rows is not None:
+            if bias.requires_grad:
+                rows.deliver(bias, g.sum(axis=1))
+            if gain.requires_grad:
+                rows.deliver(gain, (g * normed).sum(axis=1))
+        else:
+            if bias.requires_grad:
+                bias.accumulate_grad(_unbroadcast(g, bias.shape))
+            if gain.requires_grad:
+                gain.accumulate_grad(_unbroadcast(g * normed, gain.shape))
         if not x.requires_grad:
             return
         g_normed = g * gain.data
@@ -717,19 +747,31 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
         x.accumulate_grad(g_centered)
         x.accumulate_grad(np.broadcast_to(-_unbroadcast(g_centered, mean.shape) * c, x.shape))
 
+    if rows is not None:
+        return rows.node(out_data, (x, gain, bias), (gain, bias), backward, "layer_norm")
     return Tensor(out_data, _parents=(x, gain, bias), _backward_fn=backward, _op="layer_norm")
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b."""
+def linear(x: Tensor, w: Tensor, b: Tensor, rows: Rows | None = None) -> Tensor:
+    """x @ w + b; with `rows`, over (n, T, d) rows, row-ordered (see `Rows`)."""
     _check_matmul(x, w)
     out_data = x.data @ w.data + b.data
 
     def backward(g: np.ndarray) -> None:
+        if rows is None:
+            if b.requires_grad:
+                b.accumulate_grad(_unbroadcast(g, b.shape))
+            _matmul_backward(x, w, g)
+            return
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
-        _matmul_backward(x, w, g)
+            rows.deliver(b, g.sum(axis=1))
+        if x.requires_grad:
+            x.accumulate_grad(g @ np.swapaxes(w.data, -1, -2))
+        if w.requires_grad:
+            rows.deliver(w, np.swapaxes(x.data, -1, -2) @ g)
 
+    if rows is not None:
+        return rows.node(out_data, (x, w, b), (w, b), backward, "linear")
     return Tensor(out_data, _parents=(x, w, b), _backward_fn=backward, _op="linear")
 
 
@@ -786,6 +828,176 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     """(..., heads, T, dh) -> (..., T, heads * dh)."""
     return np.swapaxes(x, -2, -3).reshape(*x.shape[:-3], x.shape[-2], -1)
+
+
+# Row-ordered ops (see `RowOrder`) -------------------------------------------
+
+# A parameter's share of one row: a dense array of its shape, or for an
+# embedding (table rows, their values)
+Contribution = np.ndarray | tuple[np.ndarray, np.ndarray]
+
+
+class _Queue:
+    """One parameter's contributions: how many are still due per key, those
+    held until every earlier key is complete, and the next key to add."""
+
+    __slots__ = ("param", "due", "held", "keys", "next")
+
+    def __init__(self, param: Tensor):
+        self.param = param
+        self.due: dict[tuple, int] = {}
+        self.held: dict[tuple, list[Contribution]] = {}
+        self.keys: list[tuple] | None = None  # sorted once the first one arrives
+        self.next = 0
+
+
+class RowOrder:
+    """The parameter gradients of one batched graph, added in key order.
+
+    A batched graph runs the rows of many per-example graphs through one
+    node, so a parameter's gradient summed over the rows would round
+    otherwise than the per-example graphs, which each added their own
+    contribution in turn. Here each row carries a key, (example,) or
+    (example, context), sorting as `backward` reached the per-example graphs.
+    A row-ordered node (the ops of `Rows`) registers at forward time one
+    contribution per row for each parameter it reads that requires a
+    gradient, and during `backward` hands each row's contribution, computed
+    as the row's one-row graph computes it, to `deliver`. A parameter's
+    contributions are added to its `grad` in key order, a key's held ones as
+    soon as it is complete. Every row-ordered node has `drain` as a parent,
+    so `backward` reaches `drain` after all of them; it raises if a
+    registered contribution never arrived.
+    """
+
+    def __init__(self):
+        self._queues: dict[int, _Queue] = {}
+        # its check holds the queues, not the order, so that no cycle outlives the step
+        check = functools.partial(_check_drained, self._queues)
+        self.drain = Tensor(0.0, requires_grad=True, _backward_fn=check, _op="row_order")
+        self.drain.grad = np.zeros(())  # so that `backward` runs it
+
+    def rows(self, keys: Sequence[tuple]) -> "Rows":
+        return Rows(self, keys)
+
+    def expect(self, param: Tensor, keys: Sequence[tuple]) -> None:
+        queue = self._queues.get(id(param))
+        if queue is None:
+            queue = self._queues[id(param)] = _Queue(param)
+        for key in keys:
+            queue.due[key] = queue.due.get(key, 0) + 1
+
+    def deliver(
+        self, param: Tensor, keys: Sequence[tuple], contributions: Sequence[Contribution]
+    ) -> None:
+        """Take the contribution of each key's row to `param`, then add every
+        key now complete in order."""
+        queue = self._queues.get(id(param))
+        if queue is None:
+            raise DomainError(f"unregistered row-ordered gradient of {param!r}")
+        if queue.keys is None:
+            queue.keys = sorted(queue.due)
+        due, held, order = queue.due, queue.held, queue.keys
+        for key, part in zip(keys, contributions):
+            if due.get(key, 0) < 1:
+                raise DomainError(f"unregistered row-ordered gradient for {key} of {param!r}")
+            due[key] -= 1
+            held.setdefault(key, []).append(part)
+        while queue.next < len(order) and not due[order[queue.next]]:
+            for part in held.pop(order[queue.next]):
+                if isinstance(part, tuple):
+                    at, values = part  # distinct table rows
+                    param.grad[at] += values
+                else:
+                    param.accumulate_grad(part)
+            queue.next += 1
+
+
+def _check_drained(queues: dict[int, _Queue], _g: np.ndarray) -> None:
+    missing = [(q.param, key) for q in queues.values() for key, due in q.due.items() if due]
+    if missing:
+        param, key = missing[0]
+        raise DomainError(
+            f"{len(missing)} row-ordered gradients never arrived, first {key} of {param!r}"
+        )
+
+
+class Rows:
+    """The rows of one batched node: row r of its input's first axis belongs
+    to `keys[r]` of `order`. Its ops equal the plain ones in value and in
+    the gradient of every input but the parameters, whose gradients leave
+    per row as the one-row graph computes them: a weight's from the stacked
+    per-row `swapaxes(x) @ g`, a bias's and a gain's as `g.sum(axis=1)` over
+    (n, T, d) rows, and an embedding table's one row at a time, sparsely."""
+
+    __slots__ = ("order", "keys")
+
+    def __init__(self, order: RowOrder, keys: Sequence[tuple]):
+        self.order = order
+        self.keys = list(keys)
+
+    def deliver(self, param: Tensor, per_row) -> None:
+        self.order.deliver(param, self.keys, per_row)
+
+    def node(self, out_data, parents: tuple[Tensor, ...], params: tuple[Tensor, ...],
+             backward: Callable[[np.ndarray], None], op: str) -> Tensor:
+        """An op's output whose `params` each take one contribution per row."""
+        if grad_enabled() and any(p.requires_grad for p in parents):
+            for p in params:
+                if p.requires_grad:
+                    self.order.expect(p, self.keys)
+            parents += (self.order.drain,)
+        return Tensor(out_data, _parents=parents, _backward_fn=backward, _op=op)
+
+    def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        return _fused_linear(x, w, b, self)
+
+    def layer_norm(self, x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+        return _fused_layer_norm(x, gain, bias, eps, self)
+
+    def embedding(self, table: Tensor, ids: np.ndarray) -> Tensor:
+        """`embedding` of an (n, T) id matrix."""
+        ids = np.asarray(ids)
+        if ids.ndim != 2 or ids.shape[0] != len(self.keys):
+            raise DimensionError(f"need one id row per key, got ids of shape {ids.shape}")
+        if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+            raise IndexError(f"ids out of range for table of {table.shape[0]} rows")
+
+        def backward(g: np.ndarray) -> None:
+            if table.requires_grad:
+                self.deliver(table, _scatter_rows(ids, g))
+
+        return self.node(table.data[ids], (table,), (table,), backward, "embedding")
+
+    def tap(self, param: Tensor) -> Tensor:
+        """`param` read by the one row of these Rows: a node of its value
+        whose gradient goes to the order under that row's key."""
+
+        def backward(g: np.ndarray) -> None:
+            self.deliver(param, [g])
+
+        return self.node(param.data, (param,), (param,), backward, "tap")
+
+
+def _scatter_rows(ids: np.ndarray, g: np.ndarray) -> list[Contribution]:
+    """Per row of (n, T) ids, the embedding gradient: its distinct ids and,
+    per id, the sum of its positions' (n, T, d) gradients, added from 0.0 in
+    position order as `embedding`'s dense buffer adds them."""
+    n, t = ids.shape
+    order = np.argsort(ids, axis=1, kind="stable")
+    ranked = np.take_along_axis(ids, order, axis=1)
+    first = np.ones((n, t), dtype=bool)
+    first[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    slot = np.empty((n, t), dtype=np.int64)
+    np.put_along_axis(slot, order, np.cumsum(first, axis=1) - 1, axis=1)
+    values = np.zeros(g.shape)
+    np.add.at(values, (np.arange(n)[:, None], slot), g)  # row by row, in position order
+    return [(ranked[r, first[r]], values[r, :count]) for r, count in enumerate(first.sum(axis=1))]
+
+
+# The row-ordered ops are the fused ops called with their rows, through these
+# names bound at import, so that rebinding the module's public names (as
+# tests/composed.py does) leaves them alone.
+_fused_linear, _fused_layer_norm = linear, layer_norm
 
 
 # Gradient checking -------------------------------------------------------

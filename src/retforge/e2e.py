@@ -13,6 +13,16 @@ too. A frozen one (always in joint mode) is read once per step: one graph-free
 constants, bit for bit the frozen tower's graph forward. Snapshot embeddings
 stay constants.
 
+A training step (`topk_batch_loss`) builds one graph for all its questions.
+The questions, the (question, document) reader inputs and, when that tower
+trains, the documents go through their encoders as graph-mode forwards of
+equal-length rows (`TransformerEncoder.encode_rows`), and answers are scored
+in one teacher-forced decoder call per (answer length, memory length) chunk
+(`Reader.log_likelihoods`). Each row's parameter gradients are added in
+(example, context) order (`autodiff.RowOrder`), so losses and parameters
+equal those of one graph per question bit for bit. `individual_topk_loss`
+and `joint_topk_loss` are the one-question calls of the batched losses.
+
 Inference (`answer_questions`) encodes all questions in one call, searches
 each, and hands every question to the mode's reader pass at once; both
 passes read across questions through `Reader`'s one inference pipeline.
@@ -86,28 +96,81 @@ def marginal_log_likelihood(log_likelihoods: ad.Tensor, log_probs: ad.Tensor) ->
 
 
 def _live_log_probs(
-    question_tokens: Sequence[int],
-    doc_ids: Sequence[int],
-    corpus: Corpus,
-    retriever: DualEncoder,
-    tau: float,
-    doc_vecs: np.ndarray | None = None,
-) -> ad.Tensor:
-    """Top-k-normalized log p(z_i|q,K) from the live question tower against
-    `doc_vecs`, the documents' (k, d) vectors from a frozen context tower, or
-    with None against the documents encoded live."""
-    q_vec = retriever.question_encoder.encode_batch([question_input(question_tokens)])
+    questions: Sequence[Sequence[int]], found: Sequence[RetrievalResult], corpus: Corpus,
+    retriever: DualEncoder, tau: float, order: ad.RowOrder,
+    doc_vecs: Sequence[np.ndarray] | None = None,
+) -> list[ad.Tensor]:
+    """Per question, the top-k-normalized log p(z_i|q,K) from the live
+    question tower against `doc_vecs[i]`, the (k, d) vectors of its documents
+    from a frozen context tower, or with None against its documents encoded
+    live. Both towers run row-ordered: question i's row is keyed (i,), its
+    document c's (i, c)."""
+    if any(len(r.doc_ids) < 1 for r in found):
+        raise DomainError("retrieved set is empty")
+    q_rows = retriever.question_encoder.encode_rows(
+        [question_input(q) for q in questions], order, [(i,) for i in range(len(questions))],
+        pooled=True,
+    )
     if doc_vecs is None:
-        z_rows = [
-            retriever.context_encoder.encode_batch([document_input(corpus.by_id[i], corpus.vocab)])
-            for i in doc_ids
-        ]
-        z = ad.concat(z_rows, axis=0) if len(z_rows) > 1 else z_rows[0]
+        z_rows = iter(retriever.context_encoder.encode_rows(
+            [document_input(corpus.by_id[i], corpus.vocab) for r in found for i in r.doc_ids],
+            order, _pair_keys(found), pooled=True,
+        ))
+        docs = [ad.concat([next(z_rows) for _ in r.doc_ids]) for r in found]
     else:
-        z = ad.Tensor(doc_vecs)
-    scores = ad.reshape(ad.matmul(q_vec, ad.transpose(z, (1, 0))), (len(doc_ids),))
-    scaled = ad.scale(scores, 1.0 / tau)
-    return scaled - ad.logsumexp(scaled)
+        docs = [ad.Tensor(vecs) for vecs in doc_vecs]
+    log_probs = []
+    for q_vec, z in zip(q_rows, docs):
+        scores = ad.reshape(ad.matmul(q_vec, ad.transpose(z, (1, 0))), (z.shape[0],))
+        scaled = ad.scale(scores, 1.0 / tau)
+        log_probs.append(scaled - ad.logsumexp(scaled))
+    return log_probs
+
+
+def _pair_keys(found: Sequence[RetrievalResult]) -> list[tuple[int, int]]:
+    """(question, rank) of every retrieved document, in order."""
+    return [(i, c) for i, r in enumerate(found) for c in range(len(r.doc_ids))]
+
+
+def individual_losses(
+    questions: Sequence[Sequence[int]], answers: Sequence[Sequence[int]],
+    found: Sequence[RetrievalResult], corpus: Corpus, retriever: DualEncoder, reader: Reader,
+    tau: float, doc_vecs: Sequence[np.ndarray] | None = None,
+) -> list[ad.Tensor]:
+    """Per question, the negative marginal log-likelihood over its retrieved
+    set, all in one row-ordered graph (`doc_vecs` as in `_live_log_probs`):
+    each (question, document) pair's likelihood is keyed (question, rank)."""
+    order = ad.RowOrder()
+    log_probs = _live_log_probs(questions, found, corpus, retriever, tau, order, doc_vecs)
+    log_liks = iter(reader.log_likelihoods(
+        [(q, [corpus.by_id[i].tokens], None) for q, r in zip(questions, found) for i in r.doc_ids],
+        [with_eos(a) for a, r in zip(answers, found) for _ in r.doc_ids],
+        _pair_keys(found), order,
+    ))
+    return [
+        ad.neg(marginal_log_likelihood(ad.concat([next(log_liks) for _ in r.doc_ids]), lp))
+        for r, lp in zip(found, log_probs)
+    ]
+
+
+def joint_losses(
+    questions: Sequence[Sequence[int]], answers: Sequence[Sequence[int]],
+    found: Sequence[RetrievalResult], corpus: Corpus, retriever: DualEncoder, reader: Reader,
+    tau: float, doc_vecs: Sequence[np.ndarray] | None = None,
+) -> list[ad.Tensor]:
+    """Per question, the negative fused log-likelihood, with retrieval probs
+    biasing cross-attention, all in one row-ordered graph (`doc_vecs` as in
+    `_live_log_probs`): each question's fused memory is keyed (question,)."""
+    order = ad.RowOrder()
+    log_probs = _live_log_probs(questions, found, corpus, retriever, tau, order, doc_vecs)
+    log_liks = reader.log_likelihoods(
+        [
+            (q, [corpus.by_id[i].tokens for i in r.doc_ids], ad.exp(lp))
+            for q, r, lp in zip(questions, found, log_probs)
+        ],
+        [with_eos(a) for a in answers], [(i,) for i in range(len(questions))], order,
+    )
+    return [ad.neg(ad.reshape(ll, ())) for ll in log_liks]
 
 
 def individual_topk_loss(
@@ -120,21 +183,12 @@ def individual_topk_loss(
     tau: float,
     doc_vecs: np.ndarray | None = None,
 ) -> ad.Tensor:
-    """Negative marginal log-likelihood over the retrieved set (`doc_vecs`
-    as in `_live_log_probs`)."""
-    if len(retrieved.doc_ids) < 1:
-        raise DomainError("retrieved set is empty")
-    answer = with_eos(answer_tokens)
-    log_liks = ad.stack_scalars([
-        reader.answer_log_likelihood(
-            question_tokens, corpus.by_id[doc_id].tokens, answer
-        )
-        for doc_id in retrieved.doc_ids
-    ])
-    log_probs = _live_log_probs(
-        question_tokens, retrieved.doc_ids, corpus, retriever, tau, doc_vecs
-    )
-    return ad.neg(marginal_log_likelihood(log_liks, log_probs))
+    """Negative marginal log-likelihood over the retrieved set: a one-question
+    `individual_losses`."""
+    vecs = None if doc_vecs is None else [doc_vecs]
+    return individual_losses(
+        [question_tokens], [answer_tokens], [retrieved], corpus, retriever, reader, tau, vecs
+    )[0]
 
 
 def joint_topk_loss(
@@ -147,17 +201,12 @@ def joint_topk_loss(
     tau: float,
     doc_vecs: np.ndarray | None = None,
 ) -> ad.Tensor:
-    """Negative fused log-likelihood; retrieval probs bias cross-attention
-    (`doc_vecs` as in `_live_log_probs`)."""
-    if len(retrieved.doc_ids) < 1:
-        raise DomainError("retrieved set is empty")
-    answer = with_eos(answer_tokens)
-    log_probs = _live_log_probs(
-        question_tokens, retrieved.doc_ids, corpus, retriever, tau, doc_vecs
-    )
-    probs = ad.exp(log_probs)
-    contexts = [corpus.by_id[doc_id].tokens for doc_id in retrieved.doc_ids]
-    return ad.neg(reader.joint_forward(question_tokens, contexts, probs, answer))
+    """Negative fused log-likelihood; retrieval probs bias cross-attention.
+    A one-question `joint_losses`."""
+    vecs = None if doc_vecs is None else [doc_vecs]
+    return joint_losses(
+        [question_tokens], [answer_tokens], [retrieved], corpus, retriever, reader, tau, vecs
+    )[0]
 
 
 # Inference -----------------------------------------------------------------
@@ -238,13 +287,11 @@ def _read_jointly(
     return results
 
 
-# How the reader takes in the retrieved documents: mode -> (training loss,
-# reader pass over a list of questions at inference). A loss is looked up by
-# name when called, so a rebinding of the module's name (a profiler's
-# wrapper, say) sees the call.
+# How the reader takes in the retrieved documents: mode -> (training losses of
+# a batch, reader pass over a list of questions at inference).
 MODES = {
-    "individual": (lambda *args: individual_topk_loss(*args), _read_individually),
-    "joint": (lambda *args: joint_topk_loss(*args), _read_jointly),
+    "individual": (individual_losses, _read_individually),
+    "joint": (joint_losses, _read_jointly),
 }
 
 
@@ -313,28 +360,29 @@ def topk_batch_loss(
     retriever: DualEncoder,
     reader: Reader,
 ) -> ad.Tensor:
-    """Mean `loss_fn` over (question tokens, answer tokens) pairs, each
-    against its top-k documents in the (possibly stale) snapshot.
+    """Mean of the `loss_fn` losses (a `MODES` training loss) of (question
+    tokens, answer tokens) pairs, each against its top-k documents in the
+    (possibly stale) snapshot.
 
     The search reads graph-free question vectors; the loss encodes the
     questions with the live question tower, so gradients reach every enabled
     parameter. A context tower with no trainable parameter is read once: one
     `embed` of the step's distinct documents, whose rows are constants to
-    every loss. A trainable one re-encodes each document with a graph.
+    every loss. A trainable one re-encodes each (question, document) pair's
+    document with a graph.
     """
     found = retrieve([question for question, _ in pairs], retriever, snapshot, k, tau)
     context = retriever.context_encoder
-    if any(p.requires_grad for p in context.parameters()):
-        doc_vecs = [None] * len(found)
-    else:
+    doc_vecs = None
+    if not any(p.requires_grad for p in context.parameters()):
         distinct = list(dict.fromkeys(doc_id for r in found for doc_id in r.doc_ids))
         vecs = context.embed([document_input(corpus.by_id[i], corpus.vocab) for i in distinct])
         row = {doc_id: n for n, doc_id in enumerate(distinct)}
         doc_vecs = [vecs[[row[doc_id] for doc_id in r.doc_ids]] for r in found]
-    losses = [
-        loss_fn(question, answer, retrieved, corpus, retriever, reader, tau, vecs)
-        for (question, answer), retrieved, vecs in zip(pairs, found, doc_vecs)
-    ]
+    losses = loss_fn(
+        [question for question, _ in pairs], [answer for _, answer in pairs], found, corpus,
+        retriever, reader, tau, doc_vecs,
+    )
     return ad.reduce_mean(ad.stack_scalars(losses))
 
 

@@ -2,14 +2,16 @@
 pre-norm transformer pooled at the first position, scored by dot product.
 
 The towers share no parameters, so either side can be frozen without
-touching the other. Training encodes through `encode_batch`; inference
-(`infer`, under `autodiff.no_grad()`) runs unpadded chunks of equal-length
-sequences, and each row it returns equals the sequence's own one-row
-`encode_batch` bit for bit, for any chunk size and layer count. A padded batch
-of mixed lengths does not have that property: its rows differ from the one-row
-vectors in the last bits (measured up to ~1e-15), which is why inference never
-pads. Training batches stay padded and keep the full forward; their contract
-is the gradient, checked by finite differences.
+touching the other. Retriever training encodes through `encode_batch`;
+inference (`infer`, under `autodiff.no_grad()`) runs unpadded chunks of
+equal-length sequences, and each row it returns equals the sequence's own
+one-row `encode_batch` bit for bit, for any chunk size and layer count. A
+padded batch of mixed lengths does not have that property: its rows differ
+from the one-row vectors in the last bits (measured up to ~1e-15), which is
+why inference never pads. Retriever training batches stay padded and keep the
+full forward; their contract is the gradient, checked by finite differences.
+The end-to-end step encodes through `encode_rows`: `infer`'s chunks with a
+row-ordered graph, so that its gradients too equal the one-row graphs'.
 """
 
 from __future__ import annotations
@@ -79,9 +81,12 @@ class TransformerEncoder:
     def parameters(self) -> list[ad.Parameter]:
         return list(self.params.values())
 
-    def forward(self, token_ids: np.ndarray, pooled: bool = False) -> ad.Tensor:
+    def forward(
+        self, token_ids: np.ndarray, pooled: bool = False, rows: ad.Rows | None = None
+    ) -> ad.Tensor:
         """(B, T) padded int ids -> (B, T, d) hidden states, or with `pooled`
-        the (B, d) states at position 0.
+        the (B, d) states at position 0. With `rows` (one key per sequence)
+        the layers run row-ordered (see `ad.RowOrder`).
 
         Pooled under `ad.no_grad()`, the last layer still attends over every
         position, but its output projection, residual, FFN and the final
@@ -96,9 +101,7 @@ class TransformerEncoder:
                 f"sequence length {t} exceeds max_seq_len {self.config.max_seq_len}"
             )
         p = self.params
-        h = ad.embedding(p["token_emb"], token_ids) + ad.embedding(
-            p["pos_emb"], np.arange(t)
-        )
+        h = embed_tokens(p, token_ids, rows)
         # additive mask: [PAD] key positions get MASK_NEG in every attention row
         pad_cols = (token_ids == PAD_ID)[:, None, None, :]
         mask = np.where(pad_cols, ad.MASK_NEG, 0.0)
@@ -106,9 +109,10 @@ class TransformerEncoder:
         last = self.config.layers - 1
         for i in range(self.config.layers):
             h = transformer_layer(
-                h, p, f"layer{i}", self.config.heads, mask, narrow=narrow and i == last
+                h, p, f"layer{i}", self.config.heads, mask, narrow=narrow and i == last,
+                rows=rows,
             )
-        h = norm(h, p, "final_ln")
+        h = norm(h, p, "final_ln", rows)
         if narrow:
             return ad.Tensor(h.data.reshape(b, -1, self.config.hidden_size)[:, 0])
         return ad.take_position(h, 0) if pooled else h
@@ -139,14 +143,34 @@ class TransformerEncoder:
         row equals the sequence's own one-row forward bit for bit. A
         generator: a chunk is encoded when reached, and only its forward runs
         under `ad.no_grad()`, so the caller's grad mode holds between chunks."""
+        for rows, ids in self._chunks(sequences):
+            with ad.no_grad():
+                output = self.forward(ids, pooled=pooled)
+            yield rows, output
+
+    def encode_rows(
+        self, sequences: Sequence[Sequence[int]], order: ad.RowOrder, keys: Sequence[tuple],
+        pooled: bool = False,
+    ) -> list[ad.Tensor]:
+        """Training: each sequence's (1, d) pooled row or (1, T, d) states,
+        with a graph, from one row-ordered `forward` per chunk of `infer`'s;
+        sequence r's parameter gradients go to `order` under `keys[r]`. Each
+        row equals the sequence's own one-row forward bit for bit."""
+        out: list[ad.Tensor] = [None] * len(sequences)
+        for rows, ids in self._chunks(sequences):
+            h = self.forward(ids, pooled=pooled, rows=order.rows([keys[r] for r in rows]))
+            for j, r in enumerate(rows):
+                out[r] = h if len(rows) == 1 else ad.take_row(h, j)
+        return out
+
+    def _chunks(self, sequences: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], np.ndarray]]:
+        """(positions, id matrix) per chunk of head-truncated sequences of one
+        length, at most CHUNK_TOKENS tokens (or one longer sequence)."""
         cap = self.config.max_seq_len
         if not all(map(len, sequences)):
             raise DomainError("cannot encode an empty token sequence")
         for rows in length_chunks((min(len(s), cap) for s in sequences), CHUNK_TOKENS):
-            ids = np.array([list(sequences[r])[:cap] for r in rows])
-            with ad.no_grad():
-                output = self.forward(ids, pooled=pooled)
-            yield rows, output
+            yield rows, np.array([list(sequences[r])[:cap] for r in rows])
 
     def embed(self, sequences: Sequence[Sequence[int]]) -> np.ndarray:
         """Inference: (N, d) pooled float64 vectors in input order, from
@@ -194,20 +218,38 @@ def transformer_params(
     return p
 
 
-def norm(x: ad.Tensor, p: dict[str, ad.Parameter], name: str) -> ad.Tensor:
+def embed_tokens(
+    p: dict[str, ad.Parameter], ids: np.ndarray, rows: ad.Rows | None = None
+) -> ad.Tensor:
+    """Token plus position embeddings of (B, T) ids. Row-ordered, each row
+    reads its own position ids, so its position gradient stays its own."""
+    t = ids.shape[1]
+    if rows is None:
+        return ad.embedding(p["token_emb"], ids) + ad.embedding(p["pos_emb"], np.arange(t))
+    positions = np.broadcast_to(np.arange(t), ids.shape)
+    return rows.embedding(p["token_emb"], ids) + rows.embedding(p["pos_emb"], positions)
+
+
+def norm(
+    x: ad.Tensor, p: dict[str, ad.Parameter], name: str, rows: ad.Rows | None = None
+) -> ad.Tensor:
     """Layer norm with the `name`_g gain and `name`_b bias of `p`."""
-    return ad.layer_norm(x, p[f"{name}_g"], p[f"{name}_b"], LN_EPS)
+    op = ad.layer_norm if rows is None else rows.layer_norm
+    return op(x, p[f"{name}_g"], p[f"{name}_b"], LN_EPS)
 
 
-def project(x: ad.Tensor, p: dict[str, ad.Parameter], name: str) -> ad.Tensor:
+def project(
+    x: ad.Tensor, p: dict[str, ad.Parameter], name: str, rows: ad.Rows | None = None
+) -> ad.Tensor:
     """x @ `name` + `name`_b, from the parameters `p`."""
-    return ad.linear(x, p[name], p[f"{name}_b"])
+    op = ad.linear if rows is None else rows.linear
+    return op(x, p[name], p[f"{name}_b"])
 
 
 def transformer_layer(
     h: ad.Tensor, p: dict[str, ad.Parameter], layer: str, heads: int, mask: np.ndarray,
     cross: tuple[ad.Tensor, ad.Tensor] | None = None, bias: ad.Tensor | None = None,
-    narrow: bool = False,
+    narrow: bool = False, rows: ad.Rows | None = None,
 ) -> ad.Tensor:
     """One pre-norm layer over (B, T, d) states, shared by the encoder and
     the reader's decoder: masked self-attention, then (decoder only) attention
@@ -215,16 +257,17 @@ def transformer_layer(
     feed-forward block, each added to the residual stream.
 
     With `narrow` (no-grad only) everything after the self-attention mix
-    runs on the rows that are pooled (see `_pooled_rows`).
+    runs on the rows that are pooled (see `_pooled_rows`). With `rows` the
+    projections and layer norms run row-ordered.
     """
-    mixed = _self_attention(norm(h, p, f"{layer}.ln1"), p, layer, heads, mask)
+    mixed = _self_attention(norm(h, p, f"{layer}.ln1", rows), p, layer, heads, mask, rows)
     if narrow:
         h, mixed = _pooled_rows(h), _pooled_rows(mixed)
-    h = h + project(mixed, p, f"{layer}.wo")
+    h = h + project(mixed, p, f"{layer}.wo", rows)
     if cross is not None:
-        q = project(norm(h, p, f"{layer}.lnc"), p, f"{layer}.cq")
-        h = h + project(ad.attention(q, *cross, heads, bias=bias), p, f"{layer}.co")
-    return h + _feed_forward(norm(h, p, f"{layer}.ln2"), p, layer)
+        q = project(norm(h, p, f"{layer}.lnc", rows), p, f"{layer}.cq", rows)
+        h = h + project(ad.attention(q, *cross, heads, bias=bias), p, f"{layer}.co", rows)
+    return h + _feed_forward(norm(h, p, f"{layer}.ln2", rows), p, layer, rows)
 
 
 # The two sublayers are functions so that their activations are released on
@@ -232,14 +275,17 @@ def transformer_layer(
 
 
 def _self_attention(
-    x: ad.Tensor, p: dict[str, ad.Parameter], layer: str, heads: int, mask: np.ndarray
+    x: ad.Tensor, p: dict[str, ad.Parameter], layer: str, heads: int, mask: np.ndarray,
+    rows: ad.Rows | None,
 ) -> ad.Tensor:
-    q, k, v = (project(x, p, f"{layer}.{m}") for m in ("wq", "wk", "wv"))
+    q, k, v = (project(x, p, f"{layer}.{m}", rows) for m in ("wq", "wk", "wv"))
     return ad.attention(q, k, v, heads, mask=mask)
 
 
-def _feed_forward(x: ad.Tensor, p: dict[str, ad.Parameter], layer: str) -> ad.Tensor:
-    return project(ad.gelu(project(x, p, f"{layer}.w1")), p, f"{layer}.w2")
+def _feed_forward(
+    x: ad.Tensor, p: dict[str, ad.Parameter], layer: str, rows: ad.Rows | None
+) -> ad.Tensor:
+    return project(ad.gelu(project(x, p, f"{layer}.w1", rows)), p, f"{layer}.w2", rows)
 
 
 def group_by_length(lengths) -> dict[int, list[int]]:

@@ -18,8 +18,12 @@ greedy-decodes a chunk in one decoder call per step and `score_chunks` scores
 its (memory, answer) rows of an answer length together, at most
 DECODE_MEMORY_TOKENS memory tokens per call. Nothing is padded and every
 matmul runs per row with that row's own shapes, so each row equals the
-one-pair, one-question path bit for bit. With a graph (training) each context
-keeps its own encoder forward and the decoder runs one row.
+one-pair, one-question path bit for bit. Training (`log_likelihoods`) cuts
+the same way with a graph: the inputs of many memories through
+`TransformerEncoder.encode_rows`, then one teacher-forced decoder call per
+(answer length, memory length) chunk, row-ordered (`autodiff.RowOrder`) so
+that every gradient equals the memories' one-row graphs bit for bit;
+`answer_log_likelihood` and `joint_forward` are its one-memory calls.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .checkpoint import load_model, save_model
 from .encoder import (
     EncoderConfig,
     TransformerEncoder,
+    embed_tokens,
     group_by_length,
     length_chunks,
     norm,
@@ -119,32 +124,25 @@ class Reader:
         """question + [SEP] + context, cut to max_seq_len."""
         return (list(question_tokens) + [SEP_ID] + list(context_tokens))[: self.config.max_seq_len]
 
-    def encode_contexts(
-        self, question_tokens: Sequence[int], contexts: Sequence[Sequence[int]]
-    ) -> list[ad.Tensor]:
-        """One (T_i, d) memory per context, in context order, each from its
-        own encoder forward (with a graph unless under `ad.no_grad()`)."""
-        memories = []
-        for z in contexts:
-            states = self.encoder.forward(np.array([self._input(question_tokens, z)]))
-            memories.append(ad.reshape(states, states.shape[1:]))
-        return memories
-
     def encode_pair(self, question_tokens: Sequence[int], context_tokens: Sequence[int]) -> ad.Tensor:
-        """Encode question + [SEP] + context into (T, d) memory states."""
-        return self.encode_contexts(question_tokens, [context_tokens])[0]
+        """Encode question + [SEP] + context into (T, d) memory states: a
+        one-row `encoder.encode_rows`."""
+        (states,) = self.encoder.encode_rows(
+            [self._input(question_tokens, context_tokens)], ad.RowOrder(), [(0,)]
+        )
+        return ad.reshape(states, states.shape[1:])
 
     # Decoding ------------------------------------------------------------
 
-    def _cross_kv(self, memory: ad.Tensor) -> CrossKV:
+    def _cross_kv(self, memory: ad.Tensor, rows: ad.Rows | None = None) -> CrossKV:
         """Per-layer cross-attention key and value projections, (n, T_mem, d)
         each, computed once from a (T_mem, d) memory or an (n, T_mem, d)
-        stack of equal-length memories."""
+        stack of equal-length memories (row-ordered with `rows`)."""
         if memory.ndim == 2:
             memory = ad.reshape(memory, (1,) + memory.shape)
         p = self.dec_params
         return [
-            (project(memory, p, f"layer{i}.ck"), project(memory, p, f"layer{i}.cv"))
+            (project(memory, p, f"layer{i}.ck", rows), project(memory, p, f"layer{i}.cv", rows))
             for i in range(self.config.dec_layers)
         ]
 
@@ -153,6 +151,7 @@ class Reader:
         decoder_input: np.ndarray,
         cross: CrossKV,
         bias: ad.Tensor | None,
+        rows: ad.Rows | None = None,
     ) -> ad.Tensor:
         """Teacher-forced decoder: (B, T_dec) input ids -> (B, T_dec, vocab)
         logits; row b attends to the memory of row b of `cross`.
@@ -168,19 +167,22 @@ class Reader:
                 f"decoder length {t_dec} exceeds max_answer_len {cfg.max_answer_len}"
             )
         p = self.dec_params
-        h = ad.embedding(p["token_emb"], ids) + ad.embedding(p["pos_emb"], np.arange(t_dec))
+        h = embed_tokens(p, ids, rows)
         causal = np.where(np.triu(np.ones((t_dec, t_dec), dtype=bool), k=1), ad.MASK_NEG, 0.0)
         for i, kv in enumerate(cross):
-            # bias: (T_mem,), or one (1, 1, T_mem) row per batch row; broadcast
-            # over heads and steps
-            h = transformer_layer(h, p, f"layer{i}", cfg.heads, causal, cross=kv, bias=bias)
-        return project(norm(h, p, "final_ln"), p, "out_proj")
+            # bias: one (1, 1, T_mem) row per batch row, broadcast over heads
+            # and steps
+            h = transformer_layer(
+                h, p, f"layer{i}", cfg.heads, causal, cross=kv, bias=bias, rows=rows
+            )
+        return project(norm(h, p, "final_ln", rows), p, "out_proj", rows)
 
-    def _fusion_bias(self, probs, lengths: Sequence[int]) -> ad.Tensor:
+    def _fusion_bias(self, probs, lengths: Sequence[int], lam: ad.Tensor | None = None) -> ad.Tensor:
         """(T_mem,) cross-attention logit bias: lambda * p_i over the
         `lengths[i]` memory positions of context i. probs may be a plain
         sequence (inference) or a Tensor carrying gradient back into whatever
-        produced the retrieval distribution."""
+        produced the retrieval distribution. `lam` stands in for
+        `lambda_bias` (a row-ordered read of it in training)."""
         if len(lengths) < 1:
             raise DomainError("fusion needs at least one context")
         probs_t = probs if isinstance(probs, ad.Tensor) else ad.Tensor(np.asarray(probs, dtype=np.float64))
@@ -192,16 +194,17 @@ class Reader:
                 f"context probabilities must be a distribution, got sum {probs_arr.sum()!r}"
             )
         # in-graph bias lambda * p_i per context, broadcast over its positions
+        lam = self.lambda_bias if lam is None else lam
         spread = np.repeat(np.eye(len(lengths)), lengths, axis=0)
         per_position = ad.matmul(
-            ad.Tensor(spread), ad.reshape(ad.mul(self.lambda_bias, probs_t), (len(lengths), 1))
+            ad.Tensor(spread), ad.reshape(ad.mul(lam, probs_t), (len(lengths), 1))
         )
         # constant re-centering: softmax is shift-invariant, and this makes
         # k=1 and lambda=0 reduce to the unbiased decoder exactly
-        shift = float(-(float(self.lambda_bias.data) * probs_arr).max())
+        shift = float(-(float(lam.data) * probs_arr).max())
         return ad.reshape(per_position, (sum(lengths),)) + ad.Tensor(np.array(shift))
 
-    # Public likelihood / generation API -----------------------------------
+    # Likelihoods (training) ------------------------------------------------
 
     def answer_log_likelihood(
         self,
@@ -210,9 +213,11 @@ class Reader:
         answer_tokens: Sequence[int],
     ) -> ad.Tensor:
         """Teacher-forced log p(answer | question, context); scores exactly
-        the tokens given (callers terminate answers with [EOS])."""
-        memory = self.encode_pair(question_tokens, context_tokens)
-        return self._score_memory(memory, None, answer_tokens)
+        the tokens given (callers terminate answers with [EOS]). A one-row
+        `log_likelihoods`."""
+        memory = (question_tokens, [context_tokens], None)
+        (scored,) = self.log_likelihoods([memory], [answer_tokens], [(0,)], ad.RowOrder())
+        return ad.reshape(scored, ())
 
     def joint_forward(
         self,
@@ -221,33 +226,68 @@ class Reader:
         probs,
         answer_tokens: Sequence[int],
     ) -> ad.Tensor:
-        """log p(answer | question, all k contexts, retrieval probs).
+        """log p(answer | question, all k contexts, retrieval probs), a
+        one-row `log_likelihoods`.
 
         probs: sequence of floats, or a Tensor to backpropagate through."""
-        encoded = self.encode_contexts(question_tokens, contexts)
-        bias = self._fusion_bias(probs, [e.shape[0] for e in encoded])
-        memory = ad.concat(encoded, axis=0) if len(encoded) > 1 else encoded[0]
-        return self._score_memory(memory, bias, answer_tokens)
-
-    def _score_memory(
-        self, memory: ad.Tensor, bias: ad.Tensor | None, answer: Sequence[int]
-    ) -> ad.Tensor:
-        """Scalar log p(answer) given one (T_mem, d) memory."""
-        if not len(answer):
-            raise DomainError("cannot score an empty answer")
-        scored = self._teacher_forced(self._cross_kv(memory), bias, np.asarray([list(answer)]))
+        memory = (question_tokens, contexts, probs)
+        (scored,) = self.log_likelihoods([memory], [answer_tokens], [(0,)], ad.RowOrder())
         return ad.reshape(scored, ())
+
+    def log_likelihoods(
+        self, memories: Sequence[Memory], answers: Sequence[Sequence[int]],
+        keys: Sequence[tuple], order: ad.RowOrder,
+    ) -> list[ad.Tensor]:
+        """Training: the teacher-forced log p(answer | memory) of each memory
+        (each answer scored exactly as given), a (1,) Tensor each, from one
+        row-ordered graph. Memory m's gradients go to `order` under
+        `keys[m]`, its context c's encoder row under `keys[m] + (c,)`.
+
+        The memories are all unbiased or all fused; a fused one's probs are
+        floats or a Tensor, and it reads `lambda_bias` through its own row.
+        The inputs go through `encoder.encode_rows`. Memories of one answer
+        length and memory length are stacked, with their `_fusion_bias` rows,
+        into teacher-forced decoder calls of at most DECODE_MEMORY_TOKENS
+        memory tokens. Each log-likelihood and gradient equals the memory's
+        own one-row graph bit for bit."""
+        if not all(map(len, answers)):
+            raise DomainError("cannot score an empty answer")
+        lengths = [[len(self._input(q, z)) for z in contexts] for q, contexts, _ in memories]
+        biases = [
+            None if probs is None else ad.reshape(
+                self._fusion_bias(probs, n, order.rows([key]).tap(self.lambda_bias)),
+                (1, 1, 1, sum(n)),
+            )
+            for (_, _, probs), n, key in zip(memories, lengths, keys)
+        ]
+        states = iter(self.encoder.encode_rows(
+            [self._input(q, z) for q, contexts, _ in memories for z in contexts], order,
+            [key + (c,) for n, key in zip(lengths, keys) for c in range(len(n))],
+        ))
+        fused = [ad.concat([next(states) for _ in n], axis=1) for n in lengths]
+        scores: list[ad.Tensor] = [None] * len(memories)
+        for picks in group_by_length(map(len, answers)).values():
+            for chunk in length_chunks([sum(lengths[m]) for m in picks], DECODE_MEMORY_TOKENS):
+                part = [picks[j] for j in chunk]
+                rows = order.rows([keys[m] for m in part])
+                bias = None if biases[part[0]] is None else ad.concat([biases[m] for m in part])
+                cross = self._cross_kv(ad.concat([fused[m] for m in part]), rows)
+                targets = np.array([list(answers[m]) for m in part])
+                logits = self._decode_logits(_decoder_input(targets), cross, bias, rows)
+                scored = ad.sequence_log_prob(logits, targets)
+                for j, m in enumerate(part):
+                    scores[m] = scored if len(part) == 1 else ad.take_row(scored, j)
+        return scores
 
     def _teacher_forced(
         self, cross: CrossKV, bias: ad.Tensor | None, answers: np.ndarray
     ) -> ad.Tensor:
         """(B,) log-likelihoods of the (B, T) equal-length answers, row b
         scored against the memory of row b of `cross`."""
-        decoder_input = np.concatenate(
-            [np.full((answers.shape[0], 1), BOS_ID), answers[:, :-1]], axis=1
-        )
-        logits = self._decode_logits(decoder_input, cross, bias)
+        logits = self._decode_logits(_decoder_input(answers), cross, bias)
         return ad.sequence_log_prob(logits, answers)
+
+    # Inference: greedy decoding, then the pipeline that serves it ----------
 
     def greedy_decode(
         self,
@@ -358,6 +398,11 @@ class Reader:
     @classmethod
     def load(cls, path) -> "Reader":
         return load_model(path, "reader", ReaderConfig, cls)
+
+
+def _decoder_input(answers: np.ndarray) -> np.ndarray:
+    """Teacher forcing's (B, T) decoder input: [BOS], then each answer but its last token."""
+    return np.concatenate([np.full((answers.shape[0], 1), BOS_ID), answers[:, :-1]], axis=1)
 
 
 def _take_rows(cross: CrossKV, rows: np.ndarray) -> CrossKV:

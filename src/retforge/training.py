@@ -25,7 +25,7 @@ from .data import (
     mask_salient_spans,
     sample_ict_pair,
 )
-from .e2e import evaluate_retrieval, individual_topk_loss, tau_value, topk_batch_loss
+from .e2e import evaluate_retrieval, individual_losses, tau_value, topk_batch_loss
 from .encoder import DualEncoder, context_input, document_input, question_input
 from .errors import ConfigError, DomainError
 from .evaluation import DEFAULT_KS
@@ -290,9 +290,7 @@ def train_salient_spans(
             mask_salient_spans(*annotated[int(pick)], corpus.vocab, rng)
             for pick in rng.integers(len(annotated), size=config.batch_size)
         ]
-        loss = topk_batch_loss(
-            pairs, snapshot, k, tau, individual_topk_loss, corpus, retriever, reader
-        )
+        loss = topk_batch_loss(pairs, snapshot, k, tau, individual_losses, corpus, retriever, reader)
         metrics.append({
             "step": step,
             "loss": descend(optimizer, loss, step, config.steps, config.warmup_ratio),

@@ -201,7 +201,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.rforge"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
-    with pytest.raises(FormatError, match="magic"):
+    with pytest.raises(FormatError, match=r"\(field: magic\)"):
         load_checkpoint(path)
 
 
@@ -211,7 +211,7 @@ def test_checkpoint_truncated_blob(tmp_path):
     model.save(path)
     raw = path.read_bytes()
     path.write_bytes(raw[:-16])
-    with pytest.raises(FormatError, match="truncated"):
+    with pytest.raises(FormatError, match=r"truncated payload \(field: payload\)"):
         load_checkpoint(path)
 
 
@@ -220,14 +220,14 @@ def test_checkpoint_trailing_garbage(tmp_path):
     path = tmp_path / "enc.rforge"
     model.save(path)
     path.write_bytes(path.read_bytes() + b"xx")
-    with pytest.raises(FormatError, match="trailing"):
+    with pytest.raises(FormatError, match="2 trailing bytes after payload"):
         load_checkpoint(path)
 
 
 def test_checkpoint_wrong_kind(tmp_path):
     path = tmp_path / "other.rforge"
     save_checkpoint(path, {"kind": "something_else"}, {"w": np.zeros(3)})
-    with pytest.raises(FormatError, match="kind"):
+    with pytest.raises(FormatError, match=r"\(field: kind\)"):
         DualEncoder.load(path)
 
 

@@ -94,7 +94,7 @@ def test_joint_lambda_zero_equals_unbiased_fusion(reader):
     assert float(reader.lambda_bias.data) == 0.0
     joint = reader.joint_forward(Q, [Z, Z2], [0.3, 0.7], answer)
     memory = ad.concat([reader.encode_pair(Q, Z), reader.encode_pair(Q, Z2)], axis=0)
-    unbiased = reader._score_memory(memory, None, answer)
+    unbiased = reader._teacher_forced(reader._cross_kv(memory), None, np.array([answer]))
     assert joint.item() == unbiased.item()
 
 
