@@ -8,6 +8,8 @@ preceding byte. A blob is `<f8` (parameters), `<f4` (embeddings) or `<i8`
 total length, then the digest, so a flipped bit or a cut file is a
 FormatError before any array is read. Round-trips are bit-exact. Models use
 `save_model`/`load_model`, the evidence index `index.save_index`/`load_index`.
+`fingerprint` is the SHA-256 of arrays as they are in memory: the key of the
+context tower's document rows (`encoder.DualEncoder.embed_documents`).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import struct
 import typing
 from dataclasses import asdict, fields
+from typing import Iterable
 
 import numpy as np
 
@@ -45,6 +48,18 @@ def save_checkpoint(path, config: dict, arrays: dict[str, np.ndarray]) -> None:
     payload = bytearray().join([MAGIC, struct.pack("<I", len(header)), header, *blobs])
     payload += hashlib.sha256(payload).digest()  # in place: no second copy of the file
     write_atomic(path, payload)
+
+
+def fingerprint(arrays: Iterable[np.ndarray]) -> bytes:
+    """SHA-256 of each array's dtype, shape and bytes, in order, the bytes
+    read through the buffer protocol (no copy of a C-contiguous array). Bytes,
+    not values: +0.0 and -0.0, or two NaN payloads, fingerprint apart."""
+    digest = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        digest.update(f"{arr.dtype.str}{arr.shape}".encode("ascii"))
+        digest.update(arr)
+    return digest.digest()
 
 
 def _is_descriptor(desc) -> bool:

@@ -8,10 +8,12 @@ Retrieval probabilities in both losses come from the live question tower
 scored against the k retrieved documents (the snapshot only selects which
 documents participate), so gradients reach the query tower. A trainable
 context tower re-encodes each document with a graph, so gradients reach it
-too. A frozen one (always in joint mode) is read once per step: one graph-free
-`embed` of the step's distinct documents, whose vectors enter the losses as
-constants, bit for bit the frozen tower's graph forward. Snapshot embeddings
-stay constants.
+too. A frozen one (always in joint mode) is read once per step from its
+store of float64 document rows (`DualEncoder.embed_documents`, keyed by the
+SHA-256 of its parameter bytes and of the corpus's document inputs), which
+the index build before training filled, so a frozen step embeds nothing.
+The rows enter the losses as constants, bit for bit the frozen tower's graph
+forward. Snapshot embeddings stay constants.
 
 A training step (`topk_batch_loss`) builds one graph for all its questions.
 The questions, the (question, document) reader inputs and, when that tower
@@ -366,19 +368,16 @@ def topk_batch_loss(
 
     The search reads graph-free question vectors; the loss encodes the
     questions with the live question tower, so gradients reach every enabled
-    parameter. A context tower with no trainable parameter is read once: one
-    `embed` of the step's distinct documents, whose rows are constants to
-    every loss. A trainable one re-encodes each (question, document) pair's
-    document with a graph.
+    parameter. A context tower with no trainable parameter is read once, from
+    its store of document rows (`DualEncoder.embed_documents`), whose rows are
+    constants to every loss. A trainable one re-encodes each (question,
+    document) pair's document with a graph.
     """
     found = retrieve([question for question, _ in pairs], retriever, snapshot, k, tau)
-    context = retriever.context_encoder
     doc_vecs = None
-    if not any(p.requires_grad for p in context.parameters()):
-        distinct = list(dict.fromkeys(doc_id for r in found for doc_id in r.doc_ids))
-        vecs = context.embed([document_input(corpus.by_id[i], corpus.vocab) for i in distinct])
-        row = {doc_id: n for n, doc_id in enumerate(distinct)}
-        doc_vecs = [vecs[[row[doc_id] for doc_id in r.doc_ids]] for r in found]
+    if not any(p.requires_grad for p in retriever.context_encoder.parameters()):
+        vecs = retriever.embed_documents(corpus, [i for r in found for i in r.doc_ids])
+        doc_vecs = np.split(vecs, np.cumsum([len(r.doc_ids) for r in found])[:-1])
     losses = loss_fn(
         [question for question, _ in pairs], [answer for _, answer in pairs], found, corpus,
         retriever, reader, tau, doc_vecs,

@@ -12,17 +12,22 @@ why inference never pads. Retriever training batches stay padded and keep the
 full forward; their contract is the gradient, checked by finite differences.
 The end-to-end step encodes through `encode_rows`: `infer`'s chunks with a
 row-ordered graph, so that its gradients too equal the one-row graphs'.
+
+`DualEncoder.embed_documents` keeps the context tower's one store of float64
+document rows, keyed by the SHA-256 of the tower's parameter bytes and of the
+corpus's document inputs; index builds and frozen-tower steps read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .checkpoint import load_model, save_model
+from .checkpoint import fingerprint, load_model, save_model
 from .errors import DimensionError, DomainError
 from .text import CLS_ID, PAD_ID, SEP_ID, Vocabulary
 
@@ -334,6 +339,32 @@ def document_input(doc, vocab: Vocabulary) -> list[int]:
     return context_input(vocab.encode(doc.title), doc.tokens)
 
 
+def corpus_fingerprint(ids: np.ndarray, inputs: Sequence[Sequence[int]]) -> bytes:
+    """`checkpoint.fingerprint` of a corpus's document ids and of its
+    documents' inputs (each `document_input`), both in corpus order."""
+    return fingerprint([
+        ids,
+        np.array([len(s) for s in inputs], dtype=np.int64),
+        np.fromiter(chain.from_iterable(inputs), dtype=np.int64),
+    ])
+
+
+@dataclass(frozen=True)
+class DocumentRows:
+    """Context-tower rows of one corpus's documents under one parameter
+    state, keyed by (`params_fp`, `corpus_fp`): the fingerprints of the
+    tower's parameters and of `corpus`'s document inputs (`corpus` is held
+    so that a read of the same corpus object skips its fingerprint). Row n
+    is document n's where `filled[n]`. Never changed; a new store replaces
+    it."""
+
+    corpus: object
+    corpus_fp: bytes
+    params_fp: bytes
+    rows: np.ndarray  # (m, d) float64
+    filled: np.ndarray  # (m,) bool
+
+
 class DualEncoder:
     """Question tower and context tower with disjoint parameters."""
 
@@ -343,6 +374,7 @@ class DualEncoder:
         rng = None if seed is None else np.random.default_rng(seed)
         self.question_encoder = TransformerEncoder(config, rng, prefix="q")
         self.context_encoder = TransformerEncoder(config, rng, prefix="z")
+        self._documents: DocumentRows | None = None
 
     def parameters(self) -> list[ad.Parameter]:
         return self.question_encoder.parameters() + self.context_encoder.parameters()
@@ -355,6 +387,57 @@ class DualEncoder:
     def embed_questions(self, questions: Sequence[Sequence[int]]) -> np.ndarray:
         """Inference: (N, d) question vectors, each equal to `encode_question`."""
         return self.question_encoder.embed([question_input(q) for q in questions])
+
+    def embed_documents(self, corpus, doc_ids: Sequence[int] | None = None) -> np.ndarray:
+        """Inference: (N, d) context-tower rows of the documents `doc_ids`
+        (default: all, in corpus order, as the store's own read-only matrix),
+        each bit for bit the tower's `embed` of its `document_input`.
+
+        A store of another key is dropped first. The missing documents go
+        through one `embed`, once each in corpus order, and their rows are
+        kept only if the tower's parameters fingerprint the same after it.
+        The store is swapped as one reference: a concurrent miss costs an
+        extra embed, never a mixed store.
+        """
+        store = self._documents
+        inputs = None  # the document inputs, made only to fingerprint a new corpus
+        if store is not None and store.corpus is corpus:
+            corpus_fp = store.corpus_fp
+        else:
+            inputs = [document_input(doc, corpus.vocab) for doc in corpus]
+            corpus_fp = corpus_fingerprint(corpus.ids, inputs)
+        params_fp = self._context_fingerprint()
+        m = len(corpus)
+        if store is None or (store.params_fp, store.corpus_fp) != (params_fp, corpus_fp):
+            self._documents = None  # stale rows go before anything is embedded
+            empty = np.zeros((m, self.config.hidden_size)), np.zeros(m, dtype=bool)
+            store = DocumentRows(corpus, corpus_fp, params_fp, *empty)
+        if doc_ids is None:
+            positions = np.arange(m)
+        else:
+            position = {doc_id: n for n, doc_id in enumerate(corpus.ids.tolist())}
+            positions = np.array([position[i] for i in doc_ids], dtype=np.int64)
+        wanted = np.zeros(m, dtype=bool)
+        wanted[positions] = True
+        missing = np.flatnonzero(wanted & ~store.filled)
+        if missing.size:
+            vecs = self.context_encoder.embed([
+                document_input(corpus.documents[n], corpus.vocab) if inputs is None else inputs[n]
+                for n in missing
+            ])
+            if missing.size == m:
+                rows = vecs
+            else:
+                rows = store.rows.copy()
+                rows[missing] = vecs
+            rows.flags.writeable = False
+            store = DocumentRows(corpus, corpus_fp, params_fp, rows, store.filled | wanted)
+            if self._context_fingerprint() == params_fp:
+                self._documents = store
+        return store.rows if doc_ids is None else store.rows[positions]
+
+    def _context_fingerprint(self) -> bytes:
+        return fingerprint(p.data for p in self.context_encoder.parameters())
 
     def save(self, path) -> None:
         save_model(path, "dual_encoder", self.config, self.parameters())

@@ -6,6 +6,11 @@ publishes it with one reference swap, so a search holding the old snapshot
 always sees one consistent version. Embeddings are held at float32 (index
 precision); scoring math runs in float64. `save_index` writes a snapshot as
 an `index` kind of the one `checkpoint` container.
+
+A build reads the context tower's store of float64 document rows
+(`DualEncoder.embed_documents`, keyed by the SHA-256 of the tower's parameter
+bytes and of the corpus's document inputs), which frozen-tower training steps
+read too, so a build under an unchanged tower embeds nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import ranked_rows
-from .encoder import document_input
 from .errors import DimensionError, DomainError, FormatError
 
 
@@ -99,19 +103,17 @@ def top_k(snapshot: IndexSnapshot, q_vec: np.ndarray, k: int, tau: float) -> Ret
 
 
 def build_snapshot(dual_encoder, corpus, version: int = 0) -> IndexSnapshot:
-    """Embed every corpus document with the context tower.
+    """Every corpus document's context-tower vector, cast to float32.
 
-    Documents go through `TransformerEncoder.embed`: graph-free, in chunks of
-    equal-length inputs. Each float64 vector equals the context tower's
-    `encode(document_input(doc, vocab))` bit for bit before the float32
-    cast, so a rebuild with unchanged parameters reproduces the matrix
-    exactly.
+    The float64 rows come from `DualEncoder.embed_documents`: the tower's
+    store when it holds rows for these parameter bytes and document inputs,
+    else `TransformerEncoder.embed`. Each row equals the tower's one-row
+    forward of `document_input(doc, vocab)` bit for bit, so a rebuild with
+    unchanged parameters reproduces the matrix exactly.
     """
     if len(corpus) == 0:
         raise DomainError("cannot index an empty corpus")
-    vectors = dual_encoder.context_encoder.embed(
-        [document_input(doc, corpus.vocab) for doc in corpus]
-    )
+    vectors = dual_encoder.embed_documents(corpus)
     return IndexSnapshot(
         version=version,
         doc_ids=np.array([doc.id for doc in corpus], dtype=np.int64),

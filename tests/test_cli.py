@@ -12,6 +12,7 @@ from retforge.data import (
     mine_distant_supervision,
     save_qa,
 )
+from retforge.encoder import TransformerEncoder
 from retforge.index import top_k
 
 
@@ -264,6 +265,27 @@ def test_resolved_config_reruns_the_run_byte_for_byte(request, tmp_path, recipe,
     assert names == sorted(p.name for p in again.iterdir())
     for name in names:
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("recipe, cfg, builds", [
+    ("supervised", "train_cfg", 2),  # each epoch's dev build embeds; the final index reads
+    ("e2e-joint", "e2e_cfg", 1),  # the frozen tower's steps and final index read the first
+])
+def test_training_embeds_the_corpus_once_per_context_tower_state(
+    request, toy_dir, tmp_path, monkeypatch, recipe, cfg, builds
+):
+    sizes = []
+    original = TransformerEncoder.embed
+
+    def embed(self, sequences):
+        if self.params["token_emb"].name == "z.token_emb":
+            sizes.append(len(sequences))
+        return original(self, sequences)
+
+    monkeypatch.setattr(TransformerEncoder, "embed", embed)
+    cfg_path = request.getfixturevalue(cfg)
+    assert cli.main(["train", recipe, "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+    assert sizes == [len(load_corpus(toy_dir / "corpus.jsonl"))] * builds
 
 
 def test_train_flags_write_what_their_set_forms_write(e2e_cfg, sup_run, tmp_path):

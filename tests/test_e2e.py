@@ -945,9 +945,34 @@ def test_frozen_context_tower_is_embedded_once_per_step(recipe, update_z, monkey
     if config.update_context_encoder:
         assert not embeds and any(graph_forwards)
     else:
-        # one embed per step over at most 2 documents for each of 2 questions
-        assert len(embeds) == steps and all(1 <= n <= 4 for n in embeds)
+        # the index built before training filled the tower's store of rows,
+        # so no step embeds
+        assert steps >= 3 and not embeds
         assert not any(graph_forwards)
+
+
+def test_a_frozen_step_that_misses_the_store_embeds_only_its_documents(monkeypatch):
+    config = e2e.E2EConfig(mode="joint", top_k=1, epochs=2, batch_size=1, refresh_every=1000,
+                           seed=5, max_answer_len=4)
+    corpus, retriever, reader, index = make_world()
+    losses = [r["loss"].hex() for r in e2e.train_e2e(DATASET, corpus, retriever, reader, index,
+                                                      config)]
+    corpus, _, fresh_reader, index = make_world()
+    fresh = DualEncoder(retriever.config, seed=1)  # the same weights, an empty store
+    sizes = []
+
+    def embed(sequences, _original=fresh.context_encoder.embed):
+        sizes.append(len(sequences))
+        return _original(sequences)
+
+    monkeypatch.setattr(fresh.context_encoder, "embed", embed)
+    records = e2e.train_e2e(DATASET, corpus, fresh, fresh_reader, index, config)
+    # one question of top 1 per step: a step embeds its one document, if new
+    assert sizes and all(n == 1 for n in sizes) and len(sizes) < len(corpus)
+    assert [r["loss"].hex() for r in records] == losses
+    assert param_bytes(fresh.parameters() + fresh_reader.parameters()) == param_bytes(
+        retriever.parameters() + reader.parameters()
+    )
 
 
 def test_joint_step_leaves_context_grads_zero():

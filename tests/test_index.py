@@ -1,5 +1,6 @@
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -228,11 +229,155 @@ def test_build_snapshot_on_another_thread_keeps_main_thread_graph(small_corpus, 
     assert built and built[0].size == len(small_corpus)
 
 
-def test_rebuild_with_unchanged_encoder_is_identical(small_corpus):
-    model = DualEncoder(TINY, seed=0)
+def test_rebuild_with_unchanged_encoder_is_identical(small_corpus, monkeypatch):
+    # the rebuild reads the store; a same-seed model with an empty store
+    # embeds again, so the comparison tests `embed`'s determinism
+    model, fresh = DualEncoder(TINY, seed=0), DualEncoder(TINY, seed=0)
+    embeds = counted_embeds(model, monkeypatch)
+    fresh_embeds = counted_embeds(fresh, monkeypatch)
     a = build_snapshot(model, small_corpus)
     b = build_snapshot(model, small_corpus)
+    c = build_snapshot(fresh, small_corpus)
+    assert embeds == fresh_embeds == [len(small_corpus)]
     np.testing.assert_array_equal(a.embeddings, b.embeddings)
+    np.testing.assert_array_equal(a.embeddings, c.embeddings)
+
+
+# The context tower's store of document rows ------------------------------------
+
+
+def counted_embeds(model, monkeypatch) -> list[int]:
+    """Sizes of the context tower's `embed` calls from here on."""
+    sizes = []
+
+    def embed(sequences, _original=model.context_encoder.embed):
+        sizes.append(len(sequences))
+        return _original(sequences)
+
+    monkeypatch.setattr(model.context_encoder, "embed", embed)
+    return sizes
+
+
+def inputs_of(corpus):
+    return [document_input(doc, corpus.vocab) for doc in corpus]
+
+
+def flip_byte(model):
+    model.context_encoder.params["layer0.w1"].data.view(np.uint8)[0, 3] ^= 0x10
+
+
+def test_a_flipped_parameter_byte_misses_the_store(small_corpus, monkeypatch):
+    model = DualEncoder(TINY, seed=0)
+    embeds = counted_embeds(model, monkeypatch)
+    build_snapshot(model, small_corpus)
+    build_snapshot(model, small_corpus)
+    assert embeds == [3]
+    flip_byte(model)
+    rows = model.embed_documents(small_corpus)
+    assert embeds == [3, 3]
+    reference = DualEncoder(TINY, seed=0)  # never built: no store
+    flip_byte(reference)
+    np.testing.assert_array_equal(rows, reference.context_encoder.embed(inputs_of(small_corpus)))
+
+
+def test_stale_rows_are_released_before_a_new_embed(small_corpus, monkeypatch):
+    model = DualEncoder(TINY, seed=0)
+    stale = weakref.ref(model.embed_documents(small_corpus))  # the store's own matrix
+    assert stale() is not None
+    released = []
+
+    def embed(sequences, _original=model.context_encoder.embed):
+        released.append(stale() is None)
+        return _original(sequences)
+
+    monkeypatch.setattr(model.context_encoder, "embed", embed)
+    flip_byte(model)
+    model.embed_documents(small_corpus)
+    assert released == [True]
+
+
+def test_a_negative_zero_parameter_misses_the_store(small_corpus, monkeypatch):
+    # the key is the parameters' bytes, not their values
+    model = DualEncoder(TINY, seed=0)
+    embeds = counted_embeds(model, monkeypatch)
+    build_snapshot(model, small_corpus)
+    bias = model.context_encoder.params["layer0.w1_b"].data
+    assert bias[0] == 0.0 and not np.signbit(bias[0])
+    bias[0] = -0.0
+    build_snapshot(model, small_corpus)
+    assert embeds == [3, 3]
+
+
+def test_another_corpus_with_the_same_ids_misses_the_store(small_corpus, monkeypatch):
+    # the same ids and input lengths, the words in another order
+    texts = ["Gamma beta alpha.", "Epsilon delta.", "Iota theta eta zeta."]
+    other = D.Corpus.build([
+        {"id": doc.id, "title": doc.title, "text": text} for doc, text in zip(small_corpus, texts)
+    ], small_corpus.vocab)
+    assert [len(d.tokens) for d in other] == [len(d.tokens) for d in small_corpus]
+    model = DualEncoder(TINY, seed=0)
+    embeds = counted_embeds(model, monkeypatch)
+    build_snapshot(model, small_corpus)
+    rows = model.embed_documents(other)
+    assert embeds == [3, 3]
+    np.testing.assert_array_equal(rows, DualEncoder(TINY, seed=0).context_encoder.embed(
+        inputs_of(other)
+    ))
+
+
+def test_a_nan_parameter_after_a_hit_still_raises(small_corpus, monkeypatch):
+    model = DualEncoder(TINY, seed=0)
+    embeds = counted_embeds(model, monkeypatch)
+    build_snapshot(model, small_corpus)
+    build_snapshot(model, small_corpus)
+    assert embeds == [3]
+    model.context_encoder.params["layer0.w1"].data[0, 0] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        build_snapshot(model, small_corpus)
+
+
+def test_rows_embedded_while_a_parameter_changed_are_not_kept(small_corpus, monkeypatch):
+    model = DualEncoder(TINY, seed=0)
+    weight = model.context_encoder.params["layer0.w1"].data
+    before = weight.copy()
+    sizes = []
+
+    def embed(sequences, _original=model.context_encoder.embed):
+        sizes.append(len(sequences))
+        out = _original(sequences)
+        if len(sizes) == 1:
+            weight[0, 0] += 1.0  # a write lands while the build is embedding
+        return out
+
+    monkeypatch.setattr(model.context_encoder, "embed", embed)
+    build_snapshot(model, small_corpus)
+    weight[...] = before  # back to the parameters the rows were embedded with
+    rebuilt = build_snapshot(model, small_corpus)
+    assert sizes == [3, 3]  # the first build's rows were not kept under its key
+    np.testing.assert_array_equal(
+        rebuilt.embeddings,
+        DualEncoder(TINY, seed=0).context_encoder.embed(inputs_of(small_corpus)).astype(np.float32),
+    )
+    build_snapshot(model, small_corpus)
+    assert sizes == [3, 3]  # the second build's rows were kept
+
+
+def test_a_store_read_returns_requested_rows_in_order(small_corpus, monkeypatch):
+    model = DualEncoder(TINY, seed=0)
+    embeds = counted_embeds(model, monkeypatch)
+    rows = model.embed_documents(small_corpus, [2, 0, 2])
+    assert embeds == [2]  # the missing documents only, each once
+    full = model.embed_documents(small_corpus)
+    assert embeds == [2, 1]
+    np.testing.assert_array_equal(rows, full[[2, 0, 2]])
+    np.testing.assert_array_equal(full, DualEncoder(TINY, seed=0).context_encoder.embed(
+        inputs_of(small_corpus)
+    ))
+    with pytest.raises(ValueError):
+        full[0, 0] = 7.0  # the store's own matrix
+    rows[1, 0] = 7.0  # a caller's copy
+    np.testing.assert_array_equal(model.embed_documents(small_corpus, [0]), full[[0]])
+    assert embeds == [2, 1]
 
 
 def test_build_empty_corpus_rejected():
