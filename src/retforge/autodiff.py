@@ -32,12 +32,14 @@ where +0.0 + -0.0 = +0.0, so no stored gradient can differ.
 
 A batched graph keeps the bits of the per-example graphs it replaces through
 a row order (`RowOrder`). Each row of a batched node carries a key,
-(example,) or (example, context). The row-ordered ops (`Rows`) compute each
-parameter's gradient per row exactly as the one-row graph does, and
-`backward` adds a parameter's rows to its `grad` in key order, which is the
-order in which the per-example graphs added theirs. Only the batched
-end-to-end step uses it: reordering every reduction instead would change the
-bits of the other training recipes.
+(example,) or (example, context). A row-ordered op (`Rows`) computes no
+parameter gradient in its backward; it leaves the order a function of its
+output gradient. The order's `drain`, which `backward` reaches after every
+row-ordered node, computes each parameter's rows exactly as the one-row
+graphs do and adds them to its `grad` in key order, which is the order in
+which the per-example graphs added theirs. Only the batched end-to-end step
+uses it: reordering every reduction instead would change the bits of the
+other training recipes.
 
 GELU's tanh term keeps the bits of numpy's `x**3`, which is slow on a
 negative base (numpy leaves its vector pow loop there). The forward takes
@@ -59,6 +61,7 @@ import contextlib
 import functools
 import math
 import threading
+from collections import Counter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -725,11 +728,9 @@ def layer_norm(
     out_data = normed * gain.data + bias.data
 
     def backward(g: np.ndarray) -> None:
-        if rows is not None:
-            if bias.requires_grad:
-                rows.deliver(bias, g.sum(axis=1))
-            if gain.requires_grad:
-                rows.deliver(gain, (g * normed).sum(axis=1))
+        if rows is not None:  # functions over arrays only (see `RowOrder`)
+            rows.deliver(bias, lambda: g.sum(axis=1))
+            rows.deliver(gain, lambda: (g * normed).sum(axis=1))
         else:
             if bias.requires_grad:
                 bias.accumulate_grad(_unbroadcast(g, bias.shape))
@@ -763,12 +764,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, rows: Rows | None = None) -> Tensor:
                 b.accumulate_grad(_unbroadcast(g, b.shape))
             _matmul_backward(x, w, g)
             return
-        if b.requires_grad:
-            rows.deliver(b, g.sum(axis=1))
+        rows.deliver(b, lambda: g.sum(axis=1))
         if x.requires_grad:
             x.accumulate_grad(g @ np.swapaxes(w.data, -1, -2))
-        if w.requires_grad:
-            rows.deliver(w, np.swapaxes(x.data, -1, -2) @ g)
+        x_t = np.swapaxes(x.data, -1, -2)  # functions over arrays, never `x` (see `RowOrder`)
+        rows.deliver(w, lambda: x_t @ g)
 
     if rows is not None:
         return rows.node(out_data, (x, w, b), (w, b), backward, "linear")
@@ -837,20 +837,6 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 Contribution = np.ndarray | tuple[np.ndarray, np.ndarray]
 
 
-class _Queue:
-    """One parameter's contributions: how many are still due per key, those
-    held until every earlier key is complete, and the next key to add."""
-
-    __slots__ = ("param", "due", "held", "keys", "next")
-
-    def __init__(self, param: Tensor):
-        self.param = param
-        self.due: dict[tuple, int] = {}
-        self.held: dict[tuple, list[Contribution]] = {}
-        self.keys: list[tuple] | None = None  # sorted once the first one arrives
-        self.next = 0
-
-
 class RowOrder:
     """The parameter gradients of one batched graph, added in key order.
 
@@ -859,75 +845,59 @@ class RowOrder:
     otherwise than the per-example graphs, which each added their own
     contribution in turn. Here each row carries a key, (example,) or
     (example, context), sorting as `backward` reached the per-example graphs.
-    A row-ordered node (the ops of `Rows`) registers at forward time one
-    contribution per row for each parameter it reads that requires a
-    gradient, and during `backward` hands each row's contribution, computed
-    as the row's one-row graph computes it, to `deliver`. A parameter's
-    contributions are added to its `grad` in key order, a key's held ones as
-    soon as it is complete. Every row-ordered node has `drain` as a parent,
-    so `backward` reaches `drain` after all of them; it raises if a
-    registered contribution never arrived.
+    A row-ordered node (`Rows.node`) registers at forward time its rows' keys
+    for each parameter it reads that requires a gradient. Its backward
+    computes no parameter gradient: it leaves each such parameter a function
+    of its output gradient (`Rows.deliver`) that returns one contribution per
+    row, as the row's one-row graph computes it. Every row-ordered node has
+    `drain` as a parent, so `backward` reaches `drain` after all of them.
+    There, per parameter, a registered key that never arrived raises; else
+    each function is called once and the rows are added to `grad` in key
+    order, the rows of one key in arrival order. The functions close over
+    numpy arrays only, never a Tensor, so the order forms no reference cycle.
     """
 
     def __init__(self):
-        self._queues: dict[int, _Queue] = {}
-        # its check holds the queues, not the order, so that no cycle outlives the step
-        check = functools.partial(_check_drained, self._queues)
-        self.drain = Tensor(0.0, requires_grad=True, _backward_fn=check, _op="row_order")
+        # per parameter: (parameter, registered keys, delivered (keys, function) pairs)
+        self.params: dict[int, tuple[Tensor, list[tuple], list]] = {}
+        add = functools.partial(_add_in_key_order, self.params)
+        self.drain = Tensor(0.0, requires_grad=True, _backward_fn=add, _op="row_order")
         self.drain.grad = np.zeros(())  # so that `backward` runs it
 
     def rows(self, keys: Sequence[tuple]) -> "Rows":
         return Rows(self, keys)
 
-    def expect(self, param: Tensor, keys: Sequence[tuple]) -> None:
-        queue = self._queues.get(id(param))
-        if queue is None:
-            queue = self._queues[id(param)] = _Queue(param)
-        for key in keys:
-            queue.due[key] = queue.due.get(key, 0) + 1
 
-    def deliver(
-        self, param: Tensor, keys: Sequence[tuple], contributions: Sequence[Contribution]
-    ) -> None:
-        """Take the contribution of each key's row to `param`, then add every
-        key now complete in order."""
-        queue = self._queues.get(id(param))
-        if queue is None:
-            raise DomainError(f"unregistered row-ordered gradient of {param!r}")
-        if queue.keys is None:
-            queue.keys = sorted(queue.due)
-        due, held, order = queue.due, queue.held, queue.keys
-        for key, part in zip(keys, contributions):
-            if due.get(key, 0) < 1:
-                raise DomainError(f"unregistered row-ordered gradient for {key} of {param!r}")
-            due[key] -= 1
-            held.setdefault(key, []).append(part)
-        while queue.next < len(order) and not due[order[queue.next]]:
-            for part in held.pop(order[queue.next]):
-                if isinstance(part, tuple):
-                    at, values = part  # distinct table rows
-                    param.grad[at] += values
-                else:
-                    param.accumulate_grad(part)
-            queue.next += 1
+def _add_in_key_order(params: dict, _g: np.ndarray) -> None:
+    for param, expected, delivered in params.values():
+        keys = [key for part_keys, _ in delivered for key in part_keys]
+        if len(keys) < len(expected):
+            missing = Counter(expected) - Counter(keys)
+            raise DomainError(
+                f"{missing.total()} row-ordered gradients never arrived, "
+                f"first {min(missing)} of {param!r}"
+            )
+        rows = [row for _, rows_of in delivered for row in rows_of()]
+        for i in sorted(range(len(keys)), key=keys.__getitem__):  # stable
+            _add_row(param, rows[i])
 
 
-def _check_drained(queues: dict[int, _Queue], _g: np.ndarray) -> None:
-    missing = [(q.param, key) for q in queues.values() for key, due in q.due.items() if due]
-    if missing:
-        param, key = missing[0]
-        raise DomainError(
-            f"{len(missing)} row-ordered gradients never arrived, first {key} of {param!r}"
-        )
+def _add_row(param: Tensor, row: Contribution) -> None:
+    if isinstance(row, tuple):
+        at, values = row  # distinct table rows
+        param.grad[at] += values
+    else:
+        param.accumulate_grad(row)
 
 
 class Rows:
     """The rows of one batched node: row r of its input's first axis belongs
     to `keys[r]` of `order`. Its ops equal the plain ones in value and in
-    the gradient of every input but the parameters, whose gradients leave
-    per row as the one-row graph computes them: a weight's from the stacked
-    per-row `swapaxes(x) @ g`, a bias's and a gain's as `g.sum(axis=1)` over
-    (n, T, d) rows, and an embedding table's one row at a time, sparsely."""
+    the gradient of every input but the parameters, whose gradients go to
+    the order as functions computing them per row as the one-row graph does:
+    a weight's the stacked per-row `swapaxes(x) @ g`, a bias's and a gain's
+    `g.sum(axis=1)` over (n, T, d) rows, and an embedding table's one row at
+    a time, sparsely."""
 
     __slots__ = ("order", "keys")
 
@@ -935,8 +905,11 @@ class Rows:
         self.order = order
         self.keys = list(keys)
 
-    def deliver(self, param: Tensor, per_row) -> None:
-        self.order.deliver(param, self.keys, per_row)
+    def deliver(self, param: Tensor, rows_of: Callable[[], Sequence[Contribution]]) -> None:
+        """Leave `param`, if it requires a gradient, `rows_of`: a function over
+        arrays returning each key's row of contribution to it."""
+        if param.requires_grad:
+            self.order.params[id(param)][2].append((self.keys, rows_of))
 
     def node(self, out_data, parents: tuple[Tensor, ...], params: tuple[Tensor, ...],
              backward: Callable[[np.ndarray], None], op: str) -> Tensor:
@@ -944,7 +917,7 @@ class Rows:
         if grad_enabled() and any(p.requires_grad for p in parents):
             for p in params:
                 if p.requires_grad:
-                    self.order.expect(p, self.keys)
+                    self.order.params.setdefault(id(p), (p, [], []))[1].extend(self.keys)
             parents += (self.order.drain,)
         return Tensor(out_data, _parents=parents, _backward_fn=backward, _op=op)
 
@@ -963,8 +936,7 @@ class Rows:
             raise IndexError(f"ids out of range for table of {table.shape[0]} rows")
 
         def backward(g: np.ndarray) -> None:
-            if table.requires_grad:
-                self.deliver(table, _scatter_rows(ids, g))
+            self.deliver(table, lambda: _scatter_rows(ids, g))
 
         return self.node(table.data[ids], (table,), (table,), backward, "embedding")
 
@@ -973,7 +945,7 @@ class Rows:
         whose gradient goes to the order under that row's key."""
 
         def backward(g: np.ndarray) -> None:
-            self.deliver(param, [g])
+            self.deliver(param, lambda: [g])
 
         return self.node(param.data, (param,), (param,), backward, "tap")
 

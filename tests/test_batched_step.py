@@ -10,6 +10,8 @@ by a frozen copy of the per-example step (one graph per question, one
 encoder forward per context), gives the same loss bits and parameter bytes.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -119,12 +121,23 @@ def test_row_ordered_embedding_matches_one_row_graphs_bitwise():
     )
 
 
-def test_a_registered_contribution_that_never_arrives_raises():
-    w, b = prefilled([np.ones((3, 3)), np.zeros(3)])
+# per op: the shapes of the parameters it reads, and its call over rows of x
+ROW_OPS = {
+    "linear": ([(3, 3), (3,)], lambda rows, x, p: rows.linear(x, *p)),
+    "layer_norm": ([(3,), (3,)], lambda rows, x, p: rows.layer_norm(x, *p, 1e-5)),
+    "embedding": ([(5, 3)], lambda rows, x, p: rows.embedding(p[0], np.ones(x.shape[:2], int))),
+    "tap": ([()], lambda rows, x, p: rows.tap(p[0])),  # reads for the one row of its Rows
+}
+
+
+@pytest.mark.parametrize("op", sorted(ROW_OPS))
+def test_a_registered_contribution_that_never_arrives_raises(op):
+    shapes, call = ROW_OPS[op]
+    params = prefilled([np.ones(shape) for shape in shapes])
     order = ad.RowOrder()
-    x = ad.Tensor(np.ones((2, 4, 3)))
-    used = order.rows([(0,), (1,)]).linear(x, w, b)
-    order.rows([(2,)]).linear(ad.Tensor(np.ones((1, 4, 3))), w, b)  # never reaches the loss
+    keys = [(0,)] if op == "tap" else [(0,), (1,)]
+    used = call(order.rows(keys), ad.Tensor(np.ones((len(keys), 4, 3))), params)
+    call(order.rows([(2,)]), ad.Tensor(np.ones((1, 4, 3))), params)  # never reaches the loss
     with pytest.raises(DomainError, match="never arrived"):
         ad.reduce_sum(used).backward()
 
@@ -283,21 +296,18 @@ def test_batched_step_matches_the_per_example_step_bitwise(run, monkeypatch):
     assert RUNS[run]() == shipped
 
 
-def deliver_in_arrival_order(self, param, keys, contributions):
-    """`RowOrder.deliver` without the key order: each row added as it comes."""
-    for key, part in zip(keys, contributions):
-        self._queues[id(param)].due[key] -= 1
-        if isinstance(part, tuple):
-            at, values = part
-            param.grad[at] += values
-        else:
-            param.accumulate_grad(part)
+def deliver_in_arrival_order(params, _g):
+    """The row order's drain without the key order: each row added as it came."""
+    for param, _, delivered in params.values():
+        for _, rows_of in delivered:
+            for row in rows_of():
+                ad._add_row(param, row)
 
 
 @pytest.mark.filterwarnings("ignore:.*duplicate context.*:UserWarning")
 def test_rows_summed_in_arrival_order_break_the_oracle(monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(ad.RowOrder, "deliver", deliver_in_arrival_order)
+        patch.setattr(ad, "_add_in_key_order", deliver_in_arrival_order)
         unordered = {run: RUNS[run]() for run in RUNS}
     use_reference_step(monkeypatch)
     differing = {run for run in RUNS if RUNS[run]() != unordered[run]}
@@ -323,7 +333,8 @@ def test_mixed_runs_cover_cut_inputs_one_row_chunks_and_shared_chunks(monkeypatc
 # Call counts ------------------------------------------------------------------
 
 
-def test_a_step_makes_one_reader_encoder_forward_per_length_chunk(monkeypatch):
+def step_world():
+    """A world shaped like `e2e-train`'s: 8 questions over 32 documents."""
     data = generate_toy(ToySpec(n_docs=32, n_train=8, n_dev=0, seed=7))
     corpus = Corpus.build(list(data.corpus))
     v = len(corpus.vocab)
@@ -338,7 +349,25 @@ def test_a_step_makes_one_reader_encoder_forward_per_length_chunk(monkeypatch):
         (corpus.vocab.encode(ex["question"]), corpus.vocab.encode(ex["answers"][0]))
         for ex in data.train
     ]
-    tau = e2e.tau_value(1.0, 32)
+    return corpus, dual, reader, index, pairs, e2e.tau_value(1.0, 32)
+
+
+def test_a_step_leaves_no_reference_cycle():
+    corpus, dual, reader, index, pairs, tau = step_world()
+    gc.collect()
+    gc.disable()
+    try:
+        for losses in (e2e.individual_losses, e2e.joint_losses):
+            loss = e2e.topk_batch_loss(pairs, index.snapshot, 4, tau, losses, corpus, dual, reader)
+            loss.backward()
+            del loss
+            assert gc.collect() == 0, losses.__name__
+    finally:
+        gc.enable()
+
+
+def test_a_step_makes_one_reader_encoder_forward_per_length_chunk(monkeypatch):
+    corpus, dual, reader, index, pairs, tau = step_world()
     found = e2e.retrieve([q for q, _ in pairs], dual, index.snapshot, 4, tau)
     inputs = [reader._input(q, corpus.by_id[i].tokens) for (q, _), r in zip(pairs, found)
               for i in r.doc_ids]
