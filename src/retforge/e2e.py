@@ -8,22 +8,24 @@ Retrieval probabilities in both losses come from the live question tower
 scored against the k retrieved documents (the snapshot only selects which
 documents participate), so gradients reach the query tower. A trainable
 context tower re-encodes each document with a graph, so gradients reach it
-too. A frozen one (always in joint mode) is read once per step from its
-store of float64 document rows (`DualEncoder.embed_documents`, keyed by the
-SHA-256 of its parameter bytes and of the corpus's document inputs), which
-the index build before training filled, so a frozen step embeds nothing.
-The rows enter the losses as constants, bit for bit the frozen tower's graph
-forward. Snapshot embeddings stay constants.
+too. A frozen one (always in joint mode) is read from its store of float64
+document rows (`DualEncoder.embed_documents`, keyed by the SHA-256 of its
+parameter bytes and of the corpus's document inputs), which the index build
+before training filled, so a frozen step embeds nothing. The rows enter the
+losses as constants, bit for bit the frozen tower's graph forward. Snapshot
+embeddings stay constants.
 
 A training step (`topk_batch_loss`) builds one graph for all its questions.
 The questions, the (question, document) reader inputs and, when that tower
 trains, the documents go through their encoders as graph-mode forwards of
 equal-length rows (`TransformerEncoder.encode_rows`), and answers are scored
 in one teacher-forced decoder call per (answer length, memory length) chunk
-(`Reader.log_likelihoods`). Each row's parameter gradients are added in
-(example, context) order (`autodiff.RowOrder`), so losses and parameters
-equal those of one graph per question bit for bit. `individual_topk_loss`
-and `joint_topk_loss` are the one-question calls of the batched losses.
+(`Reader.log_likelihoods`). The questions are encoded once: the search reads
+the values of the loss's own question rows, which equal `embed_questions`'s
+bit for bit. Each row's parameter gradients are added in (example, context)
+order (`autodiff.RowOrder`), so losses and parameters equal those of one
+graph per question bit for bit. `individual_topk_loss` and `joint_topk_loss`
+are the one-question calls of the batched losses.
 
 Inference (`answer_questions`) encodes all questions in one call, searches
 each, and hands every question to the mode's reader pass at once; both
@@ -72,6 +74,10 @@ class E2EConfig:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if self.tau_multiple <= 0:
             raise ConfigError(f"tau_multiple must be positive, got {self.tau_multiple}")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (0.0 <= self.warmup_ratio < 1.0):
+            raise ConfigError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
         if self.refresh_every < 1:
@@ -98,29 +104,26 @@ def marginal_log_likelihood(log_likelihoods: ad.Tensor, log_probs: ad.Tensor) ->
 
 
 def _live_log_probs(
-    questions: Sequence[Sequence[int]], found: Sequence[RetrievalResult], corpus: Corpus,
+    q_rows: Sequence[ad.Tensor], found: Sequence[RetrievalResult], corpus: Corpus,
     retriever: DualEncoder, tau: float, order: ad.RowOrder,
-    doc_vecs: Sequence[np.ndarray] | None = None,
 ) -> list[ad.Tensor]:
-    """Per question, the top-k-normalized log p(z_i|q,K) from the live
-    question tower against `doc_vecs[i]`, the (k, d) vectors of its documents
-    from a frozen context tower, or with None against its documents encoded
-    live. Both towers run row-ordered: question i's row is keyed (i,), its
-    document c's (i, c)."""
+    """Per question, the top-k-normalized log p(z_i|q,K) of its live
+    question row `q_rows[i]` against its documents. A trainable context tower
+    encodes them row-ordered, document c of question i keyed (i, c); a frozen
+    one is read from its store of document rows (`DualEncoder.embed_documents`),
+    whose rows enter as constants."""
     if any(len(r.doc_ids) < 1 for r in found):
         raise DomainError("retrieved set is empty")
-    q_rows = retriever.question_encoder.encode_rows(
-        [question_input(q) for q in questions], order, [(i,) for i in range(len(questions))],
-        pooled=True,
-    )
-    if doc_vecs is None:
+    doc_ids = [i for r in found for i in r.doc_ids]
+    if any(p.requires_grad for p in retriever.context_encoder.parameters()):
         z_rows = iter(retriever.context_encoder.encode_rows(
-            [document_input(corpus.by_id[i], corpus.vocab) for r in found for i in r.doc_ids],
-            order, _pair_keys(found), pooled=True,
+            [document_input(corpus.by_id[i], corpus.vocab) for i in doc_ids], order,
+            _pair_keys(found), pooled=True,
         ))
         docs = [ad.concat([next(z_rows) for _ in r.doc_ids]) for r in found]
     else:
-        docs = [ad.Tensor(vecs) for vecs in doc_vecs]
+        vecs = iter(retriever.embed_documents(corpus, doc_ids))
+        docs = [ad.Tensor(np.stack([next(vecs) for _ in r.doc_ids])) for r in found]
     log_probs = []
     for q_vec, z in zip(q_rows, docs):
         scores = ad.reshape(ad.matmul(q_vec, ad.transpose(z, (1, 0))), (z.shape[0],))
@@ -136,14 +139,12 @@ def _pair_keys(found: Sequence[RetrievalResult]) -> list[tuple[int, int]]:
 
 def individual_losses(
     questions: Sequence[Sequence[int]], answers: Sequence[Sequence[int]],
-    found: Sequence[RetrievalResult], corpus: Corpus, retriever: DualEncoder, reader: Reader,
-    tau: float, doc_vecs: Sequence[np.ndarray] | None = None,
+    found: Sequence[RetrievalResult], log_probs: Sequence[ad.Tensor], corpus: Corpus,
+    reader: Reader, order: ad.RowOrder,
 ) -> list[ad.Tensor]:
     """Per question, the negative marginal log-likelihood over its retrieved
-    set, all in one row-ordered graph (`doc_vecs` as in `_live_log_probs`):
+    set, given its `_live_log_probs`, in the row-ordered graph of `order`:
     each (question, document) pair's likelihood is keyed (question, rank)."""
-    order = ad.RowOrder()
-    log_probs = _live_log_probs(questions, found, corpus, retriever, tau, order, doc_vecs)
     log_liks = iter(reader.log_likelihoods(
         [(q, [corpus.by_id[i].tokens], None) for q, r in zip(questions, found) for i in r.doc_ids],
         [with_eos(a) for a, r in zip(answers, found) for _ in r.doc_ids],
@@ -157,14 +158,12 @@ def individual_losses(
 
 def joint_losses(
     questions: Sequence[Sequence[int]], answers: Sequence[Sequence[int]],
-    found: Sequence[RetrievalResult], corpus: Corpus, retriever: DualEncoder, reader: Reader,
-    tau: float, doc_vecs: Sequence[np.ndarray] | None = None,
+    found: Sequence[RetrievalResult], log_probs: Sequence[ad.Tensor], corpus: Corpus,
+    reader: Reader, order: ad.RowOrder,
 ) -> list[ad.Tensor]:
-    """Per question, the negative fused log-likelihood, with retrieval probs
-    biasing cross-attention, all in one row-ordered graph (`doc_vecs` as in
-    `_live_log_probs`): each question's fused memory is keyed (question,)."""
-    order = ad.RowOrder()
-    log_probs = _live_log_probs(questions, found, corpus, retriever, tau, order, doc_vecs)
+    """Per question, the negative fused log-likelihood, with the retrieval
+    probs of its `_live_log_probs` biasing cross-attention, in the row-ordered
+    graph of `order`: each question's fused memory is keyed (question,)."""
     log_liks = reader.log_likelihoods(
         [
             (q, [corpus.by_id[i].tokens for i in r.doc_ids], ad.exp(lp))
@@ -175,39 +174,46 @@ def joint_losses(
     return [ad.neg(ad.reshape(ll, ())) for ll in log_liks]
 
 
+def _step_losses(
+    loss_fn, questions: Sequence[Sequence[int]], answers: Sequence[Sequence[int]], search,
+    corpus: Corpus, retriever: DualEncoder, reader: Reader, tau: float,
+) -> list[ad.Tensor]:
+    """`loss_fn` (a `MODES` training loss) of each question against
+    `search(v)`, the retrieved set of its question vector v. The live
+    question tower encodes the questions once, with a graph, question i's row
+    keyed (i,): `search` reads the rows' values, each bit for bit
+    `DualEncoder.embed_questions`'s, and `_live_log_probs` scores the rows."""
+    order = ad.RowOrder()
+    q_rows = retriever.question_encoder.encode_rows(
+        [question_input(q) for q in questions], order, [(i,) for i in range(len(questions))],
+        pooled=True,
+    )
+    found = [search(row.data[0]) for row in q_rows]
+    log_probs = _live_log_probs(q_rows, found, corpus, retriever, tau, order)
+    return loss_fn(questions, answers, found, log_probs, corpus, reader, order)
+
+
 def individual_topk_loss(
-    question_tokens: Sequence[int],
-    answer_tokens: Sequence[int],
-    retrieved: RetrievalResult,
-    corpus: Corpus,
-    retriever: DualEncoder,
-    reader: Reader,
-    tau: float,
-    doc_vecs: np.ndarray | None = None,
+    question_tokens: Sequence[int], answer_tokens: Sequence[int], retrieved: RetrievalResult,
+    corpus: Corpus, retriever: DualEncoder, reader: Reader, tau: float,
 ) -> ad.Tensor:
     """Negative marginal log-likelihood over the retrieved set: a one-question
     `individual_losses`."""
-    vecs = None if doc_vecs is None else [doc_vecs]
-    return individual_losses(
-        [question_tokens], [answer_tokens], [retrieved], corpus, retriever, reader, tau, vecs
+    return _step_losses(
+        individual_losses, [question_tokens], [answer_tokens], lambda _: retrieved, corpus,
+        retriever, reader, tau,
     )[0]
 
 
 def joint_topk_loss(
-    question_tokens: Sequence[int],
-    answer_tokens: Sequence[int],
-    retrieved: RetrievalResult,
-    corpus: Corpus,
-    retriever: DualEncoder,
-    reader: Reader,
-    tau: float,
-    doc_vecs: np.ndarray | None = None,
+    question_tokens: Sequence[int], answer_tokens: Sequence[int], retrieved: RetrievalResult,
+    corpus: Corpus, retriever: DualEncoder, reader: Reader, tau: float,
 ) -> ad.Tensor:
     """Negative fused log-likelihood; retrieval probs bias cross-attention.
     A one-question `joint_losses`."""
-    vecs = None if doc_vecs is None else [doc_vecs]
-    return joint_losses(
-        [question_tokens], [answer_tokens], [retrieved], corpus, retriever, reader, tau, vecs
+    return _step_losses(
+        joint_losses, [question_tokens], [answer_tokens], lambda _: retrieved, corpus,
+        retriever, reader, tau,
     )[0]
 
 
@@ -366,21 +372,15 @@ def topk_batch_loss(
     tokens, answer tokens) pairs, each against its top-k documents in the
     (possibly stale) snapshot.
 
-    The search reads graph-free question vectors; the loss encodes the
-    questions with the live question tower, so gradients reach every enabled
-    parameter. A context tower with no trainable parameter is read once, from
-    its store of document rows (`DualEncoder.embed_documents`), whose rows are
-    constants to every loss. A trainable one re-encodes each (question,
-    document) pair's document with a graph.
+    The questions are encoded once, with a graph, and searched by their own
+    rows (`_step_losses`), so gradients reach every enabled parameter. A
+    context tower with no trainable parameter is read from its store of
+    document rows, as constants; a trainable one re-encodes each (question,
+    document) pair's document with a graph (`_live_log_probs`).
     """
-    found = retrieve([question for question, _ in pairs], retriever, snapshot, k, tau)
-    doc_vecs = None
-    if not any(p.requires_grad for p in retriever.context_encoder.parameters()):
-        vecs = retriever.embed_documents(corpus, [i for r in found for i in r.doc_ids])
-        doc_vecs = np.split(vecs, np.cumsum([len(r.doc_ids) for r in found])[:-1])
-    losses = loss_fn(
-        [question for question, _ in pairs], [answer for _, answer in pairs], found, corpus,
-        retriever, reader, tau, doc_vecs,
+    losses = _step_losses(
+        loss_fn, [question for question, _ in pairs], [answer for _, answer in pairs],
+        lambda q_vec: top_k(snapshot, q_vec, k=k, tau=tau), corpus, retriever, reader, tau,
     )
     return ad.reduce_mean(ad.stack_scalars(losses))
 

@@ -11,11 +11,13 @@ from the one-row vectors in the last bits (measured up to ~1e-15), which is
 why inference never pads. Retriever training batches stay padded and keep the
 full forward; their contract is the gradient, checked by finite differences.
 The end-to-end step encodes through `encode_rows`: `infer`'s chunks with a
-row-ordered graph, so that its gradients too equal the one-row graphs'.
+row-ordered graph, so that its gradients too equal the one-row graphs', and
+its search reads its loss's own question rows (not `embed_questions`).
 
 `DualEncoder.embed_documents` keeps the context tower's one store of float64
 document rows, keyed by the SHA-256 of the tower's parameter bytes and of the
-corpus's document inputs; index builds and frozen-tower steps read it.
+corpus's document inputs, and embeds the whole corpus on a miss; index builds
+and frozen-tower steps read it.
 """
 
 from __future__ import annotations
@@ -355,14 +357,12 @@ class DocumentRows:
     state, keyed by (`params_fp`, `corpus_fp`): the fingerprints of the
     tower's parameters and of `corpus`'s document inputs (`corpus` is held
     so that a read of the same corpus object skips its fingerprint). Row n
-    is document n's where `filled[n]`. Never changed; a new store replaces
-    it."""
+    is document n's. Never changed; a new store replaces it."""
 
     corpus: object
     corpus_fp: bytes
     params_fp: bytes
-    rows: np.ndarray  # (m, d) float64
-    filled: np.ndarray  # (m,) bool
+    rows: np.ndarray  # (m, d) float64, read-only
 
 
 class DualEncoder:
@@ -393,48 +393,33 @@ class DualEncoder:
         (default: all, in corpus order, as the store's own read-only matrix),
         each bit for bit the tower's `embed` of its `document_input`.
 
-        A store of another key is dropped first. The missing documents go
-        through one `embed`, once each in corpus order, and their rows are
-        kept only if the tower's parameters fingerprint the same after it.
-        The store is swapped as one reference: a concurrent miss costs an
-        extra embed, never a mixed store.
+        A store of another key is dropped first; then the whole corpus goes
+        through one `embed`, and its rows are kept only if the tower's
+        parameters fingerprint the same after it. The store is swapped as one
+        reference: a concurrent miss costs an extra embed, never a mixed
+        store.
         """
         store = self._documents
-        inputs = None  # the document inputs, made only to fingerprint a new corpus
+        inputs = None  # the document inputs, made only for a new corpus or a miss
         if store is not None and store.corpus is corpus:
             corpus_fp = store.corpus_fp
         else:
             inputs = [document_input(doc, corpus.vocab) for doc in corpus]
             corpus_fp = corpus_fingerprint(corpus.ids, inputs)
         params_fp = self._context_fingerprint()
-        m = len(corpus)
         if store is None or (store.params_fp, store.corpus_fp) != (params_fp, corpus_fp):
-            self._documents = None  # stale rows go before anything is embedded
-            empty = np.zeros((m, self.config.hidden_size)), np.zeros(m, dtype=bool)
-            store = DocumentRows(corpus, corpus_fp, params_fp, *empty)
-        if doc_ids is None:
-            positions = np.arange(m)
-        else:
-            position = {doc_id: n for n, doc_id in enumerate(corpus.ids.tolist())}
-            positions = np.array([position[i] for i in doc_ids], dtype=np.int64)
-        wanted = np.zeros(m, dtype=bool)
-        wanted[positions] = True
-        missing = np.flatnonzero(wanted & ~store.filled)
-        if missing.size:
-            vecs = self.context_encoder.embed([
-                document_input(corpus.documents[n], corpus.vocab) if inputs is None else inputs[n]
-                for n in missing
-            ])
-            if missing.size == m:
-                rows = vecs
-            else:
-                rows = store.rows.copy()
-                rows[missing] = vecs
+            store = self._documents = None  # stale rows go before anything is embedded
+            if inputs is None:
+                inputs = [document_input(doc, corpus.vocab) for doc in corpus]
+            rows = self.context_encoder.embed(inputs)
             rows.flags.writeable = False
-            store = DocumentRows(corpus, corpus_fp, params_fp, rows, store.filled | wanted)
+            store = DocumentRows(corpus, corpus_fp, params_fp, rows)
             if self._context_fingerprint() == params_fp:
                 self._documents = store
-        return store.rows if doc_ids is None else store.rows[positions]
+        if doc_ids is None:
+            return store.rows
+        position = {doc_id: n for n, doc_id in enumerate(corpus.ids.tolist())}
+        return store.rows[[position[i] for i in doc_ids]]
 
     def _context_fingerprint(self) -> bytes:
         return fingerprint(p.data for p in self.context_encoder.parameters())

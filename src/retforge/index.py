@@ -10,7 +10,9 @@ an `index` kind of the one `checkpoint` container.
 A build reads the context tower's store of float64 document rows
 (`DualEncoder.embed_documents`, keyed by the SHA-256 of the tower's parameter
 bytes and of the corpus's document inputs), which frozen-tower training steps
-read too, so a build under an unchanged tower embeds nothing.
+read too, so a build under an unchanged tower embeds nothing and a miss embeds
+the whole corpus once. Inference searches with `embed_questions` rows; the
+end-to-end training step with its loss's own question rows, the same bits.
 """
 
 from __future__ import annotations

@@ -273,18 +273,18 @@ class Reader:
                 bias = None if biases[part[0]] is None else ad.concat([biases[m] for m in part])
                 cross = self._cross_kv(ad.concat([fused[m] for m in part]), rows)
                 targets = np.array([list(answers[m]) for m in part])
-                logits = self._decode_logits(_decoder_input(targets), cross, bias, rows)
-                scored = ad.sequence_log_prob(logits, targets)
+                scored = self._teacher_forced(cross, bias, targets, rows)
                 for j, m in enumerate(part):
                     scores[m] = scored if len(part) == 1 else ad.take_row(scored, j)
         return scores
 
     def _teacher_forced(
-        self, cross: CrossKV, bias: ad.Tensor | None, answers: np.ndarray
+        self, cross: CrossKV, bias: ad.Tensor | None, answers: np.ndarray,
+        rows: ad.Rows | None = None,
     ) -> ad.Tensor:
         """(B,) log-likelihoods of the (B, T) equal-length answers, row b
-        scored against the memory of row b of `cross`."""
-        logits = self._decode_logits(_decoder_input(answers), cross, bias)
+        scored against the memory of row b of `cross`, row-ordered by `rows`."""
+        logits = self._decode_logits(_decoder_input(answers), cross, bias, rows)
         return ad.sequence_log_prob(logits, answers)
 
     # Inference: greedy decoding, then the pipeline that serves it ----------

@@ -63,6 +63,8 @@ class TrainConfig:
             raise ConfigError(f"tau_multiple must be positive, got {self.tau_multiple}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (0.0 <= self.warmup_ratio < 1.0):
+            raise ConfigError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
         if self.epochs < 1 or self.steps < 1:
             raise ConfigError("epochs and steps must be >= 1")
         if self.hard_negatives_per_example < 0:

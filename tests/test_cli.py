@@ -390,6 +390,22 @@ def test_train_salient_bad_schedule_is_config_error(train_cfg, tmp_path, setting
     assert code == 3
 
 
+@pytest.mark.parametrize("recipe, cfg, setting", [
+    ("ict", "train_cfg", "warmup_ratio=1.5"),
+    ("e2e-joint", "e2e_cfg", "warmup_ratio=1.5"),
+    ("e2e-joint", "e2e_cfg", "learning_rate=-1"),
+])
+def test_train_bad_learning_rate_schedule_is_config_error(
+    request, tmp_path, capsys, recipe, cfg, setting
+):
+    code = cli.main([
+        "train", recipe, "--config", str(request.getfixturevalue(cfg)),
+        "--out-dir", str(tmp_path / "x"), "--set", setting,
+    ])
+    assert code == 3
+    assert setting.split("=")[0] in capsys.readouterr().err
+
+
 def test_train_missing_config_file_is_io_error(tmp_path):
     code = cli.main([
         "train", "supervised", "--config", str(tmp_path / "absent.cfg"),

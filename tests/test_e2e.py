@@ -217,6 +217,10 @@ def test_config_validation():
         e2e.E2EConfig(tau_multiple=0.0)
     with pytest.raises(ConfigError):
         e2e.E2EConfig(refresh_every=0)
+    with pytest.raises(ConfigError):
+        e2e.E2EConfig(learning_rate=-1.0)
+    with pytest.raises(ConfigError):
+        e2e.E2EConfig(warmup_ratio=1.5)
 
 
 def joint_loss_grads(lambda_value):
@@ -605,11 +609,11 @@ def test_answer_questions_matches_one_question_at_a_time_bitwise(mode, monkeypat
         greedy_groups.append((len(encoded), cross[0][0].shape[1]))
         return greedy(cross, bias, max_len)
 
-    def recording_decode(ids, cross, bias):
+    def recording_decode(ids, cross, bias, rows=None):
         # every decoder call, greedy or scoring, keeps to the memory bound
         memory_tokens = len(ids) * cross[0][0].shape[1]
         assert len(ids) == 1 or memory_tokens <= reader_module.DECODE_MEMORY_TOKENS
-        logits = decode(ids, cross, bias)
+        logits = decode(ids, cross, bias, rows)
         batches[-1].append((ids, logits.data))
         return logits
 
@@ -892,13 +896,21 @@ def test_frozen_tower_out_of_graph_is_bit_exact(run, monkeypatch):
     )
 
 
-LIVE_LOG_PROBS = e2e._live_log_probs
-
-
-def reference_live_log_probs(questions, found, corpus, retriever, tau, order, doc_vecs=None):
+def reference_live_log_probs(q_rows, found, corpus, retriever, tau, order):
     """`_live_log_probs` as it was: every document re-encoded by a graph
     forward of the context tower, frozen or not."""
-    return LIVE_LOG_PROBS(questions, found, corpus, retriever, tau, order)
+    z_rows = iter(retriever.context_encoder.encode_rows(
+        [encoder_module.document_input(corpus.by_id[i], corpus.vocab)
+         for r in found for i in r.doc_ids],
+        order, [(i, c) for i, r in enumerate(found) for c in range(len(r.doc_ids))], pooled=True,
+    ))
+    log_probs = []
+    for q_vec, r in zip(q_rows, found):
+        z = ad.concat([next(z_rows) for _ in r.doc_ids])
+        scaled = ad.scale(ad.reshape(ad.matmul(q_vec, ad.transpose(z, (1, 0))), (z.shape[0],)),
+                          1.0 / tau)
+        log_probs.append(scaled - ad.logsumexp(scaled))
+    return log_probs
 
 
 @pytest.mark.parametrize("run", sorted(FROZEN_RUNS))
@@ -920,17 +932,22 @@ def test_frozen_context_tower_is_embedded_once_per_step(recipe, update_z, monkey
     corpus, retriever, reader, index = make_world()
     tower = retriever.context_encoder
     embeds, graph_forwards = [], []
+    question_embeds, question_forwards = [], []
 
-    def embed(sequences, _original=tower.embed):
-        embeds.append(len(sequences))
-        return _original(sequences)
+    def patch(encoder, embeds, forwards):
+        def embed(sequences, _original=encoder.embed):
+            embeds.append(len(sequences))
+            return _original(sequences)
 
-    def forward(*args, _original=tower.forward, **kwargs):
-        graph_forwards.append(ad.grad_enabled())
-        return _original(*args, **kwargs)
+        def forward(*args, _original=encoder.forward, **kwargs):
+            forwards.append(ad.grad_enabled())
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(tower, "embed", embed)
-    monkeypatch.setattr(tower, "forward", forward)
+        monkeypatch.setattr(encoder, "embed", embed)
+        monkeypatch.setattr(encoder, "forward", forward)
+
+    patch(tower, embeds, graph_forwards)
+    patch(retriever.question_encoder, question_embeds, question_forwards)
     if recipe == "salient":
         config = TrainConfig(batch_size=2, steps=3, refresh_every=1000, top_k=2,
                              update_context_encoder=update_z, seed=5)
@@ -949,9 +966,12 @@ def test_frozen_context_tower_is_embedded_once_per_step(recipe, update_z, monkey
         # so no step embeds
         assert steps >= 3 and not embeds
         assert not any(graph_forwards)
+    # the search reads the loss's own question rows: the question tower makes
+    # no `embed` call and no graph-free forward
+    assert not question_embeds and question_forwards and all(question_forwards)
 
 
-def test_a_frozen_step_that_misses_the_store_embeds_only_its_documents(monkeypatch):
+def test_a_frozen_step_that_misses_the_store_embeds_the_corpus_once(monkeypatch):
     config = e2e.E2EConfig(mode="joint", top_k=1, epochs=2, batch_size=1, refresh_every=1000,
                            seed=5, max_answer_len=4)
     corpus, retriever, reader, index = make_world()
@@ -967,8 +987,8 @@ def test_a_frozen_step_that_misses_the_store_embeds_only_its_documents(monkeypat
 
     monkeypatch.setattr(fresh.context_encoder, "embed", embed)
     records = e2e.train_e2e(DATASET, corpus, fresh, fresh_reader, index, config)
-    # one question of top 1 per step: a step embeds its one document, if new
-    assert sizes and all(n == 1 for n in sizes) and len(sizes) < len(corpus)
+    # the first step embeds the whole corpus; the frozen tower's later steps read it
+    assert sizes == [len(corpus)]
     assert [r["loss"].hex() for r in records] == losses
     assert param_bytes(fresh.parameters() + fresh_reader.parameters()) == param_bytes(
         retriever.parameters() + reader.parameters()

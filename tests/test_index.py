@@ -366,9 +366,9 @@ def test_a_store_read_returns_requested_rows_in_order(small_corpus, monkeypatch)
     model = DualEncoder(TINY, seed=0)
     embeds = counted_embeds(model, monkeypatch)
     rows = model.embed_documents(small_corpus, [2, 0, 2])
-    assert embeds == [2]  # the missing documents only, each once
+    assert embeds == [3]  # a miss embeds the whole corpus, each document once
     full = model.embed_documents(small_corpus)
-    assert embeds == [2, 1]
+    assert embeds == [3]
     np.testing.assert_array_equal(rows, full[[2, 0, 2]])
     np.testing.assert_array_equal(full, DualEncoder(TINY, seed=0).context_encoder.embed(
         inputs_of(small_corpus)
@@ -377,7 +377,7 @@ def test_a_store_read_returns_requested_rows_in_order(small_corpus, monkeypatch)
         full[0, 0] = 7.0  # the store's own matrix
     rows[1, 0] = 7.0  # a caller's copy
     np.testing.assert_array_equal(model.embed_documents(small_corpus, [0]), full[[0]])
-    assert embeds == [2, 1]
+    assert embeds == [3]
 
 
 def test_build_empty_corpus_rejected():

@@ -324,6 +324,8 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         T.TrainConfig(learning_rate=0.0)
     with pytest.raises(ConfigError):
+        T.TrainConfig(warmup_ratio=1.5)
+    with pytest.raises(ConfigError):
         T.TrainConfig(keep_prob=1.5)
     with pytest.raises(ConfigError):
         T.TrainConfig(hard_negatives_per_example=-1)
