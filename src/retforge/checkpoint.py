@@ -8,8 +8,9 @@ preceding byte. A blob is `<f8` (parameters), `<f4` (embeddings) or `<i8`
 total length, then the digest, so a flipped bit or a cut file is a
 FormatError before any array is read. Round-trips are bit-exact. Models use
 `save_model`/`load_model`, the evidence index `index.save_index`/`load_index`.
-`fingerprint` is the SHA-256 of arrays as they are in memory: the key of the
-context tower's document rows (`encoder.DualEncoder.embed_documents`).
+`fingerprint` is the SHA-256 of arrays as they are in memory: with the corpus
+object, the key of the context tower's document rows
+(`encoder.DualEncoder.embed_documents`).
 """
 
 from __future__ import annotations

@@ -413,12 +413,20 @@ def cmd_answer(args) -> int:
     return 0
 
 
+def _number_list(flag: str, text: str, typ) -> tuple:
+    """The comma-separated numbers of `flag`; a ConfigError naming it otherwise."""
+    try:
+        return _coerce(text, tuple[typ, ...])
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def cmd_eval(args) -> int:
-    corpus, dual, snapshot, tau = _deployment(args)
-    examples = load_qa(args.dataset)
-    ks = tuple(int(v) for v in args.ks.split(",") if v.strip())
+    ks = _number_list("--ks", args.ks, int)
     if not ks:
         raise ConfigError("--ks must name at least one cutoff")
+    corpus, dual, snapshot, tau = _deployment(args)
+    examples = load_qa(args.dataset)
     # one search serves both metrics: EM reads the first k rows of each
     k = min(args.k, snapshot.size)
     questions = [corpus.vocab.encode(ex.question) for ex in examples]
@@ -448,10 +456,9 @@ def cmd_eval(args) -> int:
 
 
 def _sweep_values(axis: str, text: str) -> list:
-    raw = [v.strip() for v in text.split(",") if v.strip()]
-    if not raw:
+    values = _number_list("--values", text, int if axis == "topk" else float)
+    if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    values = [int(v) if axis == "topk" else float(v) for v in raw]
     unique = []
     for v in values:
         if v in unique:

@@ -9,11 +9,10 @@ scored against the k retrieved documents (the snapshot only selects which
 documents participate), so gradients reach the query tower. A trainable
 context tower re-encodes each document with a graph, so gradients reach it
 too. A frozen one (always in joint mode) is read from its store of float64
-document rows (`DualEncoder.embed_documents`, keyed by the SHA-256 of its
-parameter bytes and of the corpus's document inputs), which the index build
-before training filled, so a frozen step embeds nothing. The rows enter the
-losses as constants, bit for bit the frozen tower's graph forward. Snapshot
-embeddings stay constants.
+document rows (`DualEncoder.embed_documents`, keyed by the corpus object and
+its parameter bytes), which the index build before training filled, so a
+frozen step embeds nothing. The rows enter the losses as constants, bit for
+bit the frozen tower's graph forward. Snapshot embeddings stay constants.
 
 A training step (`topk_batch_loss`) builds one graph for all its questions.
 The questions, the (question, document) reader inputs and, when that tower
@@ -72,10 +71,10 @@ class E2EConfig:
             raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.tau_multiple <= 0:
-            raise ConfigError(f"tau_multiple must be positive, got {self.tau_multiple}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("tau_multiple", "learning_rate"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         if not (0.0 <= self.warmup_ratio < 1.0):
             raise ConfigError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
         if self.batch_size < 1 or self.epochs < 1:

@@ -15,15 +15,13 @@ row-ordered graph, so that its gradients too equal the one-row graphs', and
 its search reads its loss's own question rows (not `embed_questions`).
 
 `DualEncoder.embed_documents` keeps the context tower's one store of float64
-document rows, keyed by the SHA-256 of the tower's parameter bytes and of the
-corpus's document inputs, and embeds the whole corpus on a miss; index builds
-and frozen-tower steps read it.
+document rows, keyed by the corpus object and the tower's parameter bytes, and
+embeds the whole corpus on a miss; index builds and frozen-tower steps read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -341,26 +339,15 @@ def document_input(doc, vocab: Vocabulary) -> list[int]:
     return context_input(vocab.encode(doc.title), doc.tokens)
 
 
-def corpus_fingerprint(ids: np.ndarray, inputs: Sequence[Sequence[int]]) -> bytes:
-    """`checkpoint.fingerprint` of a corpus's document ids and of its
-    documents' inputs (each `document_input`), both in corpus order."""
-    return fingerprint([
-        ids,
-        np.array([len(s) for s in inputs], dtype=np.int64),
-        np.fromiter(chain.from_iterable(inputs), dtype=np.int64),
-    ])
-
-
 @dataclass(frozen=True)
 class DocumentRows:
     """Context-tower rows of one corpus's documents under one parameter
-    state, keyed by (`params_fp`, `corpus_fp`): the fingerprints of the
-    tower's parameters and of `corpus`'s document inputs (`corpus` is held
-    so that a read of the same corpus object skips its fingerprint). Row n
-    is document n's. Never changed; a new store replaces it."""
+    state, keyed by the corpus object and the tower's parameter bytes
+    (`params_fp`, their fingerprint); `Corpus` is immutable, so the object
+    stands for its content. Row n is document n's. Never changed; a new
+    store replaces it."""
 
     corpus: object
-    corpus_fp: bytes
     params_fp: bytes
     rows: np.ndarray  # (m, d) float64, read-only
 
@@ -393,27 +380,20 @@ class DualEncoder:
         (default: all, in corpus order, as the store's own read-only matrix),
         each bit for bit the tower's `embed` of its `document_input`.
 
-        A store of another key is dropped first; then the whole corpus goes
-        through one `embed`, and its rows are kept only if the tower's
+        The store is keyed by the corpus object and the tower's parameter
+        bytes. A store of another key is dropped first; then the whole corpus
+        goes through one `embed`, and its rows are kept only if the tower's
         parameters fingerprint the same after it. The store is swapped as one
         reference: a concurrent miss costs an extra embed, never a mixed
         store.
         """
         store = self._documents
-        inputs = None  # the document inputs, made only for a new corpus or a miss
-        if store is not None and store.corpus is corpus:
-            corpus_fp = store.corpus_fp
-        else:
-            inputs = [document_input(doc, corpus.vocab) for doc in corpus]
-            corpus_fp = corpus_fingerprint(corpus.ids, inputs)
         params_fp = self._context_fingerprint()
-        if store is None or (store.params_fp, store.corpus_fp) != (params_fp, corpus_fp):
+        if store is None or store.corpus is not corpus or store.params_fp != params_fp:
             store = self._documents = None  # stale rows go before anything is embedded
-            if inputs is None:
-                inputs = [document_input(doc, corpus.vocab) for doc in corpus]
-            rows = self.context_encoder.embed(inputs)
+            rows = self.context_encoder.embed([document_input(doc, corpus.vocab) for doc in corpus])
             rows.flags.writeable = False
-            store = DocumentRows(corpus, corpus_fp, params_fp, rows)
+            store = DocumentRows(corpus, params_fp, rows)
             if self._context_fingerprint() == params_fp:
                 self._documents = store
         if doc_ids is None:

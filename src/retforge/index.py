@@ -8,10 +8,10 @@ precision); scoring math runs in float64. `save_index` writes a snapshot as
 an `index` kind of the one `checkpoint` container.
 
 A build reads the context tower's store of float64 document rows
-(`DualEncoder.embed_documents`, keyed by the SHA-256 of the tower's parameter
-bytes and of the corpus's document inputs), which frozen-tower training steps
-read too, so a build under an unchanged tower embeds nothing and a miss embeds
-the whole corpus once. Inference searches with `embed_questions` rows; the
+(`DualEncoder.embed_documents`, keyed by the corpus object and the tower's
+parameter bytes), which frozen-tower training steps read too, so a build of
+the same corpus under an unchanged tower embeds nothing and a miss embeds the
+whole corpus once. Inference searches with `embed_questions` rows; the
 end-to-end training step with its loss's own question rows, the same bits.
 """
 
@@ -108,19 +108,14 @@ def build_snapshot(dual_encoder, corpus, version: int = 0) -> IndexSnapshot:
     """Every corpus document's context-tower vector, cast to float32.
 
     The float64 rows come from `DualEncoder.embed_documents`: the tower's
-    store when it holds rows for these parameter bytes and document inputs,
+    store when it holds rows for this corpus object and these parameter bytes,
     else `TransformerEncoder.embed`. Each row equals the tower's one-row
     forward of `document_input(doc, vocab)` bit for bit, so a rebuild with
     unchanged parameters reproduces the matrix exactly.
     """
     if len(corpus) == 0:
         raise DomainError("cannot index an empty corpus")
-    vectors = dual_encoder.embed_documents(corpus)
-    return IndexSnapshot(
-        version=version,
-        doc_ids=np.array([doc.id for doc in corpus], dtype=np.int64),
-        embeddings=vectors.astype(np.float32),
-    )
+    return IndexSnapshot(version, corpus.ids, dual_encoder.embed_documents(corpus))
 
 
 class EvidenceIndex:

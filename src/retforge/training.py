@@ -59,10 +59,10 @@ class TrainConfig:
             raise ConfigError(
                 f"batch_size must be >= 2 for in-batch negatives, got {self.batch_size}"
             )
-        if self.tau_multiple <= 0:
-            raise ConfigError(f"tau_multiple must be positive, got {self.tau_multiple}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("tau_multiple", "learning_rate"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         if not (0.0 <= self.warmup_ratio < 1.0):
             raise ConfigError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
         if self.epochs < 1 or self.steps < 1:
@@ -75,6 +75,8 @@ class TrainConfig:
             raise ConfigError(f"refresh_every must be >= 1, got {self.refresh_every}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
+        if not self.eval_ks or min(self.eval_ks) < 1:
+            raise ConfigError(f"eval_ks must name cutoffs >= 1, got {self.eval_ks}")
 
 
 def in_batch_loss(

@@ -394,6 +394,12 @@ def test_train_salient_bad_schedule_is_config_error(train_cfg, tmp_path, setting
     ("ict", "train_cfg", "warmup_ratio=1.5"),
     ("e2e-joint", "e2e_cfg", "warmup_ratio=1.5"),
     ("e2e-joint", "e2e_cfg", "learning_rate=-1"),
+    ("e2e-joint", "e2e_cfg", "tau_multiple=nan"),
+    ("e2e-joint", "e2e_cfg", "tau_multiple=inf"),
+    ("supervised", "train_cfg", "tau_multiple=nan"),
+    ("supervised", "train_cfg", "learning_rate=nan"),
+    ("supervised", "train_cfg", "eval_ks="),
+    ("supervised", "train_cfg", "eval_ks=0"),
 ])
 def test_train_bad_learning_rate_schedule_is_config_error(
     request, tmp_path, capsys, recipe, cfg, setting
@@ -721,6 +727,27 @@ def test_sweep_empty_values_is_config_error(train_cfg, tmp_path):
         "--config", str(train_cfg), "--out-dir", str(tmp_path / "s"),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["eval", "--ks", "1,x"], "--ks"),
+    (["sweep", "--axis", "topk", "--values", "1,x"], "--values"),
+    (["sweep", "--axis", "train-fraction", "--values", "0.5,x"], "--values"),
+])
+def test_malformed_number_list_is_config_error(
+    toy_dir, sup_run, train_cfg, tmp_path, capsys, argv, flag
+):
+    if argv[0] == "eval":
+        argv = argv + [
+            "--dataset", str(toy_dir / "dev.jsonl"), "--index", str(sup_run / "index.ridx"),
+            "--checkpoint", str(sup_run / "retriever.ckpt"),
+            "--corpus", str(toy_dir / "corpus.jsonl"),
+        ]
+    else:
+        argv = argv + ["--config", str(train_cfg)]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
 
 
 def test_sweep_train_fraction_remines(toy_dir, train_cfg, tmp_path):

@@ -221,6 +221,11 @@ def test_config_validation():
         e2e.E2EConfig(learning_rate=-1.0)
     with pytest.raises(ConfigError):
         e2e.E2EConfig(warmup_ratio=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="tau_multiple"):
+            e2e.E2EConfig(tau_multiple=bad)
+        with pytest.raises(ConfigError, match="learning_rate"):
+            e2e.E2EConfig(learning_rate=bad)
 
 
 def joint_loss_grads(lambda_value):

@@ -308,9 +308,14 @@ def test_a_negative_zero_parameter_misses_the_store(small_corpus, monkeypatch):
     assert embeds == [3, 3]
 
 
-def test_another_corpus_with_the_same_ids_misses_the_store(small_corpus, monkeypatch):
+@pytest.mark.parametrize("texts", [
     # the same ids and input lengths, the words in another order
-    texts = ["Gamma beta alpha.", "Epsilon delta.", "Iota theta eta zeta."]
+    ["Gamma beta alpha.", "Epsilon delta.", "Iota theta eta zeta."],
+    # the same records: equal content, another object
+    None,
+], ids=["reordered-words", "equal-content"])
+def test_another_corpus_with_the_same_ids_misses_the_store(small_corpus, monkeypatch, texts):
+    texts = texts or [doc.text for doc in small_corpus]
     other = D.Corpus.build([
         {"id": doc.id, "title": doc.title, "text": text} for doc, text in zip(small_corpus, texts)
     ], small_corpus.vocab)

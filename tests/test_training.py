@@ -333,3 +333,11 @@ def test_train_config_validation():
         T.TrainConfig(refresh_every=0)
     with pytest.raises(ConfigError):
         T.TrainConfig(top_k=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="tau_multiple"):
+            T.TrainConfig(tau_multiple=bad)
+        with pytest.raises(ConfigError, match="learning_rate"):
+            T.TrainConfig(learning_rate=bad)
+    for ks in ((), (0,), (1, -5)):
+        with pytest.raises(ConfigError, match="eval_ks"):
+            T.TrainConfig(eval_ks=ks)
