@@ -1,6 +1,9 @@
 """Corpus and QA ingestion, BM25 distant supervision, and the two
 unsupervised example generators (inverse cloze and masked salient spans).
 
+Both generators slice a document's tokens by its sentence offsets, worked
+out from its text once, on first use (`Document.sentence_ranges`).
+
 BM25 scores come from an inverted index that build_corpus_stats builds once
 per corpus: scoring a query adds each of its tokens' postings into one score
 vector over all documents.
@@ -15,13 +18,14 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InputError
 from .files import jsonl, write_atomic
-from .text import MASK_ID, Vocabulary, contains_answer, segment_sentences
+from .text import MASK_ID, Vocabulary, contains_answer, segment_sentences, word_split
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -29,6 +33,9 @@ BM25_B = 0.75
 
 @dataclass(frozen=True)
 class Document:
+    """A document, its text's token ids and, worked out on first use (never
+    by `Corpus.build`), its sentences' offsets into them."""
+
     id: int
     title: str
     text: str
@@ -39,6 +46,18 @@ class Document:
             raise InputError(f"document id must be in [0, 2**63), got {self.id}")
         if not self.text:
             raise InputError(f"document {self.id}: empty text")
+
+    @cached_property
+    def sentence_ranges(self) -> tuple[tuple[int, int], ...]:
+        """[start, end) offsets into `tokens` of each `segment_sentences(text)`,
+        one token per `word_split` token. DomainError unless they tile `tokens`."""
+        ranges, end = [], 0
+        for sentence in segment_sentences(self.text):
+            start, end = end, end + len(word_split(sentence))
+            ranges.append((start, end))
+        if end != len(self.tokens):
+            raise DomainError(f"document {self.id}: text has {end} tokens, not {len(self.tokens)}")
+        return tuple(ranges)
 
 
 @dataclass(frozen=True)
@@ -386,26 +405,8 @@ ICT_MAX_CONTEXT_TOKENS = 256
 ICT_KEEP_PROB = 0.1
 
 
-def sentence_token_ranges(
-    doc: Document, vocab: Vocabulary
-) -> list[tuple[str, int, int]]:
-    """Sentences with their [start, end) offsets into doc.tokens.
-
-    Whitespace carries no tokens, so per-sentence encodings concatenate to
-    exactly the document token sequence.
-    """
-    out = []
-    offset = 0
-    for sentence in segment_sentences(doc.text):
-        n = len(vocab.encode(sentence))
-        out.append((sentence, offset, offset + n))
-        offset += n
-    return out
-
-
 def sample_ict_pair(
     doc: Document,
-    vocab: Vocabulary,
     rng: np.random.Generator,
     keep_prob: float = ICT_KEEP_PROB,
     max_context_tokens: int = ICT_MAX_CONTEXT_TOKENS,
@@ -416,23 +417,19 @@ def sample_ict_pair(
     Returns None for single-sentence paragraphs (skip, not an error). Draw
     order is fixed: sentence index first, then the keep decision.
     """
-    sentences = segment_sentences(doc.text)
+    sentences = doc.sentence_ranges
     if len(sentences) < 2:
         return None
-    idx = int(rng.integers(len(sentences)))
+    start, end = sentences[int(rng.integers(len(sentences)))]
     keep = bool(rng.random() < keep_prob)
-    query = vocab.encode(sentences[idx])
-    context_sentences = sentences if keep else sentences[:idx] + sentences[idx + 1:]
-    context: list[int] = []
-    for s in context_sentences:
-        context.extend(vocab.encode(s))
-    return query, context[:max_context_tokens]
+    tokens = doc.tokens
+    context = tokens if keep else tokens[:start] + tokens[end:]
+    return list(tokens[start:end]), list(context[:max_context_tokens])
 
 
 def mask_salient_spans(
     doc: Document,
     annotation: SpanAnnotation,
-    vocab: Vocabulary,
     rng: np.random.Generator,
 ) -> tuple[list[int], list[int]] | None:
     """Pick one annotated span uniformly, replace it with [MASK] inside its
@@ -452,7 +449,7 @@ def mask_salient_spans(
         raise InputError(
             f"doc {doc.id}: span ({start}, {end}) outside {len(doc.tokens)} tokens"
         )
-    for _, s_start, s_end in sentence_token_ranges(doc, vocab):
+    for s_start, s_end in doc.sentence_ranges:
         if s_start <= start and end < s_end:
             sentence_tokens = list(doc.tokens[s_start:s_end])
             lo, hi = start - s_start, end - s_start

@@ -21,7 +21,8 @@ matmul runs per row with that row's own shapes, so each row equals the
 one-pair, one-question path bit for bit. Training (`log_likelihoods`) cuts
 the same way with a graph: the inputs of many memories through
 `TransformerEncoder.encode_rows`, then one teacher-forced decoder call per
-(answer length, memory length) chunk, row-ordered (`autodiff.RowOrder`) so
+(answer length, memory length) chunk of `_scoring_parts`, the cut
+`score_chunks` makes too, row-ordered (`autodiff.RowOrder`) so
 that every gradient equals the memories' one-row graphs bit for bit;
 `answer_log_likelihood` and `joint_forward` are its one-memory calls.
 """
@@ -266,16 +267,14 @@ class Reader:
         ))
         fused = [ad.concat([next(states) for _ in n], axis=1) for n in lengths]
         scores: list[ad.Tensor] = [None] * len(memories)
-        for picks in group_by_length(map(len, answers)).values():
-            for chunk in length_chunks([sum(lengths[m]) for m in picks], DECODE_MEMORY_TOKENS):
-                part = [picks[j] for j in chunk]
-                rows = order.rows([keys[m] for m in part])
-                bias = None if biases[part[0]] is None else ad.concat([biases[m] for m in part])
-                cross = self._cross_kv(ad.concat([fused[m] for m in part]), rows)
-                targets = np.array([list(answers[m]) for m in part])
-                scored = self._teacher_forced(cross, bias, targets, rows)
-                for j, m in enumerate(part):
-                    scores[m] = scored if len(part) == 1 else ad.take_row(scored, j)
+        for part in _scoring_parts(map(len, answers), [sum(n) for n in lengths]):
+            rows = order.rows([keys[m] for m in part])
+            bias = None if biases[part[0]] is None else ad.concat([biases[m] for m in part])
+            cross = self._cross_kv(ad.concat([fused[m] for m in part]), rows)
+            targets = np.array([list(answers[m]) for m in part])
+            scored = self._teacher_forced(cross, bias, targets, rows)
+            for j, m in enumerate(part):
+                scores[m] = scored if len(part) == 1 else ad.take_row(scored, j)
         return scores
 
     def _teacher_forced(
@@ -352,13 +351,11 @@ class Reader:
             # every (row of the chunk, answer index) to score
             pairs = [(c, a) for c, r in enumerate(rows) for a in range(len(answers_per_memory[r]))]
             answers = [answers_per_memory[rows[c]][a] for c, a in pairs]
-            size = max(1, DECODE_MEMORY_TOKENS // cross[0][0].shape[1])
-            for picks in group_by_length(map(len, answers)).values():
-                for part in (picks[lo:lo + size] for lo in range(0, len(picks), size)):
-                    batch = _take_rows(cross, np.array([pairs[j][0] for j in part]))
-                    scored = self._teacher_forced(batch, None, np.array([answers[j] for j in part]))
-                    for j, ll in zip(part, scored.data):
-                        out[rows[pairs[j][0]]][pairs[j][1]] = ll
+            for part in _scoring_parts(map(len, answers), [cross[0][0].shape[1]] * len(pairs)):
+                batch = _take_rows(cross, np.array([pairs[j][0] for j in part]))
+                scored = self._teacher_forced(batch, None, np.array([answers[j] for j in part]))
+                for j, ll in zip(part, scored.data):
+                    out[rows[pairs[j][0]]][pairs[j][1]] = ll
         return out
 
     def _greedy(
@@ -398,6 +395,14 @@ class Reader:
     @classmethod
     def load(cls, path) -> "Reader":
         return load_model(path, "reader", ReaderConfig, cls)
+
+
+def _scoring_parts(answer_lengths, memory_lengths: Sequence[int]) -> Iterator[list[int]]:
+    """The rows of each teacher-forced decoder call: rows grouped by answer
+    length, each group cut by `length_chunks` over its memory lengths."""
+    for picks in group_by_length(answer_lengths).values():
+        for chunk in length_chunks([memory_lengths[r] for r in picks], DECODE_MEMORY_TOKENS):
+            yield [picks[j] for j in chunk]
 
 
 def _decoder_input(answers: np.ndarray) -> np.ndarray:

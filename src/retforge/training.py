@@ -32,7 +32,6 @@ from .evaluation import DEFAULT_KS
 from .index import EvidenceIndex, IndexSnapshot, build_snapshot, top_k
 from .optim import ParamGroup, descend, linear_schedule, make_optimizer
 from .reader import Reader
-from .text import segment_sentences
 
 
 @dataclass(frozen=True)
@@ -224,13 +223,13 @@ def train_ict(
     """Inverse cloze pretraining: query sentence against in-batch contexts.
 
     Pseudo-contexts keep their source document's title so the format matches
-    real indexed contexts.
+    real indexed contexts. Each eligible title is encoded once per run; the
+    pairs are slices of the documents' tokens.
     """
-    eligible = [
-        doc for doc in corpus if len(segment_sentences(doc.text)) >= 2
-    ]
+    eligible = [doc for doc in corpus if len(doc.sentence_ranges) >= 2]
     if not eligible:
         raise DomainError("no paragraphs with >= 2 sentences for inverse cloze training")
+    titles = [corpus.vocab.encode(doc.title) for doc in eligible]
     rng = np.random.default_rng(config.seed)
     tau = tau_value(config.tau_multiple, dual.config.hidden_size)
     optimizer = make_optimizer(dual, config)
@@ -241,12 +240,9 @@ def train_ict(
         context_seqs: list[list[int]] = []
         targets = []
         column_of: dict[tuple[int, ...], int] = {}
-        for doc_index in picks:
-            doc = eligible[int(doc_index)]
-            query, context = sample_ict_pair(
-                doc, corpus.vocab, rng, keep_prob=config.keep_prob
-            )
-            ctx_ids = context_input(corpus.vocab.encode(doc.title), context)
+        for pick in map(int, picks):
+            query, context = sample_ict_pair(eligible[pick], rng, keep_prob=config.keep_prob)
+            ctx_ids = context_input(titles[pick], context)
             key = tuple(ctx_ids)
             if key not in column_of:
                 column_of[key] = len(context_seqs)
@@ -291,7 +287,7 @@ def train_salient_spans(
     for step in range(1, config.steps + 1):
         snapshot = index.refresh(retriever, step, config.refresh_every)
         pairs = [
-            mask_salient_spans(*annotated[int(pick)], corpus.vocab, rng)
+            mask_salient_spans(*annotated[int(pick)], rng)
             for pick in rng.integers(len(annotated), size=config.batch_size)
         ]
         loss = topk_batch_loss(pairs, snapshot, k, tau, individual_losses, corpus, retriever, reader)

@@ -6,7 +6,7 @@ import pytest
 
 from retforge import data as D
 from retforge.errors import DomainError, InputError
-from retforge.text import MASK_ID, Vocabulary, contains_answer
+from retforge.text import MASK_ID, Vocabulary, contains_answer, segment_sentences
 from retforge.toy import ToySpec, generate_toy
 
 
@@ -376,7 +376,7 @@ def multi_sentence_doc():
 
 def test_ict_pair_query_excluded_by_default(multi_sentence_doc):
     doc, vocab = multi_sentence_doc
-    pair = D.sample_ict_pair(doc, vocab, np.random.default_rng(0), keep_prob=0.0)
+    pair = D.sample_ict_pair(doc, np.random.default_rng(0), keep_prob=0.0)
     query, context = pair
     sentences = [vocab.encode(s) for s in ["Alpha beta.", "Gamma delta.", "Epsilon zeta."]]
     assert query in sentences
@@ -386,21 +386,21 @@ def test_ict_pair_query_excluded_by_default(multi_sentence_doc):
 
 
 def test_ict_keep_prob_extremes(multi_sentence_doc):
-    doc, vocab = multi_sentence_doc
+    doc, _ = multi_sentence_doc
     all_tokens = list(doc.tokens)
     rng = np.random.default_rng(42)
     for _ in range(1000):
-        query, context = D.sample_ict_pair(doc, vocab, rng, keep_prob=1.0)
+        query, context = D.sample_ict_pair(doc, rng, keep_prob=1.0)
         assert context == all_tokens  # query kept: context is the whole paragraph
     rng = np.random.default_rng(43)
     for _ in range(1000):
-        query, context = D.sample_ict_pair(doc, vocab, rng, keep_prob=0.0)
+        query, context = D.sample_ict_pair(doc, rng, keep_prob=0.0)
         assert len(context) == len(all_tokens) - len(query)
 
 
 def test_ict_single_sentence_skipped():
     corpus = D.Corpus.build([{"id": 0, "title": "t", "text": "Only one sentence."}])
-    out = D.sample_ict_pair(corpus.by_id[0], corpus.vocab, np.random.default_rng(0))
+    out = D.sample_ict_pair(corpus.by_id[0], np.random.default_rng(0))
     assert out is None
 
 
@@ -411,7 +411,7 @@ def test_ict_sentence_selection_is_uniform(multi_sentence_doc):
     counts = {s: 0 for s in sentences}
     n = 3000
     for _ in range(n):
-        query, _ = D.sample_ict_pair(doc, vocab, rng, keep_prob=0.0)
+        query, _ = D.sample_ict_pair(doc, rng, keep_prob=0.0)
         counts[tuple(query)] += 1
     p = 1 / 3
     sigma = math.sqrt(n * p * (1 - p))
@@ -422,16 +422,14 @@ def test_ict_sentence_selection_is_uniform(multi_sentence_doc):
 def test_ict_context_truncated():
     long_text = " ".join(f"word{i} token filler." for i in range(200))
     corpus = D.Corpus.build([{"id": 0, "title": "t", "text": long_text}])
-    _, context = D.sample_ict_pair(
-        corpus.by_id[0], corpus.vocab, np.random.default_rng(1)
-    )
+    _, context = D.sample_ict_pair(corpus.by_id[0], np.random.default_rng(1))
     assert len(context) <= 256
 
 
 def test_ict_deterministic_under_seed(multi_sentence_doc):
-    doc, vocab = multi_sentence_doc
-    a = D.sample_ict_pair(doc, vocab, np.random.default_rng(5))
-    b = D.sample_ict_pair(doc, vocab, np.random.default_rng(5))
+    doc, _ = multi_sentence_doc
+    a = D.sample_ict_pair(doc, np.random.default_rng(5))
+    b = D.sample_ict_pair(doc, np.random.default_rng(5))
     assert a == b
 
 
@@ -445,7 +443,7 @@ def test_mask_salient_span_example():
     doc, vocab = corpus.by_id[0], corpus.vocab
     # tokens: x was born in paris . x died young .
     ann = D.SpanAnnotation(doc_id=0, spans=((4, 4, "GPE"),))
-    query, target = D.mask_salient_spans(doc, ann, vocab, np.random.default_rng(0))
+    query, target = D.mask_salient_spans(doc, ann, np.random.default_rng(0))
     assert [vocab.token(t) if t != MASK_ID else "[MASK]" for t in query] == [
         "x", "was", "born", "in", "[MASK]", ".",
     ]
@@ -455,9 +453,7 @@ def test_mask_salient_span_example():
 def test_mask_salient_span_no_annotations_skips():
     corpus = D.Corpus.build([{"id": 0, "title": "x", "text": "Some text here."}])
     ann = D.SpanAnnotation(doc_id=0, spans=())
-    out = D.mask_salient_spans(
-        corpus.by_id[0], ann, corpus.vocab, np.random.default_rng(0)
-    )
+    out = D.mask_salient_spans(corpus.by_id[0], ann, np.random.default_rng(0))
     assert out is None
 
 
@@ -465,7 +461,7 @@ def test_mask_salient_span_out_of_range_errors():
     corpus = D.Corpus.build([{"id": 0, "title": "x", "text": "Two words."}])
     ann = D.SpanAnnotation(doc_id=0, spans=((10, 12, "X"),))
     with pytest.raises(InputError):
-        D.mask_salient_spans(corpus.by_id[0], ann, corpus.vocab, np.random.default_rng(0))
+        D.mask_salient_spans(corpus.by_id[0], ann, np.random.default_rng(0))
 
 
 def test_mask_salient_span_crossing_sentences_errors():
@@ -473,7 +469,7 @@ def test_mask_salient_span_crossing_sentences_errors():
     # span (2, 3) covers the final '.' of sentence 1 and 'three' of sentence 2
     ann = D.SpanAnnotation(doc_id=0, spans=((2, 3, "X"),))
     with pytest.raises(InputError):
-        D.mask_salient_spans(corpus.by_id[0], ann, corpus.vocab, np.random.default_rng(0))
+        D.mask_salient_spans(corpus.by_id[0], ann, np.random.default_rng(0))
 
 
 def test_mask_salient_span_wrong_doc_errors():
@@ -483,4 +479,93 @@ def test_mask_salient_span_wrong_doc_errors():
     ])
     ann = D.SpanAnnotation(doc_id=1, spans=((0, 0, "X"),))
     with pytest.raises(InputError):
-        D.mask_salient_spans(corpus.by_id[0], ann, corpus.vocab, np.random.default_rng(0))
+        D.mask_salient_spans(corpus.by_id[0], ann, np.random.default_rng(0))
+
+
+# Sentence offsets -------------------------------------------------------------
+
+
+def reference_ict_pair(doc, vocab, rng, keep_prob, max_context_tokens):
+    """Inverse cloze pair by segmenting the text and encoding each sentence
+    on every draw, as the samplers once did."""
+    sentences = segment_sentences(doc.text)
+    if len(sentences) < 2:
+        return None
+    idx = int(rng.integers(len(sentences)))
+    keep = bool(rng.random() < keep_prob)
+    query = vocab.encode(sentences[idx])
+    context = []
+    for s in sentences if keep else sentences[:idx] + sentences[idx + 1:]:
+        context.extend(vocab.encode(s))
+    return query, context[:max_context_tokens]
+
+
+def reference_salient_spans(doc, annotation, vocab, rng):
+    """Masked salient span by re-encoding the sentences on every draw."""
+    start, end, _ = annotation.spans[int(rng.integers(len(annotation.spans)))]
+    offset = 0
+    for sentence in segment_sentences(doc.text):
+        s_start, offset = offset, offset + len(vocab.encode(sentence))
+        if s_start <= start and end < offset:
+            tokens = list(doc.tokens[s_start:offset])
+            masked = tokens[:start - s_start] + [MASK_ID] + tokens[end - s_start + 1:]
+            return masked, list(doc.tokens[start:end + 1])
+    raise AssertionError("span crosses a sentence boundary")
+
+
+@pytest.fixture(scope="module")
+def toy_world():
+    data = generate_toy(ToySpec(n_docs=48, n_train=0, n_dev=0, seed=31))
+    records = list(data.corpus) + [
+        {"id": 100, "title": "one", "text": "Only one sentence here."},
+        {"id": 101, "title": "many", "text": " ".join(f"Word{i} is filler!" for i in range(40))},
+    ]
+    corpus = D.Corpus.build(records)
+    spans = {r["doc_id"]: D.SpanAnnotation(r["doc_id"], tuple(map(tuple, r["spans"])))
+             for r in data.spans}
+    return corpus, spans
+
+
+@pytest.mark.parametrize("keep_prob,max_context_tokens", [(0.0, 256), (0.5, 256), (1.0, 256), (0.5, 9)])
+def test_ict_pairs_match_the_segment_and_encode_sampler(toy_world, keep_prob, max_context_tokens):
+    corpus, _ = toy_world
+    picks = np.random.default_rng(3).integers(len(corpus), size=2000)
+    shipped, reference = np.random.default_rng(4), np.random.default_rng(4)
+    for pick in picks:
+        doc = corpus.documents[int(pick)]
+        want = reference_ict_pair(doc, corpus.vocab, reference, keep_prob, max_context_tokens)
+        assert D.sample_ict_pair(doc, shipped, keep_prob, max_context_tokens) == want
+    assert shipped.bit_generator.state == reference.bit_generator.state
+
+
+def test_salient_spans_match_the_segment_and_encode_sampler(toy_world):
+    corpus, spans = toy_world
+    picks = np.random.default_rng(5).choice(sorted(spans), size=3000)
+    shipped, reference = np.random.default_rng(6), np.random.default_rng(6)
+    for pick in picks:
+        doc, ann = corpus.by_id[int(pick)], spans[int(pick)]
+        want = reference_salient_spans(doc, ann, corpus.vocab, reference)
+        assert D.mask_salient_spans(doc, ann, shipped) == want
+    assert shipped.bit_generator.state == reference.bit_generator.state
+
+
+def test_sentence_ranges_are_computed_on_first_use_only(monkeypatch):
+    calls = []
+    monkeypatch.setattr(D, "segment_sentences", lambda text: calls.append(text) or [text])
+    corpus = D.Corpus.build([{"id": 0, "title": "t", "text": "Alpha beta."}])
+    assert calls == []
+    doc = corpus.by_id[0]
+    assert doc.sentence_ranges == doc.sentence_ranges == ((0, 3),)
+    assert calls == ["Alpha beta."]
+
+
+@pytest.mark.parametrize("extra", [-1, 2])
+def test_tokens_that_are_not_the_texts_raise_instead_of_being_sliced(extra):
+    vocab = Vocabulary.build(["Alpha beta. Gamma delta."])
+    tokens = vocab.encode("Alpha beta. Gamma delta. Alpha beta.")[:6 + extra]
+    doc = D.Document(id=0, title="t", text="Alpha beta. Gamma delta.", tokens=tuple(tokens))
+    with pytest.raises(DomainError, match="document 0"):
+        D.sample_ict_pair(doc, np.random.default_rng(0), keep_prob=0.0)
+    ann = D.SpanAnnotation(doc_id=0, spans=((0, 0, "alpha"),))
+    with pytest.raises(DomainError, match="document 0"):
+        D.mask_salient_spans(doc, ann, np.random.default_rng(0))

@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used, only `retforge.files`
-writes files, only `retforge.checkpoint` lays out binary data, and no
-generator is decorated with `no_grad()`.
+writes files, only `retforge.checkpoint` lays out binary data, no
+generator is decorated with `no_grad()`, and only `Document.sentence_ranges`
+segments sentences.
 
 `src/retforge/__init__.py` is skipped by the import check: it imports names to
 re-export them through `__all__`.
@@ -220,3 +221,51 @@ def test_scan_catches_a_no_grad_generator():
         "    yield from xs\n"
     )
     assert no_grad_generators(tree) == ["chunks", "delegated"]
+
+
+def callers(tree: ast.AST, name: str) -> list[str]:
+    """The enclosing function (`Class.method` inside a class, `<module>` at
+    top level) of every call to `name`, as a bare name or an attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if (getattr(func, "id", None) or getattr(func, "attr", None)) == name:
+                    found.append(scope)
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_document_segments_sentences():
+    found = [
+        f"{path.name}:{scope}"
+        for path in SOURCES
+        for scope in callers(ast.parse(path.read_text(encoding="utf-8")), "segment_sentences")
+    ]
+    assert found == ["data.py:Document.sentence_ranges"], (
+        "slice a document's tokens by its sentence_ranges instead: " + ", ".join(found)
+    )
+
+
+def test_scan_catches_every_caller_of_a_function():
+    tree = ast.parse(
+        "segment_sentences(text)\n"
+        "class Doc:\n"
+        "    def ranges(self):\n"
+        "        return [len(s) for s in text.segment_sentences(self.text)]\n"
+        "def sample(doc):\n"
+        "    def inner():\n"
+        "        return segment_sentences(doc.text)\n"
+        "    return inner\n"
+        "def reads_only(doc):\n"
+        "    f = segment_sentences\n"
+        "    return doc.segment_sentences\n"
+    )
+    assert callers(tree, "segment_sentences") == ["<module>", "Doc.ranges", "sample.inner"]

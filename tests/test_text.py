@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from retforge.data import Corpus
 from retforge.errors import FormatError
 from retforge.text import (
     CLS_ID,
@@ -110,3 +111,14 @@ def test_segmentation_preserves_tokens(text):
     for sentence in segment_sentences(text):
         joined.extend(word_split(sentence))
     assert joined == word_split(text)
+    if text:
+        # a built document's sentence offsets tile its tokens
+        corpus = Corpus.build([{"id": 0, "title": "t", "text": text}])
+        doc = corpus.documents[0]
+        ranges = doc.sentence_ranges
+        ends = [0] + [end for _, end in ranges]
+        assert [start for start, _ in ranges] == ends[:-1]
+        assert ends[-1] == len(doc.tokens)
+        assert [list(doc.tokens[s:e]) for s, e in ranges] == [
+            corpus.vocab.encode(sentence) for sentence in segment_sentences(text)
+        ]

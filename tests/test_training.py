@@ -10,6 +10,7 @@ from retforge.encoder import DualEncoder, EncoderConfig, context_input, question
 from retforge.errors import ConfigError, DomainError
 from retforge.index import EvidenceIndex, build_snapshot
 from retforge.reader import Reader, ReaderConfig
+from retforge.text import Vocabulary
 
 DOCS = [
     {"id": 0, "title": "rivers", "text": "The long river flows north. It passes three towns. Fish swim in it."},
@@ -259,6 +260,27 @@ def test_train_ict_seeded_rerun_identical():
     assert a == b
 
 
+def spy_on_encode(monkeypatch):
+    """The texts every `Vocabulary.encode` call is given, in call order."""
+    encoded = []
+    encode = Vocabulary.encode
+
+    def spy(vocab, text):
+        encoded.append(text)
+        return encode(vocab, text)
+
+    monkeypatch.setattr(Vocabulary, "encode", spy)
+    return encoded
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_train_ict_encodes_each_title_once_and_nothing_per_step(monkeypatch, steps):
+    corpus = Corpus.build(DOCS + [{"id": 12, "title": "lone", "text": "One sentence only."}])
+    encoded = spy_on_encode(monkeypatch)
+    T.train_ict(corpus, make_dual(corpus), small_config(steps=steps))
+    assert encoded == [doc["title"] for doc in DOCS]
+
+
 # Masked salient spans ------------------------------------------------------------
 
 
@@ -305,6 +327,21 @@ def test_salient_span_loss_decreases():
                           learning_rate=1e-2)
     metrics = T.train_salient_spans(corpus, make_annotations(), retriever, reader, index, config)
     assert metrics[-1]["loss"] < metrics[0]["loss"]
+
+
+@pytest.mark.parametrize("update_context_encoder", [True, False])
+def test_salient_span_steps_encode_no_sentence(monkeypatch, update_context_encoder):
+    corpus, retriever, reader, index = salient_world()
+    titles = {doc["title"] for doc in DOCS}
+    encoded = spy_on_encode(monkeypatch)
+    config = small_config(batch_size=3, steps=3, refresh_every=100, top_k=2,
+                          update_context_encoder=update_context_encoder)
+    T.train_salient_spans(corpus, make_annotations(), retriever, reader, index, config)
+    if update_context_encoder:
+        # a trainable context tower encodes each retrieved document's title
+        assert encoded and set(encoded) <= titles
+    else:
+        assert encoded == []
 
 
 def test_salient_span_requires_annotations():
