@@ -830,6 +830,60 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -2, -3).reshape(*x.shape[:-3], x.shape[-2], -1)
 
 
+class PooledRows:
+    """The rows a pooled forward keeps of its (B, T, ·) sequences: position 0,
+    plus position 1 for a lone sequence, since numpy sends a one-row 2-D
+    matmul down BLAS gemv, which rounds otherwise than the gemm over T >= 2
+    rows. Only position 0 is pooled, so every other row's gradient is zero,
+    and `cut` and `linear` give at the kept rows the values and gradients of
+    the plain ops over all T positions, bit for bit."""
+
+    __slots__ = ("length", "kept")
+
+    def __init__(self, batch: int, length: int):
+        self.length = length
+        self.kept = 2 if batch == 1 else 1
+
+    def cut(self, a: Tensor) -> Tensor:
+        """(B, T, d) -> its kept (B, n, d) rows; backward scatters into zeros."""
+        def backward(g: np.ndarray) -> None:
+            if a.requires_grad:
+                buf = np.zeros_like(a.data)
+                buf[:, :self.kept] = g
+                a.accumulate_grad(buf)
+
+        return Tensor(a.data[:, :self.kept], _parents=(a,), _backward_fn=backward, _op="cut")
+
+    def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+        """`linear` over (B, n, d) kept rows, as one (B * n, d) gemm. The
+        weight gradient stacks the per-row products and sums them over axis
+        0, which is what `_unbroadcast` makes of the per-sequence gemm when
+        one row of each sequence carries gradient."""
+        _check_matmul(x, w)
+        rows = x.data.reshape(-1, x.shape[-1])
+        out_data = (rows @ w.data + b.data).reshape(*x.shape[:-1], -1)
+
+        def backward(g: np.ndarray) -> None:
+            if b.requires_grad:
+                b.accumulate_grad(_unbroadcast(g, b.shape))
+            if w.requires_grad:
+                g_rows = g.reshape(len(rows), -1)
+                w.accumulate_grad((rows[:, :, None] * g_rows[:, None, :]).sum(axis=0))
+            if x.requires_grad:
+                x.accumulate_grad(_pooled_input_grad(g, w.data, self.length))
+
+        return Tensor(out_data, _parents=(x, w, b), _backward_fn=backward, _op="pooled_linear")
+
+
+def _pooled_input_grad(g: np.ndarray, w: np.ndarray, length: int) -> np.ndarray:
+    """The input gradient of `PooledRows.linear`: (B, n, e) `g` placed in zeros
+    of the full (B, T, e) shape, times w.T at that shape, then cut. A
+    (B * n, e) gemm rounds otherwise."""
+    full = np.zeros((g.shape[0], length, g.shape[2]))
+    full[:, :g.shape[1]] = g
+    return (full @ w.T)[:, :g.shape[1]]
+
+
 # Row-ordered ops (see `RowOrder`) -------------------------------------------
 
 # A parameter's share of one row: a dense array of its shape, or for an

@@ -94,16 +94,19 @@ class SpanAnnotation:
 
 
 class Corpus:
-    """Immutable document collection with a shared vocabulary."""
+    """Immutable document collection with a shared vocabulary, each document
+    found by id (`by_id`) and its row by id (`position`)."""
 
     def __init__(self, documents: Sequence[Document], vocab: Vocabulary):
         self.documents = list(documents)
         self.vocab = vocab
         self.by_id: dict[int, Document] = {}
-        for doc in self.documents:
+        self.position: dict[int, int] = {}
+        for n, doc in enumerate(self.documents):
             if doc.id in self.by_id:
                 raise InputError(f"duplicate document id {doc.id}")
             self.by_id[doc.id] = doc
+            self.position[doc.id] = n
         self.ids = np.array([doc.id for doc in self.documents], dtype=np.int64)
         self.ids.flags.writeable = False
 
@@ -112,6 +115,12 @@ class Corpus:
 
     def __iter__(self):
         return iter(self.documents)
+
+    @cached_property
+    def title_tokens(self) -> dict[int, tuple[int, ...]]:
+        """Each document's title token ids by id, encoded on first use, once,
+        and never by `Corpus.build`."""
+        return {doc.id: tuple(self.vocab.encode(doc.title)) for doc in self.documents}
 
     @classmethod
     def build(cls, raw: Iterable[dict], vocab: Vocabulary | None = None) -> "Corpus":

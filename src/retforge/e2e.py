@@ -116,7 +116,7 @@ def _live_log_probs(
     doc_ids = [i for r in found for i in r.doc_ids]
     if any(p.requires_grad for p in retriever.context_encoder.parameters()):
         z_rows = iter(retriever.context_encoder.encode_rows(
-            [document_input(corpus.by_id[i], corpus.vocab) for i in doc_ids], order,
+            [document_input(corpus.by_id[i], corpus) for i in doc_ids], order,
             _pair_keys(found), pooled=True,
         ))
         docs = [ad.concat([next(z_rows) for _ in r.doc_ids]) for r in found]
@@ -397,6 +397,10 @@ def train_e2e(
     refreshed evidence index. Returns per-epoch metrics records."""
     if not dataset:
         raise DomainError("empty training dataset")
+    encoded = [
+        (corpus.vocab.encode(ex.question), [corpus.vocab.encode(a) for a in ex.answers])
+        for ex in dataset
+    ]
     rng = np.random.default_rng(config.seed)
     tau = tau_value(config.tau_multiple, retriever.config.hidden_size)
     loss_fn, _ = MODES[config.mode]
@@ -416,9 +420,8 @@ def train_e2e(
             snapshot = index.refresh(retriever, step, config.refresh_every)
             pairs = []
             for row in order[b * config.batch_size:(b + 1) * config.batch_size]:
-                example = dataset[int(row)]
-                answer = example.answers[int(rng.integers(len(example.answers)))]
-                pairs.append((corpus.vocab.encode(example.question), corpus.vocab.encode(answer)))
+                question, answers = encoded[int(row)]
+                pairs.append((question, answers[int(rng.integers(len(answers)))]))
             loss = topk_batch_loss(pairs, snapshot, k, tau, loss_fn, corpus, retriever, reader)
             epoch_losses.append(descend(optimizer, loss, step, total_steps, config.warmup_ratio))
         record: dict = {

@@ -8,11 +8,17 @@ equal-length sequences, and each row it returns equals the sequence's own
 one-row `encode_batch` bit for bit, for any chunk size and layer count. A
 padded batch of mixed lengths does not have that property: its rows differ
 from the one-row vectors in the last bits (measured up to ~1e-15), which is
-why inference never pads. Retriever training batches stay padded and keep the
-full forward; their contract is the gradient, checked by finite differences.
-The end-to-end step encodes through `encode_rows`: `infer`'s chunks with a
-row-ordered graph, so that its gradients too equal the one-row graphs', and
-its search reads its loss's own question rows (not `embed_questions`).
+why inference never pads. Retriever training batches stay padded; their
+contract is the gradient, checked by finite differences.
+
+A pooled forward, with a graph or without one, takes one pooled-row rule: its
+last layer attends over every position, then runs the rest of the layer and
+the final layer norm only on the rows `ad.PooledRows` keeps (`pooled_layer`).
+Its values and gradients equal the full forward's pooled at position 0 bit
+for bit. The end-to-end step encodes through `encode_rows`: `infer`'s chunks
+with a row-ordered graph and the full forward, so that its gradients too equal
+the one-row graphs', and its search reads its loss's own question rows (not
+`embed_questions`).
 
 `DualEncoder.embed_documents` keeps the context tower's one store of float64
 document rows, keyed by the corpus object and the tower's parameter bytes, and
@@ -29,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import fingerprint, load_model, save_model
 from .errors import DimensionError, DomainError
-from .text import CLS_ID, PAD_ID, SEP_ID, Vocabulary
+from .text import CLS_ID, PAD_ID, SEP_ID
 
 INIT_STD = 0.02
 LN_EPS = 1e-5
@@ -93,14 +99,15 @@ class TransformerEncoder:
         the (B, d) states at position 0. With `rows` (one key per sequence)
         the layers run row-ordered (see `ad.RowOrder`).
 
-        Pooled under `ad.no_grad()`, the last layer still attends over every
-        position, but its output projection, residual, FFN and the final
-        layer norm run only on the rows that are pooled (see `_pooled_rows`).
+        Pooled without `rows`, with a graph or without one, the last layer
+        still attends over every position, but its output projection,
+        residual, FFN and the final layer norm run only on the rows that
+        `ad.PooledRows` keeps (see `pooled_layer`).
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
             raise DimensionError("forward expects a (batch, time) id matrix")
-        b, t = token_ids.shape
+        t = token_ids.shape[1]
         if t > self.config.max_seq_len:
             raise DimensionError(
                 f"sequence length {t} exceeds max_seq_len {self.config.max_seq_len}"
@@ -110,16 +117,14 @@ class TransformerEncoder:
         # additive mask: [PAD] key positions get MASK_NEG in every attention row
         pad_cols = (token_ids == PAD_ID)[:, None, None, :]
         mask = np.where(pad_cols, ad.MASK_NEG, 0.0)
-        narrow = pooled and not ad.grad_enabled()
-        last = self.config.layers - 1
+        cut = pooled and rows is None and t > 1  # at T = 1 there is nothing to cut
+        heads, last = self.config.heads, self.config.layers - 1
         for i in range(self.config.layers):
-            h = transformer_layer(
-                h, p, f"layer{i}", self.config.heads, mask, narrow=narrow and i == last,
-                rows=rows,
-            )
+            if cut and i == last:
+                h = pooled_layer(h, p, f"layer{i}", heads, mask)
+            else:
+                h = transformer_layer(h, p, f"layer{i}", heads, mask, rows=rows)
         h = norm(h, p, "final_ln", rows)
-        if narrow:
-            return ad.Tensor(h.data.reshape(b, -1, self.config.hidden_size)[:, 0])
         return ad.take_position(h, 0) if pooled else h
 
     def encode_batch(self, sequences: Sequence[Sequence[int]]) -> ad.Tensor:
@@ -244,7 +249,8 @@ def norm(
 
 
 def project(
-    x: ad.Tensor, p: dict[str, ad.Parameter], name: str, rows: ad.Rows | None = None
+    x: ad.Tensor, p: dict[str, ad.Parameter], name: str,
+    rows: ad.Rows | ad.PooledRows | None = None,
 ) -> ad.Tensor:
     """x @ `name` + `name`_b, from the parameters `p`."""
     op = ad.linear if rows is None else rows.linear
@@ -254,25 +260,33 @@ def project(
 def transformer_layer(
     h: ad.Tensor, p: dict[str, ad.Parameter], layer: str, heads: int, mask: np.ndarray,
     cross: tuple[ad.Tensor, ad.Tensor] | None = None, bias: ad.Tensor | None = None,
-    narrow: bool = False, rows: ad.Rows | None = None,
+    rows: ad.Rows | None = None,
 ) -> ad.Tensor:
     """One pre-norm layer over (B, T, d) states, shared by the encoder and
     the reader's decoder: masked self-attention, then (decoder only) attention
     to the `cross` key and value projections with the logit `bias`, then the
-    feed-forward block, each added to the residual stream.
-
-    With `narrow` (no-grad only) everything after the self-attention mix
-    runs on the rows that are pooled (see `_pooled_rows`). With `rows` the
+    feed-forward block, each added to the residual stream. With `rows` the
     projections and layer norms run row-ordered.
     """
     mixed = _self_attention(norm(h, p, f"{layer}.ln1", rows), p, layer, heads, mask, rows)
-    if narrow:
-        h, mixed = _pooled_rows(h), _pooled_rows(mixed)
     h = h + project(mixed, p, f"{layer}.wo", rows)
     if cross is not None:
         q = project(norm(h, p, f"{layer}.lnc", rows), p, f"{layer}.cq", rows)
         h = h + project(ad.attention(q, *cross, heads, bias=bias), p, f"{layer}.co", rows)
     return h + _feed_forward(norm(h, p, f"{layer}.ln2", rows), p, layer, rows)
+
+
+def pooled_layer(
+    h: ad.Tensor, p: dict[str, ad.Parameter], layer: str, heads: int, mask: np.ndarray
+) -> ad.Tensor:
+    """An encoder's `transformer_layer` that returns only the (B, n, d) rows
+    `ad.PooledRows` keeps of its (B, T, d) input: every position attends, then
+    the output projection, residual and feed-forward block run on those rows.
+    """
+    pool = ad.PooledRows(*h.shape[:2])
+    mixed = _self_attention(norm(h, p, f"{layer}.ln1"), p, layer, heads, mask, None)
+    h = pool.cut(h) + project(pool.cut(mixed), p, f"{layer}.wo", pool)
+    return h + _feed_forward(norm(h, p, f"{layer}.ln2"), p, layer, pool)
 
 
 # The two sublayers are functions so that their activations are released on
@@ -288,7 +302,7 @@ def _self_attention(
 
 
 def _feed_forward(
-    x: ad.Tensor, p: dict[str, ad.Parameter], layer: str, rows: ad.Rows | None
+    x: ad.Tensor, p: dict[str, ad.Parameter], layer: str, rows: ad.Rows | ad.PooledRows | None
 ) -> ad.Tensor:
     return project(ad.gelu(project(x, p, f"{layer}.w1", rows)), p, f"{layer}.w2", rows)
 
@@ -310,22 +324,6 @@ def length_chunks(lengths, budget: int) -> Iterator[list[int]]:
             yield rows[lo:lo + size]
 
 
-def _pooled_rows(x: ad.Tensor) -> ad.Tensor:
-    """Position-0 rows of a (B, T, d) no-grad activation, shaped so that the
-    last layer's matmuls round exactly as they do over all T positions.
-
-    numpy sends a one-row 2-D matmul down BLAS gemv, which rounds differently
-    from the gemm a T >= 2 sequence gets, so a lone sequence keeps positions
-    0 and 1 (row 0 is pooled). At T = 1 the full forward already runs gemv per
-    sequence, so the rows stay (B, 1, d).
-    """
-    b, t, d = x.shape
-    if t == 1:
-        return x
-    rows = 2 if b == 1 else 1
-    return ad.Tensor(x.data[:, :rows].reshape(b * rows, d))
-
-
 def question_input(question_tokens: Sequence[int]) -> list[int]:
     return [CLS_ID] + list(question_tokens)
 
@@ -334,9 +332,9 @@ def context_input(title_tokens: Sequence[int], text_tokens: Sequence[int]) -> li
     return [CLS_ID] + list(title_tokens) + [SEP_ID] + list(text_tokens)
 
 
-def document_input(doc, vocab: Vocabulary) -> list[int]:
-    """Context-tower input of a corpus document: its title, then its text."""
-    return context_input(vocab.encode(doc.title), doc.tokens)
+def document_input(doc, corpus) -> list[int]:
+    """Context-tower input of a document of `corpus`: its title, then its text."""
+    return context_input(corpus.title_tokens[doc.id], doc.tokens)
 
 
 @dataclass(frozen=True)
@@ -391,15 +389,14 @@ class DualEncoder:
         params_fp = self._context_fingerprint()
         if store is None or store.corpus is not corpus or store.params_fp != params_fp:
             store = self._documents = None  # stale rows go before anything is embedded
-            rows = self.context_encoder.embed([document_input(doc, corpus.vocab) for doc in corpus])
+            rows = self.context_encoder.embed([document_input(doc, corpus) for doc in corpus])
             rows.flags.writeable = False
             store = DocumentRows(corpus, params_fp, rows)
             if self._context_fingerprint() == params_fp:
                 self._documents = store
         if doc_ids is None:
             return store.rows
-        position = {doc_id: n for n, doc_id in enumerate(corpus.ids.tolist())}
-        return store.rows[[position[i] for i in doc_ids]]
+        return store.rows[[corpus.position[i] for i in doc_ids]]
 
     def _context_fingerprint(self) -> bytes:
         return fingerprint(p.data for p in self.context_encoder.parameters())

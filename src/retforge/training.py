@@ -126,7 +126,7 @@ def batch_loss_supervised(
     return in_batch_loss(
         dual,
         [question_input(q) for q, _, _ in batch],
-        [document_input(d, corpus.vocab) for d in context_docs],
+        [document_input(d, corpus) for d in context_docs],
         targets,
         tau,
     )
@@ -164,6 +164,7 @@ def train_supervised(
     if not usable:
         raise DomainError("no usable examples: every example is unmined or filtered")
     check_document_ids(usable, corpus)
+    questions = [corpus.vocab.encode(ex.question) for ex in usable]
     rng = np.random.default_rng(config.seed)
     tau = tau_value(config.tau_multiple, dual.config.hidden_size)
     optimizer = make_optimizer(dual, config)
@@ -187,11 +188,7 @@ def train_supervised(
                     corpus.by_id[i]
                     for i in example.hard_negatives[: config.hard_negatives_per_example]
                 ]
-                batch.append((
-                    corpus.vocab.encode(example.question),
-                    corpus.by_id[example.positive_ctx],
-                    negatives,
-                ))
+                batch.append((questions[int(row)], corpus.by_id[example.positive_ctx], negatives))
             loss = batch_loss_supervised(dual, batch, corpus, tau)
             epoch_losses.append(descend(optimizer, loss, step, total_steps, config.warmup_ratio))
         record: dict = {
@@ -223,13 +220,12 @@ def train_ict(
     """Inverse cloze pretraining: query sentence against in-batch contexts.
 
     Pseudo-contexts keep their source document's title so the format matches
-    real indexed contexts. Each eligible title is encoded once per run; the
-    pairs are slices of the documents' tokens.
+    real indexed contexts. The pairs are slices of the documents' tokens, and
+    the titles' tokens are the corpus's (`Corpus.title_tokens`).
     """
     eligible = [doc for doc in corpus if len(doc.sentence_ranges) >= 2]
     if not eligible:
         raise DomainError("no paragraphs with >= 2 sentences for inverse cloze training")
-    titles = [corpus.vocab.encode(doc.title) for doc in eligible]
     rng = np.random.default_rng(config.seed)
     tau = tau_value(config.tau_multiple, dual.config.hidden_size)
     optimizer = make_optimizer(dual, config)
@@ -242,7 +238,7 @@ def train_ict(
         column_of: dict[tuple[int, ...], int] = {}
         for pick in map(int, picks):
             query, context = sample_ict_pair(eligible[pick], rng, keep_prob=config.keep_prob)
-            ctx_ids = context_input(titles[pick], context)
+            ctx_ids = context_input(corpus.title_tokens[eligible[pick].id], context)
             key = tuple(ctx_ids)
             if key not in column_of:
                 column_of[key] = len(context_seqs)

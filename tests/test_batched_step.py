@@ -151,7 +151,7 @@ def reference_live_log_probs(question_tokens, doc_ids, corpus, retriever, tau, d
     q_vec = retriever.question_encoder.encode_batch([question_input(question_tokens)])
     if doc_vecs is None:
         z_rows = [
-            retriever.context_encoder.encode_batch([document_input(corpus.by_id[i], corpus.vocab)])
+            retriever.context_encoder.encode_batch([document_input(corpus.by_id[i], corpus)])
             for i in doc_ids
         ]
         z = ad.concat(z_rows, axis=0) if len(z_rows) > 1 else z_rows[0]
@@ -220,7 +220,7 @@ def reference_topk_batch_loss(pairs, snapshot, k, tau, loss_fn, corpus, retrieve
         doc_vecs = [None] * len(found)
     else:
         distinct = list(dict.fromkeys(doc_id for r in found for doc_id in r.doc_ids))
-        vecs = context.embed([document_input(corpus.by_id[i], corpus.vocab) for i in distinct])
+        vecs = context.embed([document_input(corpus.by_id[i], corpus) for i in distinct])
         row = {doc_id: n for n, doc_id in enumerate(distinct)}
         doc_vecs = [vecs[[row[doc_id] for doc_id in r.doc_ids]] for r in found]
     losses = [

@@ -15,7 +15,7 @@ from retforge.encoder import LN_EPS, DualEncoder, EncoderConfig, length_chunks
 from retforge.errors import ConfigError, DomainError
 from retforge.index import EvidenceIndex, top_k
 from retforge.reader import Reader, ReaderConfig, with_eos
-from retforge.text import BOS_ID, EOS_ID
+from retforge.text import BOS_ID, EOS_ID, Vocabulary
 from retforge.training import TrainConfig, train_salient_spans
 
 DOCS = [
@@ -905,7 +905,7 @@ def reference_live_log_probs(q_rows, found, corpus, retriever, tau, order):
     """`_live_log_probs` as it was: every document re-encoded by a graph
     forward of the context tower, frozen or not."""
     z_rows = iter(retriever.context_encoder.encode_rows(
-        [encoder_module.document_input(corpus.by_id[i], corpus.vocab)
+        [encoder_module.document_input(corpus.by_id[i], corpus)
          for r in found for i in r.doc_ids],
         order, [(i, c) for i, r in enumerate(found) for c in range(len(r.doc_ids))], pooled=True,
     ))
@@ -1066,6 +1066,24 @@ def test_train_calls_the_modes_batched_loss_once_per_step(mode, monkeypatch):
     monkeypatch.setitem(e2e.MODES, mode, (counted, read_pass))
     run_training(mode)
     assert batches == [2, 1, 2, 1]  # 3 examples in batches of 2, in each of 2 epochs
+
+
+@pytest.mark.parametrize("mode", sorted(e2e.MODES))
+def test_train_encodes_each_question_and_answer_once(mode, monkeypatch):
+    corpus, retriever, reader, index = make_world()
+    config = e2e.E2EConfig(mode=mode, top_k=2, epochs=2, batch_size=2, refresh_every=97,
+                           seed=11, max_answer_len=4)
+    assert config.update_context_encoder == (mode == "individual")
+    encoded = []
+
+    def encode(vocab, text, _original=Vocabulary.encode):
+        encoded.append(text)
+        return _original(vocab, text)
+
+    monkeypatch.setattr(Vocabulary, "encode", encode)
+    e2e.train_e2e(DATASET, corpus, retriever, reader, index, config)
+    # the steps read the run's encoded pairs and the corpus's title tokens
+    assert encoded == [text for ex in DATASET for text in (ex.question, *ex.answers)]
 
 
 def test_train_rejects_empty_dataset():

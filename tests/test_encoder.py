@@ -7,12 +7,14 @@ from retforge.encoder import (
     CHUNK_TOKENS,
     DualEncoder,
     EncoderConfig,
+    TransformerEncoder,
     context_input,
     question_input,
     truncated_normal,
 )
 from retforge.errors import DimensionError, DomainError, FormatError
 from retforge.text import CLS_ID, PAD_ID, SEP_ID
+from retforge.training import in_batch_loss
 
 TINY = EncoderConfig(vocab_size=16, layers=1, hidden_size=8, heads=2, max_seq_len=8)
 
@@ -154,6 +156,77 @@ def test_embed_chunks_are_unpadded_and_bounded(monkeypatch):
     assert sum(b for b, _ in shapes) == len(seqs)
     assert all(b * t <= CHUNK_TOKENS for b, t in shapes)
     assert ad.grad_enabled()
+
+
+# Pooled training forward: bitwise oracle -----------------------------------
+
+
+def in_batch_trials(layers):
+    """Loss `float.hex` and parameter-gradient bytes of `in_batch_loss` over
+    padded batches of mixed lengths, B in {1, 2, 3, 8, 32}."""
+    config = EncoderConfig(vocab_size=40, layers=layers, hidden_size=32, heads=4, max_seq_len=24)
+    out = []
+    for b in (1, 2, 3, 8, 32):
+        for seed in range(2):
+            rng = np.random.default_rng([layers, b, seed])
+            dual = DualEncoder(config, seed=b + seed)
+            questions, contexts = (oracle_sequences(rng, b, 18)[:b] for _ in range(2))
+            loss = in_batch_loss(dual, questions, contexts, np.arange(b), tau=4.0)
+            loss.backward()
+            out.append((loss.item().hex(), [p.grad.tobytes() for p in dual.parameters()]))
+    return out
+
+
+def use_full_forward(monkeypatch):
+    """Pool by the reference: the full forward, then position 0 taken."""
+    forward = TransformerEncoder.forward
+
+    def full(self, token_ids, pooled=False, rows=None):
+        h = forward(self, token_ids, rows=rows)
+        return ad.take_position(h, 0) if pooled else h
+
+    monkeypatch.setattr(TransformerEncoder, "forward", full)
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_pooled_training_forward_matches_full_forward_bitwise(layers, monkeypatch):
+    got = in_batch_trials(layers)
+    use_full_forward(monkeypatch)
+    assert got == in_batch_trials(layers)
+
+
+def test_pooled_input_gradient_as_a_row_gemm_fails_the_oracle(monkeypatch):
+    def row_gemm(g, w, length):  # (B * n, e) @ w.T rounds otherwise
+        return (g.reshape(-1, g.shape[-1]) @ w.T).reshape(*g.shape[:-1], -1)
+
+    with monkeypatch.context() as patch:
+        use_full_forward(patch)
+        want = [in_batch_trials(layers) for layers in (1, 2)]
+    monkeypatch.setattr(ad, "_pooled_input_grad", row_gemm)
+    assert [in_batch_trials(layers) for layers in (1, 2)] != want
+
+
+@pytest.mark.parametrize("b", [1, 2, 5])
+def test_pooled_forward_runs_no_gelu_over_every_position(b, monkeypatch):
+    config = EncoderConfig(vocab_size=40, layers=1, hidden_size=8, heads=2, max_seq_len=16)
+    encoder = DualEncoder(config, seed=0).context_encoder
+    seqs = [[CLS_ID] + [7 + i] * 9 for i in range(b)]  # equal lengths: one `embed` chunk
+    rows = []
+    gelu = ad.gelu
+
+    def spy(a):
+        rows.append(a.shape[:-1])
+        return gelu(a)
+
+    monkeypatch.setattr(ad, "gelu", spy)
+    kept = (b, 2 if b == 1 else 1)  # a lone sequence keeps positions 0 and 1
+    assert encoder.encode_batch(seqs).requires_grad
+    with ad.no_grad():
+        encoder.encode_batch(seqs)
+    encoder.embed(seqs)
+    assert rows == [kept] * 3
+    encoder.forward(np.array(seqs))  # unpooled: every position
+    assert rows[-1] == (b, 10)
 
 
 def test_truncated_normal_bounds():

@@ -211,6 +211,9 @@ def test_one_layer_forward_and_decoder_call_build_few_tensors(monkeypatch):
     ids = np.array([[2, 8, 9, 10], [2, 11, 12, PAD_ID]])
     # composed chains built 70 here: 9 per layer norm, 2 per projection, ~12 for attention
     assert tensors_built(monkeypatch, lambda: encoder.forward(ids)) <= 23
+    # pooled with a graph: the same nodes, two row cuts and the pooling
+    pooled = tensors_built(monkeypatch, lambda: encoder.encode_batch([[2, 8, 9, 10], [2, 11, 12]]))
+    assert pooled <= 19
 
     reader = Reader(ReaderConfig(vocab_size=40, enc_layers=1, dec_layers=1, hidden_size=16,
                                  heads=2, max_seq_len=32, max_answer_len=8))

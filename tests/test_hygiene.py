@@ -1,7 +1,7 @@
 """Source hygiene: every imported name is used, only `retforge.files`
 writes files, only `retforge.checkpoint` lays out binary data, no
-generator is decorated with `no_grad()`, and only `Document.sentence_ranges`
-segments sentences.
+generator is decorated with `no_grad()`, only `Document.sentence_ranges`
+segments sentences, and the encoder never reads the grad mode.
 
 `src/retforge/__init__.py` is skipped by the import check: it imports names to
 re-export them through `__all__`.
@@ -269,3 +269,21 @@ def test_scan_catches_every_caller_of_a_function():
         "    return doc.segment_sentences\n"
     )
     assert callers(tree, "segment_sentences") == ["<module>", "Doc.ranges", "sample.inner"]
+
+
+def test_encoder_never_reads_the_grad_mode():
+    # a pooled forward keeps one rule, whether or not it records a graph
+    tree = ast.parse((ROOT / "src" / "retforge" / "encoder.py").read_text(encoding="utf-8"))
+    assert callers(tree, "grad_enabled") == [], "the encoder forks on the grad mode"
+
+
+def test_scan_catches_a_grad_mode_fork():
+    tree = ast.parse(
+        "class TransformerEncoder:\n"
+        "    def forward(self, ids, pooled=False):\n"
+        "        narrow = pooled and not ad.grad_enabled()\n"
+        "def layer(h, narrow):\n"
+        "    return h if grad_enabled() else narrow\n"
+        "enabled = ad.grad_enabled\n"
+    )
+    assert callers(tree, "grad_enabled") == ["TransformerEncoder.forward", "layer"]

@@ -174,7 +174,7 @@ def test_build_snapshot_matches_context_encoder(small_corpus):
     assert snap.embeddings.shape == (3, 8)
     assert list(snap.doc_ids) == [0, 1, 2]
     for i, doc in enumerate(small_corpus):
-        doc_input = document_input(doc, small_corpus.vocab)
+        doc_input = document_input(doc, small_corpus)
         expected = model.context_encoder.encode_batch([doc_input]).data[0]
         # rows are stored at index precision: equality holds after the cast
         np.testing.assert_array_equal(snap.embeddings[i], expected.astype(np.float32))
@@ -259,7 +259,7 @@ def counted_embeds(model, monkeypatch) -> list[int]:
 
 
 def inputs_of(corpus):
-    return [document_input(doc, corpus.vocab) for doc in corpus]
+    return [document_input(doc, corpus) for doc in corpus]
 
 
 def flip_byte(model):
