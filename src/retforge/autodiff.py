@@ -836,13 +836,16 @@ class PooledRows:
     matmul down BLAS gemv, which rounds otherwise than the gemm over T >= 2
     rows. Only position 0 is pooled, so every other row's gradient is zero,
     and `cut` and `linear` give at the kept rows the values and gradients of
-    the plain ops over all T positions, bit for bit."""
+    the plain ops over all T positions, bit for bit. With `rows` (the
+    forward's `Rows`), `linear` hands its parameter gradients to the row
+    order as `Rows.linear` does."""
 
-    __slots__ = ("length", "kept")
+    __slots__ = ("length", "kept", "rows")
 
-    def __init__(self, batch: int, length: int):
+    def __init__(self, batch: int, length: int, rows: Rows | None):
         self.length = length
         self.kept = 2 if batch == 1 else 1
+        self.rows = rows
 
     def cut(self, a: Tensor) -> Tensor:
         """(B, T, d) -> its kept (B, n, d) rows; backward scatters into zeros."""
@@ -855,23 +858,31 @@ class PooledRows:
         return Tensor(a.data[:, :self.kept], _parents=(a,), _backward_fn=backward, _op="cut")
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """`linear` over (B, n, d) kept rows, as one (B * n, d) gemm. The
-        weight gradient stacks the per-row products and sums them over axis
-        0, which is what `_unbroadcast` makes of the per-sequence gemm when
-        one row of each sequence carries gradient."""
+        """`linear` over (B, n, d) kept rows, as one (B * n, d) gemm. Without
+        `rows`, the weight gradient stacks the per-row products and sums them
+        over axis 0, which is what `_unbroadcast` makes of the per-sequence
+        gemm when one row of each sequence carries gradient."""
         _check_matmul(x, w)
-        rows = x.data.reshape(-1, x.shape[-1])
-        out_data = (rows @ w.data + b.data).reshape(*x.shape[:-1], -1)
+        flat = x.data.reshape(-1, x.shape[-1])
+        out_data = (flat @ w.data + b.data).reshape(*x.shape[:-1], -1)
+        rows = self.rows
 
         def backward(g: np.ndarray) -> None:
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g, b.shape))
-            if w.requires_grad:
-                g_rows = g.reshape(len(rows), -1)
-                w.accumulate_grad((rows[:, :, None] * g_rows[:, None, :]).sum(axis=0))
+            if rows is not None:  # functions over arrays only (see `RowOrder`)
+                rows.deliver(b, lambda: g.sum(axis=1))
+                x_t = np.swapaxes(x.data, -1, -2)
+                rows.deliver(w, lambda: x_t @ g)
+            else:
+                if b.requires_grad:
+                    b.accumulate_grad(_unbroadcast(g, b.shape))
+                if w.requires_grad:
+                    g_flat = g.reshape(len(flat), -1)
+                    w.accumulate_grad((flat[:, :, None] * g_flat[:, None, :]).sum(axis=0))
             if x.requires_grad:
                 x.accumulate_grad(_pooled_input_grad(g, w.data, self.length))
 
+        if rows is not None:
+            return rows.node(out_data, (x, w, b), (w, b), backward, "pooled_linear")
         return Tensor(out_data, _parents=(x, w, b), _backward_fn=backward, _op="pooled_linear")
 
 

@@ -223,10 +223,17 @@ def _mine_unmined(examples, corpus, n_hard_negatives):
 
 def _init_model(cls, config_cls, kwargs: dict, seed: int, corpus: Corpus, init: str | None):
     """A new model over the corpus vocabulary, or the one saved at `init`,
-    whose vocabulary must be the corpus's."""
+    whose vocabulary must be the corpus's and whose config must hold every
+    model key the run sets."""
     if not init:
         return cls(config_cls(vocab_size=len(corpus.vocab), **kwargs), seed=seed)
     model = cls.load(init)
+    for key, value in kwargs.items():
+        saved = getattr(model.config, key)
+        if saved != value:
+            raise ConfigError(
+                f"{init}: the checkpoint has {key}={saved}, but the run sets {key}={value}"
+            )
     if model.config.vocab_size != len(corpus.vocab):
         raise DimensionError(
             f"{init}: checkpoint vocabulary size {model.config.vocab_size} does not "
@@ -425,6 +432,8 @@ def cmd_eval(args) -> int:
     ks = _number_list("--ks", args.ks, int)
     if not ks:
         raise ConfigError("--ks must name at least one cutoff")
+    if min(ks) < 1:
+        raise ConfigError(f"--ks must name cutoffs >= 1, got {min(ks)}")
     corpus, dual, snapshot, tau = _deployment(args)
     examples = load_qa(args.dataset)
     # one search serves both metrics: EM reads the first k rows of each

@@ -11,14 +11,14 @@ from the one-row vectors in the last bits (measured up to ~1e-15), which is
 why inference never pads. Retriever training batches stay padded; their
 contract is the gradient, checked by finite differences.
 
-A pooled forward, with a graph or without one, takes one pooled-row rule: its
-last layer attends over every position, then runs the rest of the layer and
-the final layer norm only on the rows `ad.PooledRows` keeps (`pooled_layer`).
-Its values and gradients equal the full forward's pooled at position 0 bit
-for bit. The end-to-end step encodes through `encode_rows`: `infer`'s chunks
-with a row-ordered graph and the full forward, so that its gradients too equal
-the one-row graphs', and its search reads its loss's own question rows (not
-`embed_questions`).
+Every pooled forward, with a graph or without one, row-ordered or not, takes
+one pooled-row rule: its last layer attends over every position, then runs the
+rest of the layer and the final layer norm only on the rows `ad.PooledRows`
+keeps (`pooled_layer`). Its values and gradients equal the full forward's
+pooled at position 0 bit for bit. The end-to-end step encodes through
+`encode_rows`: `infer`'s chunks with a row-ordered graph, so that its
+gradients too equal the one-row graphs', and its search reads its loss's own
+question rows (not `embed_questions`).
 
 `DualEncoder.embed_documents` keeps the context tower's one store of float64
 document rows, keyed by the corpus object and the tower's parameter bytes, and
@@ -99,10 +99,9 @@ class TransformerEncoder:
         the (B, d) states at position 0. With `rows` (one key per sequence)
         the layers run row-ordered (see `ad.RowOrder`).
 
-        Pooled without `rows`, with a graph or without one, the last layer
-        still attends over every position, but its output projection,
-        residual, FFN and the final layer norm run only on the rows that
-        `ad.PooledRows` keeps (see `pooled_layer`).
+        Pooled, the last layer still attends over every position, but its
+        output projection, residual, FFN and the final layer norm run only
+        on the rows that `ad.PooledRows` keeps (see `pooled_layer`).
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
@@ -117,11 +116,11 @@ class TransformerEncoder:
         # additive mask: [PAD] key positions get MASK_NEG in every attention row
         pad_cols = (token_ids == PAD_ID)[:, None, None, :]
         mask = np.where(pad_cols, ad.MASK_NEG, 0.0)
-        cut = pooled and rows is None and t > 1  # at T = 1 there is nothing to cut
+        cut = pooled and t > 1  # at T = 1 there is nothing to cut
         heads, last = self.config.heads, self.config.layers - 1
         for i in range(self.config.layers):
             if cut and i == last:
-                h = pooled_layer(h, p, f"layer{i}", heads, mask)
+                h = pooled_layer(h, p, f"layer{i}", heads, mask, rows)
             else:
                 h = transformer_layer(h, p, f"layer{i}", heads, mask, rows=rows)
         h = norm(h, p, "final_ln", rows)
@@ -163,9 +162,10 @@ class TransformerEncoder:
         pooled: bool = False,
     ) -> list[ad.Tensor]:
         """Training: each sequence's (1, d) pooled row or (1, T, d) states,
-        with a graph, from one row-ordered `forward` per chunk of `infer`'s;
-        sequence r's parameter gradients go to `order` under `keys[r]`. Each
-        row equals the sequence's own one-row forward bit for bit."""
+        with a graph, from one row-ordered `forward` per chunk of `infer`'s
+        (pooled, its last layer runs on the pooled rows only); sequence r's
+        parameter gradients go to `order` under `keys[r]`. Each row equals
+        the sequence's own one-row forward bit for bit."""
         out: list[ad.Tensor] = [None] * len(sequences)
         for rows, ids in self._chunks(sequences):
             h = self.forward(ids, pooled=pooled, rows=order.rows([keys[r] for r in rows]))
@@ -277,16 +277,18 @@ def transformer_layer(
 
 
 def pooled_layer(
-    h: ad.Tensor, p: dict[str, ad.Parameter], layer: str, heads: int, mask: np.ndarray
+    h: ad.Tensor, p: dict[str, ad.Parameter], layer: str, heads: int, mask: np.ndarray,
+    rows: ad.Rows | None,
 ) -> ad.Tensor:
     """An encoder's `transformer_layer` that returns only the (B, n, d) rows
     `ad.PooledRows` keeps of its (B, T, d) input: every position attends, then
     the output projection, residual and feed-forward block run on those rows.
+    With `rows` it runs row-ordered, as `transformer_layer` does.
     """
-    pool = ad.PooledRows(*h.shape[:2])
-    mixed = _self_attention(norm(h, p, f"{layer}.ln1"), p, layer, heads, mask, None)
+    pool = ad.PooledRows(*h.shape[:2], rows)
+    mixed = _self_attention(norm(h, p, f"{layer}.ln1", rows), p, layer, heads, mask, rows)
     h = pool.cut(h) + project(pool.cut(mixed), p, f"{layer}.wo", pool)
-    return h + _feed_forward(norm(h, p, f"{layer}.ln2"), p, layer, pool)
+    return h + _feed_forward(norm(h, p, f"{layer}.ln2", rows), p, layer, pool)
 
 
 # The two sublayers are functions so that their activations are released on

@@ -49,7 +49,9 @@ def topk_accuracy(
         raise DomainError("cannot evaluate zero examples")
     depth = min(len(r.doc_ids) for r in results)
     for k in ks:
-        if k < 1 or k > depth:
+        if k < 1:
+            raise DomainError(f"k must be >= 1, got {k}")
+        if k > depth:
             raise DomainError(f"k={k} exceeds retrieved depth {depth}")
     hits = {k: 0 for k in ks}
     for result, example in zip(results, examples):

@@ -134,13 +134,14 @@ def batch_loss_supervised(
 
 def _positive_rank_accuracy(
     dataset: Sequence[QAExample],
-    corpus: Corpus,
+    questions: Sequence[Sequence[int]],
     dual: DualEncoder,
     snapshot: IndexSnapshot,
     tau: float,
 ) -> float:
-    """Fraction of examples whose own positive document ranks first in `snapshot`."""
-    q_vecs = dual.embed_questions([corpus.vocab.encode(ex.question) for ex in dataset])
+    """Fraction of examples whose own positive document ranks first in
+    `snapshot`; `questions` holds each example's encoded question."""
+    q_vecs = dual.embed_questions(questions)
     hits = 0
     for example, q_vec in zip(dataset, q_vecs):
         result = top_k(snapshot, q_vec, k=1, tau=tau)
@@ -205,7 +206,7 @@ def train_supervised(
                 record[f"top{k}"] = v
         metrics.append(record)
         if config.target_train_top1 is not None:
-            train_top1 = _positive_rank_accuracy(usable, corpus, dual, snapshot, tau)
+            train_top1 = _positive_rank_accuracy(usable, questions, dual, snapshot, tau)
             record["train_top1"] = train_top1
             if train_top1 >= config.target_train_top1:
                 break

@@ -221,6 +221,30 @@ def test_train_ict_then_chain_into_supervised(train_cfg, tmp_path):
     assert (chained / "metrics.jsonl").exists()
 
 
+@pytest.mark.parametrize("recipe, cfg, flag, checkpoint, sets, named", [
+    ("supervised", "train_cfg", "--init", ("sup_run", "retriever.ckpt"),
+     ["hidden_size=32", "heads=4"], "hidden_size=16, but the run sets hidden_size=32"),
+    ("supervised", "train_cfg", "--init", ("sup_run", "retriever.ckpt"),
+     ["layers=2"], "layers=1, but the run sets layers=2"),
+    ("e2e-joint", "e2e_cfg", "--init-reader", ("e2e_run", "reader.ckpt"),
+     ["dec_layers=2"], "dec_layers=1, but the run sets dec_layers=2"),
+], ids=["retriever-width", "retriever-layers", "reader-dec_layers"])
+def test_init_checkpoint_whose_config_differs_from_the_run_is_config_error(
+    request, tmp_path, capsys, recipe, cfg, flag, checkpoint, sets, named
+):
+    run, name = checkpoint
+    argv = [
+        "train", recipe, "--config", str(request.getfixturevalue(cfg)),
+        "--out-dir", str(tmp_path / "out"), flag, str(request.getfixturevalue(run) / name),
+    ]
+    for setting in sets:
+        argv += ["--set", setting]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "resolved.cfg").exists()
+
+
 def test_train_salient_artifacts(train_cfg, tmp_path):
     out = tmp_path / "salient"
     assert cli.main([
@@ -733,6 +757,9 @@ def test_sweep_empty_values_is_config_error(train_cfg, tmp_path):
     (["eval", "--ks", "1,x"], "--ks"),
     (["sweep", "--axis", "topk", "--values", "1,x"], "--values"),
     (["sweep", "--axis", "train-fraction", "--values", "0.5,x"], "--values"),
+    (["eval", "--ks", "0"], "--ks"),
+    (["eval", "--ks", "-1"], "--ks"),
+    (["eval", "--ks", "1,0"], "--ks"),
 ])
 def test_malformed_number_list_is_config_error(
     toy_dir, sup_run, train_cfg, tmp_path, capsys, argv, flag

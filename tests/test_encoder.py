@@ -177,6 +177,34 @@ def in_batch_trials(layers):
     return out
 
 
+def row_ordered_trials(layers):
+    """Loss `float.hex`, pooled-row bytes and parameter-gradient bytes of
+    row-ordered pooled encodes (`encode_rows`) over permuted keys: a lone
+    sequence (two kept rows), chunks of several, T = 1 and mixed lengths."""
+    config = EncoderConfig(vocab_size=40, layers=layers, hidden_size=32, heads=4, max_seq_len=24)
+    out = []
+    for lengths in ([9], [5] * 6, [1, 1, 1], [1], [2, 7, 7, 2, 18, 7, 3]):
+        for seed in range(2):
+            rng = np.random.default_rng([layers, len(lengths), lengths[0], seed])
+            encoder = DualEncoder(config, seed=seed).question_encoder
+            seqs = [[CLS_ID] + [int(x) for x in rng.integers(7, 40, size=t - 1)] for t in lengths]
+            keys = [(int(k),) for k in rng.permutation(len(seqs))]
+            rows = encoder.encode_rows(seqs, ad.RowOrder(), keys, pooled=True)
+            contexts = ad.Tensor(rng.normal(size=(32, len(seqs))))
+            scores = ad.matmul(ad.concat(rows), contexts)
+            loss = ad.cross_entropy_rows(scores, np.arange(len(seqs)), tau=4.0)
+            loss.backward()
+            out.append((
+                loss.item().hex(), [r.data.tobytes() for r in rows],
+                [p.grad.tobytes() for p in encoder.parameters()],
+            ))
+    return out
+
+
+def pooled_trials(layers):
+    return in_batch_trials(layers) + row_ordered_trials(layers)
+
+
 def use_full_forward(monkeypatch):
     """Pool by the reference: the full forward, then position 0 taken."""
     forward = TransformerEncoder.forward
@@ -190,9 +218,9 @@ def use_full_forward(monkeypatch):
 
 @pytest.mark.parametrize("layers", [1, 2])
 def test_pooled_training_forward_matches_full_forward_bitwise(layers, monkeypatch):
-    got = in_batch_trials(layers)
+    got = pooled_trials(layers)
     use_full_forward(monkeypatch)
-    assert got == in_batch_trials(layers)
+    assert got == pooled_trials(layers)
 
 
 def test_pooled_input_gradient_as_a_row_gemm_fails_the_oracle(monkeypatch):
@@ -204,6 +232,23 @@ def test_pooled_input_gradient_as_a_row_gemm_fails_the_oracle(monkeypatch):
         want = [in_batch_trials(layers) for layers in (1, 2)]
     monkeypatch.setattr(ad, "_pooled_input_grad", row_gemm)
     assert [in_batch_trials(layers) for layers in (1, 2)] != want
+
+
+def test_row_ordered_cut_through_the_plain_row_ordered_linear_fails_the_oracle(monkeypatch):
+    init, linear = ad.PooledRows.__init__, ad.PooledRows.linear
+
+    def two_rows(self, batch, length, rows):  # every sequence keeps rows 0 and 1
+        init(self, 1 if rows is not None else batch, length, rows)
+
+    def plain(self, x, w, b):  # the per-sequence gemms of `Rows.linear`
+        return linear(self, x, w, b) if self.rows is None else self.rows.linear(x, w, b)
+
+    with monkeypatch.context() as patch:
+        use_full_forward(patch)
+        want = [row_ordered_trials(layers) for layers in (1, 2)]
+    monkeypatch.setattr(ad.PooledRows, "__init__", two_rows)
+    monkeypatch.setattr(ad.PooledRows, "linear", plain)
+    assert [row_ordered_trials(layers) for layers in (1, 2)] != want
 
 
 @pytest.mark.parametrize("b", [1, 2, 5])
@@ -224,7 +269,8 @@ def test_pooled_forward_runs_no_gelu_over_every_position(b, monkeypatch):
     with ad.no_grad():
         encoder.encode_batch(seqs)
     encoder.embed(seqs)
-    assert rows == [kept] * 3
+    encoder.encode_rows(seqs, ad.RowOrder(), [(i,) for i in range(b)], pooled=True)
+    assert rows == [kept] * 4
     encoder.forward(np.array(seqs))  # unpooled: every position
     assert rows[-1] == (b, 10)
 

@@ -76,9 +76,9 @@ def test_topk_accuracy_monotone_in_k(corpus):
 def test_topk_accuracy_depth_validation(corpus):
     examples = [D.QAExample(question="q", answers=("Paris",))]
     results = [fake_result([0, 1])]
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="k=5 exceeds retrieved depth 2"):
         topk_accuracy(results, examples, corpus, ks=(5,))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="k must be >= 1, got 0"):
         topk_accuracy(results, examples, corpus, ks=(0,))
     with pytest.raises(DomainError):
         topk_accuracy(results, [], corpus, ks=(1,))

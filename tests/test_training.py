@@ -232,6 +232,16 @@ def test_train_supervised_encodes_each_question_once_and_nothing_per_step(monkey
     assert encoded == [ex.question for ex in QA]
 
 
+def test_train_accuracy_target_reads_the_runs_encoded_questions(monkeypatch):
+    corpus = make_corpus()
+    encoded = spy_on_encode(monkeypatch)
+    config = small_config(epochs=3, target_train_top1=1.0)
+    metrics = T.train_supervised(QA, corpus, make_dual(corpus), config)
+    assert len(metrics) == 3 and all("train_top1" in r for r in metrics)
+    # each epoch's target reads the questions the run encoded once
+    assert encoded == [ex.question for ex in QA] + [doc["title"] for doc in DOCS]
+
+
 def test_train_supervised_learns_tiny_task():
     corpus = make_corpus()
     dual = make_dual(corpus, seed=3)
