@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import types
 import typing
@@ -371,7 +372,14 @@ def _read_questions(args) -> list[str]:
 
 def _deployment(args):
     """The corpus, retriever, index snapshot and tau of --corpus, --checkpoint,
-    --index and --tau-multiple."""
+    --index and --tau-multiple. Checks --k, --tau-multiple and any --max-len
+    before it reads a file; a bad one is a ConfigError naming the flag."""
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
+    if not 0 < args.tau_multiple < math.inf:  # NaN fails too
+        raise ConfigError(f"--tau-multiple must be finite and positive, got {args.tau_multiple}")
+    if getattr(args, "max_len", 1) < 1:
+        raise ConfigError(f"--max-len must be >= 1, got {args.max_len}")
     corpus = load_corpus(args.corpus)
     dual = DualEncoder.load(args.checkpoint)
     snapshot = load_index(args.index)
@@ -483,31 +491,33 @@ def cmd_sweep(args) -> int:
     values = _sweep_values(args.axis, args.values)
     file_raw = _read_config_file(args.config) if args.config else {}
     overrides = _collect_overrides(args)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.axis == "train-fraction":
-        # every point mines from the same questions, corpus and shuffle
-        base = _resolve_run(args.recipe, file_raw, overrides)
-        if base.recipe != "supervised":
-            raise ConfigError("train-fraction sweeps apply to the supervised recipe")
-        full = load_qa(_require_path(base, "train"))
-        pool = load_corpus(_require_path(base, "corpus"))
-        stats = build_corpus_stats(pool)
-        order = np.random.default_rng(base.config.seed).permutation(len(full))
-
-    rows = []
+    # every point's run resolves, and every fraction checks, before one trains
+    runs = []
     for value in values:
         point = dict(overrides)
         if args.axis == "topk":
             point["top_k"] = str(value)
         elif args.axis == "tau":
             point["tau_multiple"] = repr(value)
-        run = _resolve_run(args.recipe, file_raw, point)
-        sub_dir = out / f"{args.axis}-{value}"
-
-        if args.axis == "train-fraction":
+        runs.append(_resolve_run(args.recipe, file_raw, point))
+    if args.axis == "train-fraction":
+        if runs[0].recipe != "supervised":
+            raise ConfigError("train-fraction sweeps apply to the supervised recipe")
+        for value in values:
             if not (0.0 < value <= 1.0):
                 raise ConfigError(f"train fraction must lie in (0, 1], got {value}")
+        # every point mines from the same questions, corpus and shuffle
+        full = load_qa(_require_path(runs[0], "train"))
+        pool = load_corpus(_require_path(runs[0], "corpus"))
+        stats = build_corpus_stats(pool)
+        order = np.random.default_rng(runs[0].config.seed).permutation(len(full))
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    rows = []
+    for value, run in zip(values, runs):
+        sub_dir = out / f"{args.axis}-{value}"
+        if args.axis == "train-fraction":
             keep = max(1, round(value * len(full)))
             subset = [
                 mine_distant_supervision(

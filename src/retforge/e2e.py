@@ -47,7 +47,7 @@ from .encoder import DualEncoder, document_input, question_input
 from .errors import ConfigError, DomainError
 from .evaluation import exact_match, topk_accuracy
 from .index import EvidenceIndex, IndexSnapshot, RetrievalResult, top_k
-from .optim import ParamGroup, descend, linear_schedule, make_optimizer
+from .optim import ParamGroup, check_run_settings, descend, linear_schedule, make_optimizer
 from .reader import Reader, with_eos
 
 
@@ -71,18 +71,9 @@ class E2EConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        for name in ("tau_multiple", "learning_rate"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # NaN fails too
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        if not (0.0 <= self.warmup_ratio < 1.0):
-            raise ConfigError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
+        check_run_settings(self)
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
-        if self.refresh_every < 1:
-            raise ConfigError(f"refresh_every must be >= 1, got {self.refresh_every}")
         if self.mode == "joint" and self.update_context_encoder:
             # the joint objective trains with a frozen context tower
             object.__setattr__(self, "update_context_encoder", False)

@@ -12,13 +12,14 @@ enables its group; flipping `enabled` on a live group changes only whether
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .autodiff import Parameter
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 
 
 @dataclass
@@ -77,6 +78,22 @@ class AdamW:
                 v_hat = v / (1 - b2**t)
                 update = m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data
                 p.data = p.data - (self.lr * lr_multiplier) * update
+
+
+def check_run_settings(config) -> None:
+    """The checks both training configs (`TrainConfig`, `E2EConfig`) share;
+    each failure is a ConfigError naming its field."""
+    for name in ("tau_multiple", "learning_rate"):
+        value = getattr(config, name)
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ConfigError(f"{name} must be finite and positive, got {value}")
+    if not 0 <= config.weight_decay < math.inf:
+        raise ConfigError(f"weight_decay must be finite and >= 0, got {config.weight_decay}")
+    if not 0 <= config.warmup_ratio < 1:
+        raise ConfigError(f"warmup_ratio must lie in [0, 1), got {config.warmup_ratio}")
+    for name, least in (("refresh_every", 1), ("top_k", 1), ("seed", 0)):
+        if getattr(config, name) < least:
+            raise ConfigError(f"{name} must be >= {least}, got {getattr(config, name)}")
 
 
 def make_optimizer(dual, config, extra: Sequence[ParamGroup] = ()) -> AdamW:

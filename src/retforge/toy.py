@@ -82,6 +82,8 @@ class ToySpec:
             )
         if self.n_train < 0 or self.n_dev < 0:
             raise ConfigError("n_train and n_dev must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         limit = self.n_docs * len(ATTRIBUTES)
         if self.n_train + self.n_dev > limit:
             raise ConfigError(

@@ -30,7 +30,7 @@ from .encoder import DualEncoder, context_input, document_input, question_input
 from .errors import ConfigError, DomainError
 from .evaluation import DEFAULT_KS
 from .index import EvidenceIndex, IndexSnapshot, build_snapshot, top_k
-from .optim import ParamGroup, descend, linear_schedule, make_optimizer
+from .optim import ParamGroup, check_run_settings, descend, linear_schedule, make_optimizer
 from .reader import Reader
 
 
@@ -58,35 +58,31 @@ class TrainConfig:
             raise ConfigError(
                 f"batch_size must be >= 2 for in-batch negatives, got {self.batch_size}"
             )
-        for name in ("tau_multiple", "learning_rate"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # NaN fails too
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        if not (0.0 <= self.warmup_ratio < 1.0):
-            raise ConfigError(f"warmup_ratio must lie in [0, 1), got {self.warmup_ratio}")
+        check_run_settings(self)
         if self.epochs < 1 or self.steps < 1:
             raise ConfigError("epochs and steps must be >= 1")
         if self.hard_negatives_per_example < 0:
             raise ConfigError("hard_negatives_per_example must be >= 0")
         if not (0.0 <= self.keep_prob <= 1.0):
             raise ConfigError(f"keep_prob must lie in [0, 1], got {self.keep_prob}")
-        if self.refresh_every < 1:
-            raise ConfigError(f"refresh_every must be >= 1, got {self.refresh_every}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
         if not self.eval_ks or min(self.eval_ks) < 1:
             raise ConfigError(f"eval_ks must name cutoffs >= 1, got {self.eval_ks}")
 
 
 def in_batch_loss(
     dual: DualEncoder, questions: Sequence[Sequence[int]], contexts: Sequence[Sequence[int]],
-    targets: np.ndarray, tau: float,
+    tau: float,
 ) -> ad.Tensor:
-    """Mean over questions of -log softmax(q . z / tau)[own context], every
-    question scored against every context of the batch; `questions` and
-    `contexts` are tower inputs, `targets` the context column of each question."""
+    """The one in-batch softmax (inverse cloze, supervised finetuning): mean
+    over questions of -log softmax(q . z / tau)[own column]. `contexts[i]` is
+    question i's own context, any further entries extra negatives; equal
+    contexts share one column, in order of first appearance."""
+    column_of: dict[tuple[int, ...], int] = {}
+    for seq in contexts:
+        column_of.setdefault(tuple(seq), len(column_of))
+    targets = np.array([column_of[tuple(seq)] for seq in contexts[: len(questions)]])
     q = dual.question_encoder.encode_batch(questions)
-    z = dual.context_encoder.encode_batch(contexts)
+    z = dual.context_encoder.encode_batch(list(column_of))
     return ad.cross_entropy_rows(ad.matmul(q, ad.transpose(z, (1, 0))), targets, tau=tau)
 
 
@@ -96,40 +92,21 @@ def batch_loss_supervised(
     corpus: Corpus,
     tau: float,
 ) -> ad.Tensor:
-    """In-batch negatives: every question scores against every positive and
-    every hard negative in the batch; duplicates share one column."""
+    """`in_batch_loss` over the positives, then the hard negatives; a warning
+    counts the contexts that share a column (equal title and text)."""
     if len(batch) < 2:
         raise ConfigError(f"supervised batch needs >= 2 examples, got {len(batch)}")
-    column_of: dict[int, int] = {}
-    context_docs: list[Document] = []
-    duplicates = 0
-
-    def admit(doc: Document) -> int:
-        nonlocal duplicates
-        if doc.id in column_of:
-            duplicates += 1
-            return column_of[doc.id]
-        column_of[doc.id] = len(context_docs)
-        context_docs.append(doc)
-        return column_of[doc.id]
-
-    targets = np.array([admit(positive) for _, positive, _ in batch])
-    for _, _, negatives in batch:
-        for doc in negatives:
-            admit(doc)
+    docs = [positive for _, positive, _ in batch]
+    docs += [doc for _, _, negatives in batch for doc in negatives]
+    contexts = [document_input(doc, corpus) for doc in docs]
+    duplicates = len(contexts) - len(set(map(tuple, contexts)))
     if duplicates:
         warnings.warn(
             f"{duplicates} duplicate context(s) in batch de-duplicated to avoid "
             "treating a question's own positive as a negative",
             stacklevel=2,
         )
-    return in_batch_loss(
-        dual,
-        [question_input(q) for q, _, _ in batch],
-        [document_input(d, corpus) for d in context_docs],
-        targets,
-        tau,
-    )
+    return in_batch_loss(dual, [question_input(q) for q, _, _ in batch], contexts, tau)
 
 
 def _positive_rank_accuracy(
@@ -222,7 +199,8 @@ def train_ict(
 
     Pseudo-contexts keep their source document's title so the format matches
     real indexed contexts. The pairs are slices of the documents' tokens, and
-    the titles' tokens are the corpus's (`Corpus.title_tokens`).
+    the titles' tokens are the corpus's (`Corpus.title_tokens`). Each step is
+    one `in_batch_loss`, where a repeated pseudo-context shares one column.
     """
     eligible = [doc for doc in corpus if len(doc.sentence_ranges) >= 2]
     if not eligible:
@@ -233,20 +211,12 @@ def train_ict(
     metrics: list[dict] = []
     for step in range(1, config.steps + 1):
         picks = rng.integers(len(eligible), size=config.batch_size)
-        questions = []
-        context_seqs: list[list[int]] = []
-        targets = []
-        column_of: dict[tuple[int, ...], int] = {}
+        questions, contexts = [], []
         for pick in map(int, picks):
             query, context = sample_ict_pair(eligible[pick], rng, keep_prob=config.keep_prob)
-            ctx_ids = context_input(corpus.title_tokens[eligible[pick].id], context)
-            key = tuple(ctx_ids)
-            if key not in column_of:
-                column_of[key] = len(context_seqs)
-                context_seqs.append(ctx_ids)
             questions.append(question_input(query))
-            targets.append(column_of[key])
-        loss = in_batch_loss(dual, questions, context_seqs, np.array(targets), tau)
+            contexts.append(context_input(corpus.title_tokens[eligible[pick].id], context))
+        loss = in_batch_loss(dual, questions, contexts, tau)
         metrics.append({
             "step": step,
             "loss": descend(optimizer, loss, step, config.steps, config.warmup_ratio),

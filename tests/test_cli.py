@@ -95,6 +95,17 @@ def test_make_toy_deterministic(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "ict", "--seed", "-1"],
+    ["make-toy", "--seed", "-3"],
+])
+def test_negative_seed_is_config_error(train_cfg, tmp_path, capsys, argv):
+    config = ["--config", str(train_cfg)] if argv[0] == "train" else []
+    assert cli.main(argv + config + ["--out-dir", str(tmp_path / "x")]) == 3
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+
+
 def test_make_toy_spans_align(toy_dir):
     corpus = load_corpus(toy_dir / "corpus.jsonl")
     annotations = load_spans(toy_dir / "spans.jsonl")
@@ -424,6 +435,9 @@ def test_train_salient_bad_schedule_is_config_error(train_cfg, tmp_path, setting
     ("supervised", "train_cfg", "learning_rate=nan"),
     ("supervised", "train_cfg", "eval_ks="),
     ("supervised", "train_cfg", "eval_ks=0"),
+    ("ict", "train_cfg", "weight_decay=nan"),
+    ("supervised", "train_cfg", "weight_decay=-5"),
+    ("e2e-individual", "e2e_cfg", "weight_decay=inf"),
 ])
 def test_train_bad_learning_rate_schedule_is_config_error(
     request, tmp_path, capsys, recipe, cfg, setting
@@ -473,6 +487,37 @@ def test_retrieve_k_too_large_is_input_error(toy_dir, sup_run):
         "--k", "999", "--question", "anything ?",
     ])
     assert code == 2
+
+
+DEPLOYMENT_COMMANDS = {
+    "retrieve": ["retrieve", "--question", "anything ?"],
+    "answer": ["answer", "--reader", "absent-reader.ckpt", "--question", "anything ?"],
+    "eval": ["eval", "--dataset", "absent-dev.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for command in DEPLOYMENT_COMMANDS
+    for flag, value in [
+        ("--k", "0"), ("--k", "-2"), ("--tau-multiple", "inf"), ("--tau-multiple", "nan"),
+        ("--tau-multiple", "0"), ("--tau-multiple", "-1"), ("--max-len", "0"),
+    ]
+    if not (command == "retrieve" and flag == "--max-len")
+])
+def test_bad_deployment_flag_is_config_error_before_any_file_is_read(
+    tmp_path, capsys, command, flag, value
+):
+    # no file exists, so a check made after the first read would exit 4
+    code = cli.main(DEPLOYMENT_COMMANDS[command] + [
+        "--index", str(tmp_path / "absent.ridx"),
+        "--checkpoint", str(tmp_path / "absent.ckpt"),
+        "--corpus", str(tmp_path / "absent.jsonl"),
+        f"{flag}={value}",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert flag in err and value in err and "Traceback" not in err
 
 
 def test_retrieve_flipped_checkpoint_is_input_error(toy_dir, sup_run, tmp_path, capsys):
@@ -731,6 +776,20 @@ def test_sweep_scores_on_what_each_run_built(train_cfg, tmp_path, monkeypatch, a
         "--config", str(train_cfg), "--out-dir", str(tmp_path / "sweep"), "--set", "epochs=1",
     ]) == 0
     assert loads == {"corpus": corpus_loads, "index": 0}
+
+
+@pytest.mark.parametrize("axis, values", [("tau", "0.5,-1"), ("train-fraction", "0.5,2")])
+def test_sweep_bad_point_is_config_error_before_any_point_trains(
+    train_cfg, tmp_path, capsys, axis, values
+):
+    out = tmp_path / "sweep"
+    code = cli.main([
+        "sweep", "--axis", axis, "--values", values, "--recipe", "supervised",
+        "--config", str(train_cfg), "--out-dir", str(out), "--set", "epochs=1",
+    ])
+    assert code == 3
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_sweep_duplicate_values_warn(train_cfg, tmp_path):

@@ -226,6 +226,11 @@ def test_config_validation():
             e2e.E2EConfig(tau_multiple=bad)
         with pytest.raises(ConfigError, match="learning_rate"):
             e2e.E2EConfig(learning_rate=bad)
+    with pytest.raises(ConfigError, match="seed"):
+        e2e.E2EConfig(seed=-1)
+    for bad in (math.nan, math.inf, -5.0):
+        with pytest.raises(ConfigError, match="weight_decay"):
+            e2e.E2EConfig(weight_decay=bad)
 
 
 def joint_loss_grads(lambda_value):

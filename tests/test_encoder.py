@@ -171,7 +171,7 @@ def in_batch_trials(layers):
             rng = np.random.default_rng([layers, b, seed])
             dual = DualEncoder(config, seed=b + seed)
             questions, contexts = (oracle_sequences(rng, b, 18)[:b] for _ in range(2))
-            loss = in_batch_loss(dual, questions, contexts, np.arange(b), tau=4.0)
+            loss = in_batch_loss(dual, questions, contexts, tau=4.0)
             loss.backward()
             out.append((loss.item().hex(), [p.grad.tobytes() for p in dual.parameters()]))
     return out

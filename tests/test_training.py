@@ -1,12 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from retforge import autodiff as ad
 from retforge import training as T
-from retforge.data import Corpus, QAExample, SpanAnnotation
-from retforge.encoder import DualEncoder, EncoderConfig, context_input, question_input
+from retforge.data import Corpus, QAExample, SpanAnnotation, sample_ict_pair
+from retforge.encoder import (
+    DualEncoder,
+    EncoderConfig,
+    context_input,
+    document_input,
+    question_input,
+)
 from retforge.errors import ConfigError, DomainError
 from retforge.index import EvidenceIndex, build_snapshot
 from retforge.reader import Reader, ReaderConfig
@@ -147,6 +154,178 @@ def test_batch_loss_reorder_invariance():
     shuffled = [QA[2], QA[0], QA[1]]
     b = T.batch_loss_supervised(dual, batch_for(corpus, shuffled), corpus, tau).item()
     assert abs(a - b) <= 1e-9
+
+
+# In-batch columns: bitwise oracle -----------------------------------------------
+
+
+def former_ict_columns(contexts):
+    """The columns and targets of the former inverse-cloze rule: equal
+    pseudo-contexts share a column, in order of first appearance."""
+    column_of, columns, targets = {}, [], []
+    for ctx in contexts:
+        if tuple(ctx) not in column_of:
+            column_of[tuple(ctx)] = len(columns)
+            columns.append(list(ctx))
+        targets.append(column_of[tuple(ctx)])
+    return columns, targets
+
+
+def former_supervised_columns(batch, corpus):
+    """The columns, targets and duplicate count of the former supervised rule:
+    documents share a column by id, positives first, then hard negatives."""
+    column_of, docs, duplicates = {}, [], 0
+
+    def admit(doc):
+        nonlocal duplicates
+        if doc.id in column_of:
+            duplicates += 1
+        else:
+            column_of[doc.id] = len(docs)
+            docs.append(doc)
+        return column_of[doc.id]
+
+    targets = [admit(positive) for _, positive, _ in batch]
+    for _, _, negatives in batch:
+        for doc in negatives:
+            admit(doc)
+    return [document_input(d, corpus) for d in docs], targets, duplicates
+
+
+def ict_batches(corpus):
+    """Seeded inverse-cloze batches: 10 picks over 12 documents of 3 sentences
+    repeat documents, and a repeat often repeats the pseudo-context too."""
+    docs = list(corpus)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        questions, contexts = [], []
+        for pick in rng.integers(len(docs), size=10):
+            query, context = sample_ict_pair(docs[int(pick)], rng, keep_prob=0.5)
+            questions.append(question_input(query))
+            contexts.append(context_input(corpus.title_tokens[docs[int(pick)].id], context))
+        yield questions, contexts
+
+
+def supervised_batches(corpus):
+    """A shared positive, a positive that is another example's hard negative,
+    then seeded batches drawing positives from 6 documents and 0-2 hard
+    negatives from all 12."""
+    by_id = corpus.by_id
+
+    def q(i):
+        return corpus.vocab.encode(QA[i].question)
+
+    yield [(q(0), by_id[0], [by_id[6]]), (q(2), by_id[0], [by_id[1]]), (q(1), by_id[1], [])]
+    yield [(q(0), by_id[0], [by_id[1], by_id[2]]), (q(1), by_id[1], [by_id[0]]),
+           (q(2), by_id[2], [by_id[6], by_id[6]])]
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        yield [
+            (q(int(i)), by_id[int(rng.integers(6))],
+             [by_id[int(n)] for n in rng.integers(12, size=int(rng.integers(3)))])
+            for i in rng.integers(len(QA), size=5)
+        ]
+
+
+def in_batch_outcome(dual, call):
+    """Columns, targets, duplicate count, loss `float.hex` and parameter
+    gradient bytes of the in-batch loss that `call()` builds, read through
+    spies on the context tower and the cross-entropy."""
+    seen = {}
+    encode, cross_entropy = dual.context_encoder.encode_batch, ad.cross_entropy_rows
+
+    def spy_encode(seqs):
+        seen["columns"] = [list(s) for s in seqs]
+        return encode(seqs)
+
+    def spy_cross_entropy(scores, targets, tau):
+        seen["targets"] = [int(t) for t in targets]
+        return cross_entropy(scores, targets, tau=tau)
+
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        patch.setattr(dual.context_encoder, "encode_batch", spy_encode)
+        patch.setattr(ad, "cross_entropy_rows", spy_cross_entropy)
+        for p in dual.parameters():
+            p.zero_grad()
+        loss = call()
+        loss.backward()
+    counts = [int(str(w.message).split()[0]) for w in caught if "duplicate" in str(w.message)]
+    return (seen["columns"], seen["targets"], sum(counts), loss.item().hex(),
+            [p.grad.tobytes() for p in dual.parameters()])
+
+
+def former_outcome(dual, questions, columns, targets, duplicates, tau):
+    """The same record from the former loss over the former rule's columns."""
+    for p in dual.parameters():
+        p.zero_grad()
+    q = dual.question_encoder.encode_batch(questions)
+    z = dual.context_encoder.encode_batch(columns)
+    loss = ad.cross_entropy_rows(ad.matmul(q, ad.transpose(z, (1, 0))), np.array(targets), tau=tau)
+    loss.backward()
+    return (columns, targets, duplicates, loss.item().hex(),
+            [p.grad.tobytes() for p in dual.parameters()])
+
+
+def in_batch_trials(former):
+    """One record per ICT and supervised batch, from the live code or, with
+    `former`, from the former two column rules."""
+    corpus = make_corpus()
+    dual = make_dual(corpus)
+    tau = 4.0
+    out = []
+    for questions, contexts in ict_batches(corpus):
+        if former:
+            out.append(former_outcome(dual, questions, *former_ict_columns(contexts), 0, tau))
+        else:
+            out.append(in_batch_outcome(
+                dual, lambda: T.in_batch_loss(dual, questions, contexts, tau)))
+    for batch in supervised_batches(corpus):
+        if former:
+            questions = [question_input(q) for q, _, _ in batch]
+            out.append(former_outcome(
+                dual, questions, *former_supervised_columns(batch, corpus), tau))
+        else:
+            out.append(in_batch_outcome(
+                dual, lambda: T.batch_loss_supervised(dual, batch, corpus, tau)))
+    return out
+
+
+def test_in_batch_columns_match_the_former_rules_bitwise():
+    want = in_batch_trials(former=True)
+    # the batches exercise the rule: shared ICT and supervised columns alike
+    assert sum(len(c) < len(t) for c, t, *_ in want[:4]) >= 2
+    assert all(w[2] > 0 for w in want[4:6])
+    assert in_batch_trials(former=False) == want
+
+
+def test_in_batch_loss_without_dedupe_fails_the_oracle(monkeypatch):
+    def every_context_a_column(dual, questions, contexts, tau):
+        q = dual.question_encoder.encode_batch(questions)
+        z = dual.context_encoder.encode_batch(contexts)
+        scores = ad.matmul(q, ad.transpose(z, (1, 0)))
+        return ad.cross_entropy_rows(scores, np.arange(len(questions)), tau=tau)
+
+    want = in_batch_trials(former=True)
+    monkeypatch.setattr(T, "in_batch_loss", every_context_a_column)
+    got = in_batch_trials(former=False)
+    assert [g[3] for g in got] != [w[3] for w in want]  # the losses differ, not only the columns
+
+
+def test_documents_with_equal_title_and_text_share_a_column():
+    twin = dict(DOCS[0], id=12)
+    corpus = Corpus.build(DOCS + [twin])
+    dual = make_dual(corpus)
+    batch = [
+        (corpus.vocab.encode(QA[0].question), corpus.by_id[0], []),
+        (corpus.vocab.encode(QA[1].question), corpus.by_id[1], [corpus.by_id[12]]),
+    ]
+    columns, targets, duplicates, *_ = in_batch_outcome(
+        dual, lambda: T.batch_loss_supervised(dual, batch, corpus, tau=4.0))
+    assert columns == [document_input(corpus.by_id[0], corpus),
+                       document_input(corpus.by_id[1], corpus)]
+    assert targets == [0, 1]
+    assert duplicates == 1
 
 
 # Supervised loop ---------------------------------------------------------------
@@ -400,3 +579,8 @@ def test_train_config_validation():
     for ks in ((), (0,), (1, -5)):
         with pytest.raises(ConfigError, match="eval_ks"):
             T.TrainConfig(eval_ks=ks)
+    with pytest.raises(ConfigError, match="seed"):
+        T.TrainConfig(seed=-1)
+    for bad in (math.nan, math.inf, -5.0):
+        with pytest.raises(ConfigError, match="weight_decay"):
+            T.TrainConfig(weight_decay=bad)
