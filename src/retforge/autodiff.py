@@ -60,6 +60,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 import threading
 from collections import Counter
 from typing import Callable, Iterator, Sequence
@@ -787,29 +788,38 @@ def attention(
     additive one (0 / MASK_NEG); either broadcasts against the (..., heads,
     T, S) scores.
     """
-    *lead, t, d = q.shape
-    s, dv = k.shape[-2], v.shape[-1]
-    if d % heads or dv % heads or k.shape != (*lead, s, d) or v.shape != (*lead, s, dv):
-        raise DimensionError(f"attention shapes disagree: {q.shape}, {k.shape}, {v.shape}")
+    return _attention(q, k, v, heads, mask, bias, operator.matmul, "attention")
+
+
+def _attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray | None, bias: Tensor | None,
+    product: Callable[[np.ndarray, np.ndarray], np.ndarray], op: str,
+) -> Tensor:
+    """`attention`, with `product` for the matmuls whose sums have more than
+    one nonzero term in a pooled forward (see `PooledRows.attention`)."""
+    (*lead, _, d), k_shape, v_shape = q.data.shape, k.data.shape, v.data.shape
+    s, dv = k_shape[-2], v_shape[-1]
+    if d % heads or dv % heads or k_shape != (*lead, s, d) or v_shape != (*lead, s, dv):
+        raise DimensionError(f"attention shapes disagree: {q.shape}, {k_shape}, {v_shape}")
     c = 1.0 / math.sqrt(d // heads)
     qh, vh = _split_heads(q.data, heads), _split_heads(v.data, heads)
     keys_t = np.ascontiguousarray(np.moveaxis(k.data.reshape(*lead, s, heads, -1), -3, -1))
-    z = (qh @ keys_t) * c
+    z = product(qh, keys_t) * c
     if bias is not None:
         z = z + bias.data
     if mask is not None:
         z = z + mask
     weights = _softmax_rows(z)
-    out_data = _merge_heads(weights @ vh)
+    out_data = _merge_heads(product(weights, vh))
 
     def backward(g: np.ndarray) -> None:
         g_mixed = _split_heads(g, heads)
-        g_z = _softmax_rows_backward(weights, g_mixed @ np.swapaxes(vh, -1, -2))
+        g_z = _softmax_rows_backward(weights, product(g_mixed, np.swapaxes(vh, -1, -2)))
         if bias is not None and bias.requires_grad:
             bias.accumulate_grad(_unbroadcast(g_z, bias.shape))
         g_scores = g_z * c
         if q.requires_grad:
-            q.accumulate_grad(_merge_heads(g_scores @ np.swapaxes(keys_t, -1, -2)))
+            q.accumulate_grad(_merge_heads(product(g_scores, np.swapaxes(keys_t, -1, -2))))
         if k.requires_grad:
             k.accumulate_grad(_merge_heads(np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2)))
         if v.requires_grad:
@@ -817,7 +827,7 @@ def attention(
 
     # parents in the order the composed chain's depth-first walk reached them
     parents = (q, k, v) if bias is None else (q, k, bias, v)
-    return Tensor(out_data, _parents=parents, _backward_fn=backward, _op="attention")
+    return Tensor(out_data, _parents=parents, _backward_fn=backward, _op=op)
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -831,24 +841,24 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 class PooledRows:
-    """The rows a pooled forward keeps of its (B, T, ·) sequences: position 0,
-    plus position 1 for a lone sequence, since numpy sends a one-row 2-D
-    matmul down BLAS gemv, which rounds otherwise than the gemm over T >= 2
-    rows. Only position 0 is pooled, so every other row's gradient is zero,
-    and `cut` and `linear` give at the kept rows the values and gradients of
-    the plain ops over all T positions, bit for bit. With `rows` (the
-    forward's `Rows`), `linear` hands its parameter gradients to the row
-    order as `Rows.linear` does."""
+    """The rows a pooled forward keeps of its (B, T, ·) sequences, T >= 2:
+    positions 0 and 1, since a one-row `linear` (a lone sequence's) would
+    take BLAS gemv, which rounds otherwise than gemm. Only position 0 is
+    pooled, so every other row's gradient is zero, and `cut`, `linear` and
+    `attention` give at the kept rows the values and gradients of the plain
+    ops over all T positions, bit for bit. With `rows` (the forward's
+    `Rows`), `linear` hands its parameter gradients to the row order as
+    `Rows.linear` does."""
 
-    __slots__ = ("length", "kept", "rows")
+    __slots__ = ("length", "rows")
+    kept = 2
 
-    def __init__(self, batch: int, length: int, rows: Rows | None):
+    def __init__(self, length: int, rows: Rows | None):
         self.length = length
-        self.kept = 2 if batch == 1 else 1
         self.rows = rows
 
     def cut(self, a: Tensor) -> Tensor:
-        """(B, T, d) -> its kept (B, n, d) rows; backward scatters into zeros."""
+        """(B, T, d) -> its kept (B, 2, d) rows; backward scatters into zeros."""
         def backward(g: np.ndarray) -> None:
             if a.requires_grad:
                 buf = np.zeros_like(a.data)
@@ -858,7 +868,7 @@ class PooledRows:
         return Tensor(a.data[:, :self.kept], _parents=(a,), _backward_fn=backward, _op="cut")
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """`linear` over (B, n, d) kept rows, as one (B * n, d) gemm. Without
+        """`linear` over (B, 2, d) kept rows, as one (B * 2, d) gemm. Without
         `rows`, the weight gradient stacks the per-row products and sums them
         over axis 0, which is what `_unbroadcast` makes of the per-sequence
         gemm when one row of each sequence carries gradient."""
@@ -885,14 +895,30 @@ class PooledRows:
             return rows.node(out_data, (x, w, b), (w, b), backward, "pooled_linear")
         return Tensor(out_data, _parents=(x, w, b), _backward_fn=backward, _op="pooled_linear")
 
+    def attention(self, q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray) -> Tensor:
+        """`attention` of the kept (B, 2, d) query rows over (B, T, d) keys
+        and values. The scores, the mix and the weight and query gradients
+        run at the full shape (`_at_full_shape`); the key and value gradients
+        contract over the kept rows alone, where each sum has one nonzero
+        term (position 0's), so any order gives its bits."""
+        full = functools.partial(_at_full_shape, length=self.length)
+        return _attention(q, k, v, heads, mask, None, full, "pooled_attention")
+
 
 def _pooled_input_grad(g: np.ndarray, w: np.ndarray, length: int) -> np.ndarray:
-    """The input gradient of `PooledRows.linear`: (B, n, e) `g` placed in zeros
-    of the full (B, T, e) shape, times w.T at that shape, then cut. A
-    (B * n, e) gemm rounds otherwise."""
-    full = np.zeros((g.shape[0], length, g.shape[2]))
-    full[:, :g.shape[1]] = g
-    return (full @ w.T)[:, :g.shape[1]]
+    """The input gradient of `PooledRows.linear`: `g` times w.T at the full shape."""
+    return _at_full_shape(g, w.T, length)
+
+
+def _at_full_shape(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
+    """(..., n, e) `a` placed in zeros of its full (..., T, e) shape, times
+    `b`, then cut: each row equals the full product's bit for bit. BLAS picks
+    its kernel by shape, so a product over the n rows alone can round
+    otherwise (OpenBLAS does for two rows of 16-wide heads at some T)."""
+    n = a.shape[-2]
+    full = np.zeros((*a.shape[:-2], length, a.shape[-1]))
+    full[..., :n, :] = a
+    return (full @ b)[..., :n, :]
 
 
 # Row-ordered ops (see `RowOrder`) -------------------------------------------

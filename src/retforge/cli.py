@@ -58,6 +58,7 @@ from .files import json_safe as _json_safe  # perfbench/workloads.py reads cli._
 from .files import jsonl, write_atomic
 from .index import EvidenceIndex, build_snapshot, load_index, save_index, top_k
 from .reader import Reader, ReaderConfig
+from .text import RESERVED_TOKENS
 from .toy import ToySpec, generate_toy
 from .training import TrainConfig, train_ict, train_salient_spans, train_supervised
 
@@ -179,6 +180,16 @@ def _resolve_run(recipe: str, file_raw: dict[str, str],
                 routed = True
         if not routed:
             raise ConfigError(f"unknown config key {key!r}")
+    # the model configs the recipe builds, checked before any file is read;
+    # the smallest valid vocabulary stands in for the corpus's
+    models = [(EncoderConfig, encoder_kwargs)]
+    if recipe in READER_RECIPES:
+        models.append((ReaderConfig, reader_kwargs))
+    for model_cls, kwargs in models:
+        try:
+            model_cls(vocab_size=len(RESERVED_TOKENS), **kwargs)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
     return ResolvedRun(recipe, cls(**main_kwargs), paths, encoder_kwargs, reader_kwargs)
 
 

@@ -18,8 +18,9 @@ A training step (`topk_batch_loss`) builds one graph for all its questions.
 The questions, the (question, document) reader inputs and, when that tower
 trains, the documents go through their encoders as graph-mode forwards of
 equal-length rows (`TransformerEncoder.encode_rows`); the two retriever
-towers' forwards are pooled, so each runs its last layer past the attention
-mix on the pooled rows only (`encoder.pooled_layer`). Answers are scored
+towers' forwards are pooled, so each runs its last layer's queries and
+everything past the attention mix on the pooled rows only
+(`encoder.pooled_layer`). Answers are scored
 in one teacher-forced decoder call per (answer length, memory length) chunk
 (`Reader.log_likelihoods`). The questions are encoded once: the search reads
 the values of the loss's own question rows, which equal `embed_questions`'s

@@ -12,13 +12,14 @@ why inference never pads. Retriever training batches stay padded; their
 contract is the gradient, checked by finite differences.
 
 Every pooled forward, with a graph or without one, row-ordered or not, takes
-one pooled-row rule: its last layer attends over every position, then runs the
-rest of the layer and the final layer norm only on the rows `ad.PooledRows`
-keeps (`pooled_layer`). Its values and gradients equal the full forward's
-pooled at position 0 bit for bit. The end-to-end step encodes through
-`encode_rows`: `infer`'s chunks with a row-ordered graph, so that its
-gradients too equal the one-row graphs', and its search reads its loss's own
-question rows (not `embed_questions`).
+one pooled-row rule: its last layer projects keys and values over every
+position, but queries only from the rows `ad.PooledRows` keeps (positions 0
+and 1), so its scores are (B, heads, 2, T), and runs the rest of the layer and
+the final layer norm only on those rows (`pooled_layer`). Its values and
+gradients equal the full forward's pooled at position 0 bit for bit. The
+end-to-end step encodes through `encode_rows`: `infer`'s chunks with a
+row-ordered graph, so that its gradients too equal the one-row graphs', and
+its search reads its loss's own question rows (not `embed_questions`).
 
 `DualEncoder.embed_documents` keeps the context tower's one store of float64
 document rows, keyed by the corpus object and the tower's parameter bytes, and
@@ -99,9 +100,10 @@ class TransformerEncoder:
         the (B, d) states at position 0. With `rows` (one key per sequence)
         the layers run row-ordered (see `ad.RowOrder`).
 
-        Pooled, the last layer still attends over every position, but its
-        output projection, residual, FFN and the final layer norm run only
-        on the rows that `ad.PooledRows` keeps (see `pooled_layer`).
+        Pooled, the last layer's keys and values still cover every
+        position, but its queries, attention scores, output projection,
+        residual, FFN and the final layer norm run only on the rows that
+        `ad.PooledRows` keeps (see `pooled_layer`).
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 2:
@@ -280,14 +282,18 @@ def pooled_layer(
     h: ad.Tensor, p: dict[str, ad.Parameter], layer: str, heads: int, mask: np.ndarray,
     rows: ad.Rows | None,
 ) -> ad.Tensor:
-    """An encoder's `transformer_layer` that returns only the (B, n, d) rows
-    `ad.PooledRows` keeps of its (B, T, d) input: every position attends, then
-    the output projection, residual and feed-forward block run on those rows.
-    With `rows` it runs row-ordered, as `transformer_layer` does.
+    """An encoder's `transformer_layer` that returns only the (B, 2, d) rows
+    `ad.PooledRows` keeps of its (B, T, d) input: keys and values cover every
+    position, queries only the kept rows, and the output projection, residual
+    and feed-forward block run on those rows. With `rows` it runs
+    row-ordered, as `transformer_layer` does.
     """
-    pool = ad.PooledRows(*h.shape[:2], rows)
-    mixed = _self_attention(norm(h, p, f"{layer}.ln1", rows), p, layer, heads, mask, rows)
-    h = pool.cut(h) + project(pool.cut(mixed), p, f"{layer}.wo", pool)
+    pool = ad.PooledRows(h.shape[1], rows)
+    x = norm(h, p, f"{layer}.ln1", rows)
+    q = project(pool.cut(x), p, f"{layer}.wq", pool)
+    k, v = (project(x, p, f"{layer}.{m}", rows) for m in ("wk", "wv"))
+    mixed = pool.attention(q, k, v, heads, mask)
+    h = pool.cut(h) + project(mixed, p, f"{layer}.wo", pool)
     return h + _feed_forward(norm(h, p, f"{layer}.ln2", rows), p, layer, pool)
 
 

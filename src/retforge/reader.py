@@ -75,8 +75,9 @@ class ReaderConfig:
     max_answer_len: int = 32
 
     def __post_init__(self):
-        if self.dec_layers < 1:
-            raise DomainError(f"dec_layers must be >= 1, got {self.dec_layers}")
+        for name in ("enc_layers", "dec_layers"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.max_answer_len < 2:  # one answer token plus [EOS]
             raise DomainError(f"max_answer_len must be >= 2, got {self.max_answer_len}")
         self.encoder_config()  # re-checks the encoder-side constraints

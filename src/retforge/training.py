@@ -67,6 +67,9 @@ class TrainConfig:
             raise ConfigError(f"keep_prob must lie in [0, 1], got {self.keep_prob}")
         if not self.eval_ks or min(self.eval_ks) < 1:
             raise ConfigError(f"eval_ks must name cutoffs >= 1, got {self.eval_ks}")
+        target = self.target_train_top1
+        if target is not None and not 0 <= target <= 1:  # NaN fails too
+            raise ConfigError(f"target_train_top1 must lie in [0, 1], got {target}")
 
 
 def in_batch_loss(

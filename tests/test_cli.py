@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from retforge import cli, e2e
+from retforge.checkpoint import load_checkpoint, save_checkpoint
 from retforge.data import (
     QAExample,
     build_corpus_stats,
@@ -399,10 +401,39 @@ def test_train_model_vocab_size_key_is_config_error(train_cfg, tmp_path):
     assert code == 3
 
 
-def test_train_zero_heads_is_input_error(train_cfg, tmp_path, capsys):
+@pytest.mark.parametrize("recipe, cfg, setting", [
+    ("ict", "train_cfg", "hidden_size=7"),
+    ("ict", "train_cfg", "heads=0"),
+    ("supervised", "train_cfg", "heads=3"),  # does not divide hidden_size=16
+    ("ict", "train_cfg", "layers=0"),
+    ("supervised", "train_cfg", "max_seq_len=0"),
+    ("salient", "train_cfg", "dec_layers=0"),
+    ("e2e-individual", "e2e_cfg", "enc_layers=0"),
+    ("e2e-joint", "e2e_cfg", "max_answer_len=0"),
+])
+def test_train_bad_model_key_is_config_error_before_any_file_is_read(
+    request, tmp_path, capsys, recipe, cfg, setting
+):
+    # the corpus is absent, so a check made after the first read would exit 4
     code = cli.main([
-        "train", "ict", "--config", str(train_cfg),
-        "--out-dir", str(tmp_path / "x"), "--set", "heads=0",
+        "train", recipe, "--config", str(request.getfixturevalue(cfg)),
+        "--out-dir", str(tmp_path / "x"), "--set", setting,
+        "--set", f"corpus={tmp_path / 'absent.jsonl'}",
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{setting.split('=')[0]}\b", err) and "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_init_checkpoint_with_an_invalid_stored_config_is_input_error(
+    train_cfg, sup_run, tmp_path, capsys
+):
+    config, arrays = load_checkpoint(sup_run / "retriever.ckpt")
+    save_checkpoint(tmp_path / "bad.ckpt", {**config, "heads": 0}, arrays)
+    code = cli.main([
+        "train", "supervised", "--config", str(train_cfg), "--out-dir", str(tmp_path / "x"),
+        "--init", str(tmp_path / "bad.ckpt"),
     ])
     assert code == 2
     assert "heads must be >= 1" in capsys.readouterr().err
@@ -438,6 +469,7 @@ def test_train_salient_bad_schedule_is_config_error(train_cfg, tmp_path, setting
     ("ict", "train_cfg", "weight_decay=nan"),
     ("supervised", "train_cfg", "weight_decay=-5"),
     ("e2e-individual", "e2e_cfg", "weight_decay=inf"),
+    ("supervised", "train_cfg", "target_train_top1=2"),
 ])
 def test_train_bad_learning_rate_schedule_is_config_error(
     request, tmp_path, capsys, recipe, cfg, setting

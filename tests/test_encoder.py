@@ -116,25 +116,37 @@ def oracle_sequences(rng, n, max_len):
     return [[CLS_ID] + [int(x) for x in rng.integers(7, 40, size=int(t) - 1)] for t in lengths]
 
 
-@pytest.mark.parametrize("layers", [1, 2])
-def test_inference_encode_matches_reference_bitwise(layers):
-    config = EncoderConfig(vocab_size=40, layers=layers, hidden_size=16, heads=2, max_seq_len=24)
+# (hidden size, heads): head widths 8 and 16
+HEAD_WIDTHS = [(16, 2), (64, 4)]
+
+
+def inference_oracle(layers, hidden, heads):
+    """A context tower, 125 sequences of lengths 1-29 and their reference rows."""
+    config = EncoderConfig(
+        vocab_size=40, layers=layers, hidden_size=hidden, heads=heads, max_seq_len=24
+    )
     encoder = DualEncoder(config, seed=layers).context_encoder
     seqs = oracle_sequences(np.random.default_rng(layers), 120, 24)
-    want = np.stack([reference_pooled(encoder, s) for s in seqs])
-    # equal-length chunks with B >= 2, a lone [CLS] included
-    np.testing.assert_array_equal(encoder.embed(seqs), want)
-    for length in (1, 2, 9):
-        same = [s for s in seqs if len(s) == length]
-        assert len(same) >= 2
-        with ad.no_grad():
-            chunk = encoder.encode_batch(same).data
-        np.testing.assert_array_equal(chunk, want[[len(s) == length for s in seqs]])
-    # one-row calls on mixed lengths, with and without a graph
-    for seq, row in zip(seqs, want):
-        np.testing.assert_array_equal(encoder.encode_batch([seq]).data[0], row)
-        with ad.no_grad():
+    return encoder, seqs, np.stack([reference_pooled(encoder, s) for s in seqs])
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_inference_encode_matches_reference_bitwise(layers):
+    for hidden, heads in HEAD_WIDTHS:
+        encoder, seqs, want = inference_oracle(layers, hidden, heads)
+        # equal-length chunks with B >= 2, a lone [CLS] included
+        np.testing.assert_array_equal(encoder.embed(seqs), want)
+        for length in (1, 2, 9):
+            same = [s for s in seqs if len(s) == length]
+            assert len(same) >= 2
+            with ad.no_grad():
+                chunk = encoder.encode_batch(same).data
+            np.testing.assert_array_equal(chunk, want[[len(s) == length for s in seqs]])
+        # one-row calls on mixed lengths, with and without a graph
+        for seq, row in zip(seqs, want):
             np.testing.assert_array_equal(encoder.encode_batch([seq]).data[0], row)
+            with ad.no_grad():
+                np.testing.assert_array_equal(encoder.encode_batch([seq]).data[0], row)
 
 
 def test_embed_chunks_are_unpadded_and_bounded(monkeypatch):
@@ -161,10 +173,12 @@ def test_embed_chunks_are_unpadded_and_bounded(monkeypatch):
 # Pooled training forward: bitwise oracle -----------------------------------
 
 
-def in_batch_trials(layers):
+def in_batch_trials(layers, hidden=32, heads=4):
     """Loss `float.hex` and parameter-gradient bytes of `in_batch_loss` over
     padded batches of mixed lengths, B in {1, 2, 3, 8, 32}."""
-    config = EncoderConfig(vocab_size=40, layers=layers, hidden_size=32, heads=4, max_seq_len=24)
+    config = EncoderConfig(
+        vocab_size=40, layers=layers, hidden_size=hidden, heads=heads, max_seq_len=24
+    )
     out = []
     for b in (1, 2, 3, 8, 32):
         for seed in range(2):
@@ -177,11 +191,13 @@ def in_batch_trials(layers):
     return out
 
 
-def row_ordered_trials(layers):
+def row_ordered_trials(layers, hidden=32, heads=4):
     """Loss `float.hex`, pooled-row bytes and parameter-gradient bytes of
     row-ordered pooled encodes (`encode_rows`) over permuted keys: a lone
-    sequence (two kept rows), chunks of several, T = 1 and mixed lengths."""
-    config = EncoderConfig(vocab_size=40, layers=layers, hidden_size=32, heads=4, max_seq_len=24)
+    sequence, chunks of several, T = 1 and mixed lengths."""
+    config = EncoderConfig(
+        vocab_size=40, layers=layers, hidden_size=hidden, heads=heads, max_seq_len=24
+    )
     out = []
     for lengths in ([9], [5] * 6, [1, 1, 1], [1], [2, 7, 7, 2, 18, 7, 3]):
         for seed in range(2):
@@ -190,7 +206,7 @@ def row_ordered_trials(layers):
             seqs = [[CLS_ID] + [int(x) for x in rng.integers(7, 40, size=t - 1)] for t in lengths]
             keys = [(int(k),) for k in rng.permutation(len(seqs))]
             rows = encoder.encode_rows(seqs, ad.RowOrder(), keys, pooled=True)
-            contexts = ad.Tensor(rng.normal(size=(32, len(seqs))))
+            contexts = ad.Tensor(rng.normal(size=(hidden, len(seqs))))
             scores = ad.matmul(ad.concat(rows), contexts)
             loss = ad.cross_entropy_rows(scores, np.arange(len(seqs)), tau=4.0)
             loss.backward()
@@ -202,7 +218,11 @@ def row_ordered_trials(layers):
 
 
 def pooled_trials(layers):
-    return in_batch_trials(layers) + row_ordered_trials(layers)
+    """Both kinds of trial, at head width 8 (hidden 32) and 16 (hidden 64)."""
+    return [
+        trial for hidden in (32, 64)
+        for trial in in_batch_trials(layers, hidden) + row_ordered_trials(layers, hidden)
+    ]
 
 
 def use_full_forward(monkeypatch):
@@ -235,10 +255,7 @@ def test_pooled_input_gradient_as_a_row_gemm_fails_the_oracle(monkeypatch):
 
 
 def test_row_ordered_cut_through_the_plain_row_ordered_linear_fails_the_oracle(monkeypatch):
-    init, linear = ad.PooledRows.__init__, ad.PooledRows.linear
-
-    def two_rows(self, batch, length, rows):  # every sequence keeps rows 0 and 1
-        init(self, 1 if rows is not None else batch, length, rows)
+    linear = ad.PooledRows.linear
 
     def plain(self, x, w, b):  # the per-sequence gemms of `Rows.linear`
         return linear(self, x, w, b) if self.rows is None else self.rows.linear(x, w, b)
@@ -246,9 +263,48 @@ def test_row_ordered_cut_through_the_plain_row_ordered_linear_fails_the_oracle(m
     with monkeypatch.context() as patch:
         use_full_forward(patch)
         want = [row_ordered_trials(layers) for layers in (1, 2)]
-    monkeypatch.setattr(ad.PooledRows, "__init__", two_rows)
     monkeypatch.setattr(ad.PooledRows, "linear", plain)
     assert [row_ordered_trials(layers) for layers in (1, 2)] != want
+
+
+def one_query_row(self, q, k, v, heads, mask):
+    """Each kept query row attends alone: its products take BLAS gemv."""
+    b, n, d = q.shape
+    alone = [ad.reshape(ad.take_position(q, i), (b, 1, d)) for i in range(n)]
+    return ad.concat([ad.attention(a, k, v, heads, mask=mask) for a in alone], axis=1)
+
+
+def kept_rows_only(self, q, k, v, heads, mask):
+    """The kept query rows' products at their own (2-row) shape."""
+    return ad.attention(q, k, v, heads, mask=mask)
+
+
+@pytest.mark.parametrize("mutant, hidden, heads", [
+    (one_query_row, 32, 4), (kept_rows_only, 64, 4),
+])
+def test_pooled_attention_products_over_the_kept_rows_alone_fail_the_oracle(
+    mutant, hidden, heads, monkeypatch
+):
+    """Why the pooled attention's products run at the full shape: over the
+    kept rows alone, one row takes gemv (head width 8 here), and two rows at
+    a head width of 16 take a gemm kernel that rounds otherwise for some T."""
+    encoder, seqs, reference = inference_oracle(1, hidden, heads)
+    with monkeypatch.context() as patch:
+        use_full_forward(patch)
+        want = in_batch_trials(1, hidden, heads)
+    monkeypatch.setattr(ad.PooledRows, "attention", mutant)
+    assert not np.array_equal(encoder.embed(seqs), reference)
+    assert in_batch_trials(1, hidden, heads) != want
+
+
+def run_pooled_entry_points(encoder, seqs) -> None:
+    """One pooled forward through each entry point: `encode_batch` with a
+    graph and under `no_grad`, `embed`, and `encode_rows`."""
+    assert encoder.encode_batch(seqs).requires_grad
+    with ad.no_grad():
+        encoder.encode_batch(seqs)
+    encoder.embed(seqs)
+    encoder.encode_rows(seqs, ad.RowOrder(), [(i,) for i in range(len(seqs))], pooled=True)
 
 
 @pytest.mark.parametrize("b", [1, 2, 5])
@@ -264,15 +320,37 @@ def test_pooled_forward_runs_no_gelu_over_every_position(b, monkeypatch):
         return gelu(a)
 
     monkeypatch.setattr(ad, "gelu", spy)
-    kept = (b, 2 if b == 1 else 1)  # a lone sequence keeps positions 0 and 1
-    assert encoder.encode_batch(seqs).requires_grad
-    with ad.no_grad():
-        encoder.encode_batch(seqs)
-    encoder.embed(seqs)
-    encoder.encode_rows(seqs, ad.RowOrder(), [(i,) for i in range(b)], pooled=True)
-    assert rows == [kept] * 4
+    run_pooled_entry_points(encoder, seqs)
+    assert rows == [(b, 2)] * 4  # every sequence keeps positions 0 and 1
     encoder.forward(np.array(seqs))  # unpooled: every position
     assert rows[-1] == (b, 10)
+
+
+@pytest.mark.parametrize("b", [1, 2, 5])
+def test_pooled_forward_attends_from_the_kept_rows_only(b, monkeypatch):
+    config = EncoderConfig(vocab_size=40, layers=2, hidden_size=8, heads=2, max_seq_len=16)
+    encoder = DualEncoder(config, seed=0).context_encoder
+    seqs = [[CLS_ID] + [7 + i] * 9 for i in range(b)]
+    calls = []
+    attention, pooled = ad.attention, ad.PooledRows.attention
+
+    def spy(q, k, v, heads, mask=None, bias=None):
+        calls.append(("attention", q.shape, k.shape, v.shape))
+        return attention(q, k, v, heads, mask=mask, bias=bias)
+
+    def pooled_spy(self, q, k, v, heads, mask):
+        calls.append(("pooled", q.shape, k.shape, v.shape))
+        return pooled(self, q, k, v, heads, mask)
+
+    monkeypatch.setattr(ad, "attention", spy)
+    monkeypatch.setattr(ad.PooledRows, "attention", pooled_spy)
+    run_pooled_entry_points(encoder, seqs)
+    full, kept = (b, 10, 8), (b, 2, 8)
+    # layer 0 over every position; the last layer's queries from the kept rows
+    assert calls == [("attention", full, full, full), ("pooled", kept, full, full)] * 4
+    calls.clear()
+    encoder.forward(np.array(seqs))  # unpooled: every position queries
+    assert calls == [("attention", full, full, full)] * 2
 
 
 def test_truncated_normal_bounds():

@@ -29,6 +29,8 @@ def reader():
 def test_config_validation():
     with pytest.raises(DomainError):
         ReaderConfig(vocab_size=16, dec_layers=0)
+    with pytest.raises(DomainError, match="enc_layers must be >= 1"):
+        ReaderConfig(vocab_size=16, enc_layers=0)
     with pytest.raises(DomainError):
         ReaderConfig(vocab_size=16, max_answer_len=0)
     # one answer token plus [EOS]: at 1 no greedy decode could run a step

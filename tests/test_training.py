@@ -584,3 +584,6 @@ def test_train_config_validation():
     for bad in (math.nan, math.inf, -5.0):
         with pytest.raises(ConfigError, match="weight_decay"):
             T.TrainConfig(weight_decay=bad)
+    for bad in (math.nan, 2.0, -0.5, math.inf):
+        with pytest.raises(ConfigError, match="target_train_top1"):
+            T.TrainConfig(target_train_top1=bad)
