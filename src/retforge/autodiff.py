@@ -298,9 +298,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data @ b.data, _parents=(a, b), _backward_fn=backward, _op="matmul")
 
 
+def _matmul_input_grad(a: Tensor, b: Tensor, g: np.ndarray) -> np.ndarray:
+    return _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+
+
 def _matmul_backward(a: Tensor, b: Tensor, g: np.ndarray) -> None:
     if a.requires_grad:
-        a.accumulate_grad(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        a.accumulate_grad(_matmul_input_grad(a, b, g))
     if b.requires_grad:
         b.accumulate_grad(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
@@ -361,16 +365,21 @@ def stack_scalars(parts: Sequence[Tensor]) -> Tensor:
     return Tensor(out, _parents=tuple(parts), _backward_fn=backward, _op="stack_scalars")
 
 
-def take_row(a: Tensor, row: int) -> Tensor:
-    """Row `row` of `a` along its first axis, as a (1, ...) tensor."""
+def _select(a: Tensor, index, op: str) -> Tensor:
+    """`a.data[index]`; backward scatters the gradient into zeros of a's shape."""
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             buf = np.zeros_like(a.data)
-            buf[row:row + 1] = g
+            buf[index] = g
             a.accumulate_grad(buf)
 
-    return Tensor(a.data[row:row + 1], _parents=(a,), _backward_fn=backward, _op="take_row")
+    return Tensor(a.data[index], _parents=(a,), _backward_fn=backward, _op=op)
+
+
+def take_row(a: Tensor, row: int) -> Tensor:
+    """Row `row` of `a` along its first axis, as a (1, ...) tensor."""
+    return _select(a, slice(row, row + 1), "take_row")
 
 
 def take_position(a: Tensor, pos: int) -> Tensor:
@@ -379,21 +388,20 @@ def take_position(a: Tensor, pos: int) -> Tensor:
         raise DimensionError("take_position needs at least 2 dims")
     if not (0 <= pos < a.shape[-2]):
         raise IndexError(f"position {pos} out of range for shape {a.shape}")
+    return _select(a, (..., pos, slice(None)), "take_position")
 
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[..., pos, :] = g
-            a.accumulate_grad(buf)
 
-    return Tensor(a.data[..., pos, :], _parents=(a,), _backward_fn=backward, _op="take_position")
+def _checked_ids(table: Tensor, ids) -> np.ndarray:
+    """`ids` as an array, each a row of `table`."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise IndexError(f"ids out of range for table of {table.shape[0]} rows")
+    return ids
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather rows of `table` by integer ids; backward scatter-adds."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"ids out of range for table of {table.shape[0]} rows")
+    ids = _checked_ids(table, ids)
 
     def backward(g: np.ndarray) -> None:
         if table.requires_grad:
@@ -639,6 +647,12 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward_fn=backward, _op="logsumexp")
 
 
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    """Log softmax over the last axis, with max-subtraction."""
+    m = z.max(axis=-1, keepdims=True)
+    return z - (m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True)))
+
+
 def cross_entropy_rows(scores: Tensor, targets: np.ndarray, tau: float = 1.0) -> Tensor:
     """Mean over rows of -log softmax(row/tau)[target]; fused, analytically exact.
 
@@ -655,10 +669,7 @@ def cross_entropy_rows(scores: Tensor, targets: np.ndarray, tau: float = 1.0) ->
         raise DimensionError("one target per row required")
     if targets.min() < 0 or targets.max() >= n_cols:
         raise IndexError("target column out of range")
-    z = scores.data / tau
-    m = z.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
-    log_probs = z - lse
+    log_probs = _log_softmax(scores.data / tau)
     rows = np.arange(n_rows)
     out_data = -log_probs[rows, targets].mean()
     soft = np.exp(log_probs)
@@ -680,10 +691,7 @@ def sequence_log_prob(logits: Tensor, targets: np.ndarray) -> Tensor:
     b, t, v = logits.shape
     if targets.shape != (b, t):
         raise DimensionError("targets must be (batch, steps)")
-    z = logits.data
-    m = z.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
-    log_probs = z - lse
+    log_probs = _log_softmax(logits.data)
     bi = np.arange(b)[:, None]
     ti = np.arange(t)[None, :]
     out_data = log_probs[bi, ti, targets].sum(axis=1)
@@ -757,23 +765,34 @@ def layer_norm(
 def linear(x: Tensor, w: Tensor, b: Tensor, rows: Rows | None = None) -> Tensor:
     """x @ w + b; with `rows`, over (n, T, d) rows, row-ordered (see `Rows`)."""
     _check_matmul(x, w)
-    out_data = x.data @ w.data + b.data
+    input_grad = functools.partial(_matmul_input_grad, x, w)
+    return _linear_node(x, w, b, rows, x.data @ w.data + b.data, input_grad, "linear")
+
+
+def _linear_node(
+    x: Tensor, w: Tensor, b: Tensor, rows: Rows | None, out_data: np.ndarray,
+    input_grad: Callable[[np.ndarray], np.ndarray], op: str,
+) -> Tensor:
+    """The node of a `linear` value: the bias and weight gradients are
+    `_unbroadcast` of g and of swapaxes(x) @ g, or with `rows` the same per
+    row; the input gradient is the caller's `input_grad(g)`."""
 
     def backward(g: np.ndarray) -> None:
+        x_t = np.swapaxes(x.data, -1, -2)
         if rows is None:
             if b.requires_grad:
                 b.accumulate_grad(_unbroadcast(g, b.shape))
-            _matmul_backward(x, w, g)
-            return
-        rows.deliver(b, lambda: g.sum(axis=1))
+            if w.requires_grad:
+                w.accumulate_grad(_unbroadcast(x_t @ g, w.shape))
+        else:  # functions over arrays, never `x` (see `RowOrder`)
+            rows.deliver(b, lambda: g.sum(axis=1))
+            rows.deliver(w, lambda: x_t @ g)
         if x.requires_grad:
-            x.accumulate_grad(g @ np.swapaxes(w.data, -1, -2))
-        x_t = np.swapaxes(x.data, -1, -2)  # functions over arrays, never `x` (see `RowOrder`)
-        rows.deliver(w, lambda: x_t @ g)
+            x.accumulate_grad(input_grad(g))
 
     if rows is not None:
-        return rows.node(out_data, (x, w, b), (w, b), backward, "linear")
-    return Tensor(out_data, _parents=(x, w, b), _backward_fn=backward, _op="linear")
+        return rows.node(out_data, (x, w, b), (w, b), backward, op)
+    return Tensor(out_data, _parents=(x, w, b), _backward_fn=backward, _op=op)
 
 
 def attention(
@@ -846,9 +865,8 @@ class PooledRows:
     take BLAS gemv, which rounds otherwise than gemm. Only position 0 is
     pooled, so every other row's gradient is zero, and `cut`, `linear` and
     `attention` give at the kept rows the values and gradients of the plain
-    ops over all T positions, bit for bit. With `rows` (the forward's
-    `Rows`), `linear` hands its parameter gradients to the row order as
-    `Rows.linear` does."""
+    ops over all T positions, bit for bit. `linear` builds the node of plain
+    and row-ordered `linear` (`_linear_node`) over a flat forward gemm."""
 
     __slots__ = ("length", "rows")
     kept = 2
@@ -859,41 +877,19 @@ class PooledRows:
 
     def cut(self, a: Tensor) -> Tensor:
         """(B, T, d) -> its kept (B, 2, d) rows; backward scatters into zeros."""
-        def backward(g: np.ndarray) -> None:
-            if a.requires_grad:
-                buf = np.zeros_like(a.data)
-                buf[:, :self.kept] = g
-                a.accumulate_grad(buf)
-
-        return Tensor(a.data[:, :self.kept], _parents=(a,), _backward_fn=backward, _op="cut")
+        return _select(a, (slice(None), slice(self.kept)), "cut")
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """`linear` over (B, 2, d) kept rows, as one (B * 2, d) gemm. Without
-        `rows`, the weight gradient stacks the per-row products and sums them
-        over axis 0, which is what `_unbroadcast` makes of the per-sequence
-        gemm when one row of each sequence carries gradient."""
+        """`linear` over (B, 2, d) kept rows, as one (B * 2, d) gemm, with
+        `linear`'s bias and weight gradients and the full-shape input
+        gradient (`_pooled_input_grad`)."""
         _check_matmul(x, w)
         flat = x.data.reshape(-1, x.shape[-1])
         out_data = (flat @ w.data + b.data).reshape(*x.shape[:-1], -1)
-        rows = self.rows
-
-        def backward(g: np.ndarray) -> None:
-            if rows is not None:  # functions over arrays only (see `RowOrder`)
-                rows.deliver(b, lambda: g.sum(axis=1))
-                x_t = np.swapaxes(x.data, -1, -2)
-                rows.deliver(w, lambda: x_t @ g)
-            else:
-                if b.requires_grad:
-                    b.accumulate_grad(_unbroadcast(g, b.shape))
-                if w.requires_grad:
-                    g_flat = g.reshape(len(flat), -1)
-                    w.accumulate_grad((flat[:, :, None] * g_flat[:, None, :]).sum(axis=0))
-            if x.requires_grad:
-                x.accumulate_grad(_pooled_input_grad(g, w.data, self.length))
-
-        if rows is not None:
-            return rows.node(out_data, (x, w, b), (w, b), backward, "pooled_linear")
-        return Tensor(out_data, _parents=(x, w, b), _backward_fn=backward, _op="pooled_linear")
+        return _linear_node(
+            x, w, b, self.rows, out_data,
+            lambda g: _pooled_input_grad(g, w.data, self.length), "pooled_linear",
+        )
 
     def attention(self, q: Tensor, k: Tensor, v: Tensor, heads: int, mask: np.ndarray) -> Tensor:
         """`attention` of the kept (B, 2, d) query rows over (B, T, d) keys
@@ -1023,8 +1019,7 @@ class Rows:
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[0] != len(self.keys):
             raise DimensionError(f"need one id row per key, got ids of shape {ids.shape}")
-        if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-            raise IndexError(f"ids out of range for table of {table.shape[0]} rows")
+        _checked_ids(table, ids)
 
         def backward(g: np.ndarray) -> None:
             self.deliver(table, lambda: _scatter_rows(ids, g))

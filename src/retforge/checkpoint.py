@@ -120,8 +120,8 @@ def save_model(path, kind: str, config, params) -> None:
 def load_model(path, kind: str, config_cls, build):
     """The `build(config, None)` model (zero weights, no random draw) with
     the saved parameters of a `save_model` checkpoint. FormatError unless the
-    kind, the config's field names and types, and the parameter names,
-    shapes and dtype (`<f8`) all agree."""
+    kind, the config's field names, types and domain, and the parameter
+    names, shapes and dtype (`<f8`) all agree."""
     config, arrays = load_checkpoint(path)
     if config.pop("kind", None) != kind:
         raise FormatError(f"{path}: checkpoint kind is not {kind} (field: kind)")
@@ -130,7 +130,11 @@ def load_model(path, kind: str, config_cls, build):
         type(value) is not types[name] for name, value in config.items()
     ):
         raise FormatError(f"{path}: config disagrees with {config_cls.__name__} (field: config)")
-    model = build(config_cls(**config), None)
+    try:
+        config = config_cls(**config)
+    except DomainError as exc:
+        raise FormatError(f"{path}: {exc} (field: config)") from None
+    model = build(config, None)
     expected = {p.name: (p.data.shape, "<f8") for p in model.parameters()}
     found = {name: (arr.shape, arr.dtype.str) for name, arr in arrays.items()}
     if found != expected:

@@ -180,12 +180,9 @@ def _resolve_run(recipe: str, file_raw: dict[str, str],
                 routed = True
         if not routed:
             raise ConfigError(f"unknown config key {key!r}")
-    # the model configs the recipe builds, checked before any file is read;
-    # the smallest valid vocabulary stands in for the corpus's
-    models = [(EncoderConfig, encoder_kwargs)]
-    if recipe in READER_RECIPES:
-        models.append((ReaderConfig, reader_kwargs))
-    for model_cls, kwargs in models:
+    # both model configs, checked before any file is read, whether or not the
+    # recipe builds a reader; the smallest valid vocabulary stands in for the corpus's
+    for model_cls, kwargs in routes[1:]:
         try:
             model_cls(vocab_size=len(RESERVED_TOKENS), **kwargs)
         except DomainError as exc:

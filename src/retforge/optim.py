@@ -65,8 +65,9 @@ class AdamW:
                 continue
             for p in group.params:
                 key = id(p)
-                m = self._m.setdefault(key, np.zeros_like(p.data))
-                v = self._v.setdefault(key, np.zeros_like(p.data))
+                if key not in self._m:
+                    self._m[key], self._v[key] = np.zeros_like(p.data), np.zeros_like(p.data)
+                m, v = self._m[key], self._v[key]
                 t = self._t.get(key, 0) + 1
                 self._t[key] = t
                 g = p.grad

@@ -99,14 +99,15 @@ def test_every_index_bit_flip_and_truncation_is_rejected(tmp_path, load_error):
     assert load_error(load_index, raw) is None
 
 
-def test_flipped_heads_is_a_domain_error(tmp_path):
+def test_flipped_heads_is_a_format_error(tmp_path):
     path = tmp_path / "model.ckpt"
     model = MODELS["dual_encoder"]()
     # written with its digest: a patched byte is a checksum error
     config = {"kind": "dual_encoder", **asdict(model.config), "heads": 0}
     save_checkpoint(path, config, {p.name: p.data for p in model.parameters()})
-    with pytest.raises(DomainError, match="heads"):
+    with pytest.raises(FormatError) as caught:
         DualEncoder.load(path)
+    assert str(caught.value) == f"{path}: heads must be >= 1, got 0 (field: config)"
 
 
 V = checkpoint.FORMAT_VERSION

@@ -408,6 +408,8 @@ def test_train_model_vocab_size_key_is_config_error(train_cfg, tmp_path):
     ("ict", "train_cfg", "layers=0"),
     ("supervised", "train_cfg", "max_seq_len=0"),
     ("salient", "train_cfg", "dec_layers=0"),
+    ("ict", "train_cfg", "dec_layers=0"),  # a reader key, checked for every recipe
+    ("supervised", "train_cfg", "max_answer_len=-3"),
     ("e2e-individual", "e2e_cfg", "enc_layers=0"),
     ("e2e-joint", "e2e_cfg", "max_answer_len=0"),
 ])
@@ -436,7 +438,8 @@ def test_init_checkpoint_with_an_invalid_stored_config_is_input_error(
         "--init", str(tmp_path / "bad.ckpt"),
     ])
     assert code == 2
-    assert "heads must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'bad.ckpt'}: heads must be >= 1" in err and "(field: config)" in err
 
 
 def test_train_joint_context_switch_is_config_error(e2e_cfg, tmp_path):

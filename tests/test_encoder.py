@@ -254,6 +254,44 @@ def test_pooled_input_gradient_as_a_row_gemm_fails_the_oracle(monkeypatch):
     assert [in_batch_trials(layers) for layers in (1, 2)] != want
 
 
+def weight_gradient_by(rule):
+    """`PooledRows.linear` whose weight gradient is `rule(x, g)` over the
+    (B, 2, ·) kept rows, added by a node of its own."""
+    linear = ad.PooledRows.linear
+
+    def pooled_linear(self, x, w, b):
+        out = linear(self, x, ad.Tensor(w.data), b)  # a constant: no weight gradient
+
+        def backward(g):
+            out.accumulate_grad(g)
+            w.accumulate_grad(rule(x.data, g))
+
+        return ad.Tensor(out.data, _parents=(out, w), _backward_fn=backward)
+
+    return pooled_linear
+
+
+def per_sequence_products(x, g):  # `linear`'s rule: the B products summed over axis 0
+    return (np.swapaxes(x, -1, -2) @ g).sum(axis=0)
+
+
+def one_gemm(x, g):  # the flat forward's (B * 2, d).T @ (B * 2, e)
+    return x.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def test_pooled_weight_gradient_as_one_gemm_fails_the_oracle(monkeypatch):
+    """Why the pooled weight gradient keeps `linear`'s per-sequence products:
+    one gemm over all B * 2 kept rows rounds otherwise at hidden 32."""
+    with monkeypatch.context() as patch:
+        use_full_forward(patch)
+        want = in_batch_trials(1)
+    with monkeypatch.context() as patch:  # the wrapping node alone keeps every bit
+        patch.setattr(ad.PooledRows, "linear", weight_gradient_by(per_sequence_products))
+        assert in_batch_trials(1) == want
+    monkeypatch.setattr(ad.PooledRows, "linear", weight_gradient_by(one_gemm))
+    assert in_batch_trials(1) != want
+
+
 def test_row_ordered_cut_through_the_plain_row_ordered_linear_fails_the_oracle(monkeypatch):
     linear = ad.PooledRows.linear
 

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used, only `retforge.files`
 writes files, only `retforge.checkpoint` lays out binary data, no
-generator is decorated with `no_grad()`, only `Document.sentence_ranges`
-segments sentences, and the encoder never reads the grad mode.
+`setdefault` builds a numpy default, no generator is decorated with
+`no_grad()`, only `Document.sentence_ranges` segments sentences, and the
+encoder never reads the grad mode.
 
 `src/retforge/__init__.py` is skipped by the import check: it imports names to
 re-export them through `__all__`.
@@ -166,6 +167,59 @@ def test_scan_catches_every_way_to_lay_out_binary_data():
         'unpack_from(raw)\n'
     )
     assert binary_layouts(tree) == [1, 2, 3, 4, 5, 6, 7, 8]
+
+
+def numpy_defaults(tree: ast.AST) -> list[int]:
+    """Lines of a `.setdefault(key, default)` whose default calls into numpy
+    (however imported): the default is built on every call, used or not."""
+    modules, functions = {"numpy"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "numpy"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            functions |= {a.asname or a.name for a in node.names}
+
+    def calls_numpy(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id in functions
+        while isinstance(func, ast.Attribute):
+            func = func.value
+        return isinstance(func, ast.Name) and func.id in modules
+
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "setdefault"
+        and len(node.args) > 1 and any(map(calls_numpy, ast.walk(node.args[1])))
+    )
+
+
+def test_no_setdefault_builds_a_numpy_default():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in numpy_defaults(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [], "allocate on a key's first use instead: " + ", ".join(found)
+
+
+def test_scan_catches_every_numpy_default_of_setdefault():
+    tree = ast.parse(
+        "state.setdefault(key, np.zeros_like(p.data))\n"
+        "state.setdefault(key, numpy.zeros(3))\n"
+        "state.setdefault(key, (p, np.random.default_rng(0)))\n"
+        "state.setdefault(key, zl(x))\n"
+        "import numpy as np\n"
+        "from numpy import zeros_like as zl\n"
+        "state.setdefault(key, (p, [], []))\n"
+        "state.setdefault(key, np.float64)\n"
+        "state.setdefault(key, make(np))\n"
+        "state.setdefault(np.zeros(1).tobytes())\n"
+        "state.get(key, np.zeros(3))\n"
+    )
+    assert numpy_defaults(tree) == [1, 2, 3, 4]
 
 
 def no_grad_generators(tree: ast.AST) -> list[str]:
