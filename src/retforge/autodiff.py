@@ -71,6 +71,10 @@ from .errors import DeterminismError, DimensionError, DomainError
 
 NLL_FLOOR = 1e-30
 MASK_NEG = -1e30  # additive attention mask; exp(MASK_NEG - max) underflows to exactly 0
+# `_at_full_shape`: OpenBLAS's small-matrix gemm bound on M * N * K, and the
+# rows a product below it is padded to
+SMALL_GEMM_MNK = 1_000_000
+PADDED_ROWS = 8
 
 
 def _check_finite(arr: np.ndarray, where: str) -> None:
@@ -865,8 +869,10 @@ class PooledRows:
     take BLAS gemv, which rounds otherwise than gemm. Only position 0 is
     pooled, so every other row's gradient is zero, and `cut`, `linear` and
     `attention` give at the kept rows the values and gradients of the plain
-    ops over all T positions, bit for bit. `linear` builds the node of plain
-    and row-ordered `linear` (`_linear_node`) over a flat forward gemm."""
+    ops over all T positions, bit for bit. Every product with more than one
+    nonzero term per sum runs per sequence at the full shape
+    (`_at_full_shape`), so no bit depends on B. `linear` builds the node of
+    plain and row-ordered `linear` (`_linear_node`)."""
 
     __slots__ = ("length", "rows")
     kept = 2
@@ -880,12 +886,11 @@ class PooledRows:
         return _select(a, (slice(None), slice(self.kept)), "cut")
 
     def linear(self, x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-        """`linear` over (B, 2, d) kept rows, as one (B * 2, d) gemm, with
-        `linear`'s bias and weight gradients and the full-shape input
-        gradient (`_pooled_input_grad`)."""
+        """`linear` over (B, 2, d) kept rows, its product and input gradient
+        at the full shape (`_at_full_shape`), with `linear`'s bias and weight
+        gradients."""
         _check_matmul(x, w)
-        flat = x.data.reshape(-1, x.shape[-1])
-        out_data = (flat @ w.data + b.data).reshape(*x.shape[:-1], -1)
+        out_data = _at_full_shape(x.data, w.data, self.length) + b.data
         return _linear_node(
             x, w, b, self.rows, out_data,
             lambda g: _pooled_input_grad(g, w.data, self.length), "pooled_linear",
@@ -910,8 +915,16 @@ def _at_full_shape(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
     """(..., n, e) `a` placed in zeros of its full (..., T, e) shape, times
     `b`, then cut: each row equals the full product's bit for bit. BLAS picks
     its kernel by shape, so a product over the n rows alone can round
-    otherwise (OpenBLAS does for two rows of 16-wide heads at some T)."""
-    n = a.shape[-2]
+    otherwise (OpenBLAS does for two rows of 16-wide heads at some T).
+
+    OpenBLAS takes its small-matrix kernel when T * K * N is at most
+    SMALL_GEMM_MNK, for (..., K, N) `b`; there, over a C-contiguous `b`, the
+    first rows of a product do not depend on how many rows follow, so `a`
+    is padded to min(T, PADDED_ROWS) rows only. A transposed `b` (the
+    backward's) or a larger product keeps all T rows."""
+    n, (k, m) = a.shape[-2], b.shape[-2:]
+    if b.flags.c_contiguous and length * k * m <= SMALL_GEMM_MNK:
+        length = min(length, PADDED_ROWS)
     full = np.zeros((*a.shape[:-2], length, a.shape[-1]))
     full[..., :n, :] = a
     return (full @ b)[..., :n, :]

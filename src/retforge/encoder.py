@@ -29,7 +29,7 @@ embeds the whole corpus on a miss; index builds and frozen-tower steps read it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,7 +40,8 @@ from .text import CLS_ID, PAD_ID, SEP_ID
 
 INIT_STD = 0.02
 LN_EPS = 1e-5
-# tokens per `infer` forward of equal-length inputs; bounds activation memory
+# tokens per `infer` forward of equal-length inputs whose layers all span
+# every position; bounds activation memory (see `TransformerEncoder._chunks`)
 CHUNK_TOKENS = 256
 
 
@@ -148,13 +149,13 @@ class TransformerEncoder:
         self, sequences: Sequence[Sequence[int]], pooled: bool = False
     ) -> Iterator[tuple[list[int], ad.Tensor]]:
         """Inference, no graph: (positions, output) per chunk of `sequences`
-        whose (head-truncated) lengths are equal, at most CHUNK_TOKENS tokens
-        (or one longer sequence). The output is one unpadded `forward`'s
-        (n, T, d) states, or with `pooled` its (n, d) position-0 rows; each
-        row equals the sequence's own one-row forward bit for bit. A
-        generator: a chunk is encoded when reached, and only its forward runs
-        under `ad.no_grad()`, so the caller's grad mode holds between chunks."""
-        for rows, ids in self._chunks(sequences):
+        whose (head-truncated) lengths are equal, sized by `_chunks`. The
+        output is one unpadded `forward`'s (n, T, d) states, or with `pooled`
+        its (n, d) position-0 rows; each row equals the sequence's own
+        one-row forward bit for bit. A generator: a chunk is encoded when
+        reached, and only its forward runs under `ad.no_grad()`, so the
+        caller's grad mode holds between chunks."""
+        for rows, ids in self._chunks(sequences, pooled):
             with ad.no_grad():
                 output = self.forward(ids, pooled=pooled)
             yield rows, output
@@ -169,19 +170,32 @@ class TransformerEncoder:
         parameter gradients go to `order` under `keys[r]`. Each row equals
         the sequence's own one-row forward bit for bit."""
         out: list[ad.Tensor] = [None] * len(sequences)
-        for rows, ids in self._chunks(sequences):
+        for rows, ids in self._chunks(sequences, pooled):
             h = self.forward(ids, pooled=pooled, rows=order.rows([keys[r] for r in rows]))
             for j, r in enumerate(rows):
                 out[r] = h if len(rows) == 1 else ad.take_row(h, j)
         return out
 
-    def _chunks(self, sequences: Sequence[Sequence[int]]) -> Iterator[tuple[list[int], np.ndarray]]:
+    def _chunks(
+        self, sequences: Sequence[Sequence[int]], pooled: bool
+    ) -> Iterator[tuple[list[int], np.ndarray]]:
         """(positions, id matrix) per chunk of head-truncated sequences of one
-        length, at most CHUNK_TOKENS tokens (or one longer sequence)."""
+        length, whose widest array over every position holds at most
+        CHUNK_TOKENS * 4d values (or one longer sequence's). A full layer's
+        is its (n, T, 4d) feed-forward block, so a chunk takes CHUNK_TOKENS
+        tokens. A forward whose only layer is pooled (`pooled_layer`, T > 1)
+        holds only (n, T, d) arrays over every position, so 4 * CHUNK_TOKENS.
+        No pooled product depends on the chunk (see `ad.PooledRows`), so no
+        bit does."""
         cap = self.config.max_seq_len
         if not all(map(len, sequences)):
             raise DomainError("cannot encode an empty token sequence")
-        for rows in length_chunks((min(len(s), cap) for s in sequences), CHUNK_TOKENS):
+        only_pooled = pooled and self.config.layers == 1
+
+        def budget(length: int) -> int:
+            return CHUNK_TOKENS * (4 if only_pooled and length > 1 else 1)
+
+        for rows in length_chunks((min(len(s), cap) for s in sequences), budget):
             yield rows, np.array([list(sequences[r])[:cap] for r in rows])
 
     def embed(self, sequences: Sequence[Sequence[int]]) -> np.ndarray:
@@ -323,11 +337,13 @@ def group_by_length(lengths) -> dict[int, list[int]]:
     return groups
 
 
-def length_chunks(lengths, budget: int) -> Iterator[list[int]]:
+def length_chunks(lengths, budget: int | Callable[[int], int]) -> Iterator[list[int]]:
     """Positions grouped by length, each group cut in order into chunks of
-    at most `budget` tokens (one position when its length alone exceeds it)."""
+    at most `budget` tokens, or `budget(length)` (one position when its
+    length alone exceeds it)."""
     for length, rows in group_by_length(lengths).items():
-        size = max(1, budget // max(length, 1))
+        tokens = budget(length) if callable(budget) else budget
+        size = max(1, tokens // max(length, 1))
         for lo in range(0, len(rows), size):
             yield rows[lo:lo + size]
 

@@ -150,8 +150,10 @@ def train_supervised(
     tau = tau_value(config.tau_multiple, dual.config.hidden_size)
     optimizer = make_optimizer(dual, config)
     n = len(usable)
-    batches_per_epoch = max(1, math.ceil(n / config.batch_size))
-    total_steps = config.epochs * batches_per_epoch
+    batches_per_epoch = math.ceil(n / config.batch_size)
+    # the schedule counts only the batches that train: a size-1 tail is skipped
+    trained_per_epoch = n // config.batch_size + (n % config.batch_size > 1)
+    total_steps = config.epochs * max(1, trained_per_epoch)
     metrics: list[dict] = []
     step = 0
     for epoch in range(1, config.epochs + 1):

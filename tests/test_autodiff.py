@@ -297,6 +297,34 @@ def test_gelu_fast_path_assumptions():
         assert np.array_equal(bits(rows).reshape(-1), bits(whole[:4998]))
 
 
+def test_padded_product_assumptions():
+    """What `_at_full_shape`'s padding rests on, on this BLAS: where
+    T * K * N <= SMALL_GEMM_MNK, the first rows of a product over a
+    C-contiguous (..., K, N) right operand equal the T-row product's, bit
+    for bit, so the kept rows padded to min(T, PADDED_ROWS) rows give the
+    full product's rows. Checked with the other T - 2 rows nonzero, for 2-D
+    weights (the pooled `linear`'s d x d, d x 4d and 4d x d) and 4-D
+    per-head keys and values (the pooled `attention`'s two products)."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for d in (8, 16, 32, 64, 128, 256):
+        for k, n in ((d, d), (d, 4 * d), (4 * d, d)):
+            top = min(256, ad.SMALL_GEMM_MNK // (k * n))
+            for t in sorted({2, 9, 33, top // 2, top} & set(range(2, top + 1))):
+                cases.append((rng.normal(size=(2, t, k)), rng.normal(size=(k, n))))
+    for dh in (2, 4, 8, 16, 32):
+        top = math.isqrt(ad.SMALL_GEMM_MNK // dh)
+        for t in (2, 9, 33, top // 2, top):
+            weights = rng.random(size=(2, 4, t, t))
+            cases.append((rng.normal(size=(2, 4, t, dh)), rng.normal(size=(2, 4, dh, t))))
+            cases.append((weights / weights.sum(-1, keepdims=True), rng.normal(size=(2, 4, t, dh))))
+    assert len(cases) > 80
+    for a, b in cases:
+        assert b.flags.c_contiguous and a.shape[-2] * b.shape[-2] * b.shape[-1] <= ad.SMALL_GEMM_MNK
+        got = ad._at_full_shape(a[..., :2, :], b, a.shape[-2])
+        assert np.array_equal(bits(got), bits((a @ b)[..., :2, :])), (a.shape, b.shape)
+
+
 def test_first_gradient_write_keeps_the_bits_of_a_zero_buffer_add():
     rng = np.random.default_rng(4)
     grads = {

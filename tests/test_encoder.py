@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from retforge import autodiff as ad
+from retforge import encoder as encoder_module
 from retforge.checkpoint import load_checkpoint, save_checkpoint
 from retforge.encoder import (
     CHUNK_TOKENS,
@@ -150,24 +151,53 @@ def test_inference_encode_matches_reference_bitwise(layers):
 
 
 def test_embed_chunks_are_unpadded_and_bounded(monkeypatch):
-    config = EncoderConfig(vocab_size=40, layers=1, hidden_size=8, heads=2, max_seq_len=64)
-    encoder = DualEncoder(config, seed=0).question_encoder
-    seqs = oracle_sequences(np.random.default_rng(5), 300, 64)
+    """A chunk's widest array over every position holds at most
+    CHUNK_TOKENS * 4d values: a forward whose only layer is pooled takes up
+    to 4 * CHUNK_TOKENS tokens (its arrays over every position are (n, T, d)),
+    any other forward, a lone [CLS]'s included, CHUNK_TOKENS."""
+    seqs = oracle_sequences(np.random.default_rng(5), 300, 64) + [[CLS_ID]] * 300
     shapes = []
-    forward = encoder.forward
+    forward = TransformerEncoder.forward
 
-    def recording_forward(token_ids, pooled=False):
+    def recording_forward(self, token_ids, pooled=False, rows=None):
         assert not ad.grad_enabled()
         assert (token_ids != PAD_ID).all()
         shapes.append(token_ids.shape)
-        return forward(token_ids, pooled)
+        return forward(self, token_ids, pooled, rows)
 
-    monkeypatch.setattr(encoder, "forward", recording_forward)
-    out = encoder.embed(seqs)
-    assert out.shape == (len(seqs), 8)
-    assert sum(b for b, _ in shapes) == len(seqs)
-    assert all(b * t <= CHUNK_TOKENS for b, t in shapes)
+    monkeypatch.setattr(TransformerEncoder, "forward", recording_forward)
+    for layers, pooled in [(1, True), (2, True), (1, False)]:
+        config = EncoderConfig(vocab_size=40, layers=layers, hidden_size=8, heads=2, max_seq_len=64)
+        encoder = DualEncoder(config, seed=0).question_encoder
+        shapes.clear()
+        if pooled:
+            assert encoder.embed(seqs).shape == (len(seqs), 8)
+        else:
+            assert sum(len(rows) for rows, _ in encoder.infer(seqs)) == len(seqs)
+        assert sum(b for b, _ in shapes) == len(seqs)
+        assert all(b * t <= CHUNK_TOKENS for b, t in shapes if t == 1)
+        widest = max(b * t for b, t in shapes)
+        if layers == 1 and pooled:
+            assert CHUNK_TOKENS < widest <= 4 * CHUNK_TOKENS
+        else:
+            assert widest <= CHUNK_TOKENS
     assert ad.grad_enabled()
+
+
+def test_embed_bytes_do_not_depend_on_the_chunk_budget(monkeypatch):
+    """At hidden 128 a flat gemm over a chunk's kept rows would change
+    kernel with the chunk's size; per-sequence products keep every byte."""
+    for layers in (1, 2):
+        config = EncoderConfig(
+            vocab_size=40, layers=layers, hidden_size=128, heads=8, max_seq_len=48
+        )
+        encoder = DualEncoder(config, seed=layers).context_encoder
+        seqs = oracle_sequences(np.random.default_rng(layers), 150, 48)
+        embedded = []
+        for budget in (64, 4096):
+            monkeypatch.setattr(encoder_module, "CHUNK_TOKENS", budget)
+            embedded.append(encoder.embed(seqs).tobytes())
+        assert embedded[0] == embedded[1]
 
 
 # Pooled training forward: bitwise oracle -----------------------------------
@@ -303,6 +333,82 @@ def test_row_ordered_cut_through_the_plain_row_ordered_linear_fails_the_oracle(m
         want = [row_ordered_trials(layers) for layers in (1, 2)]
     monkeypatch.setattr(ad.PooledRows, "linear", plain)
     assert [row_ordered_trials(layers) for layers in (1, 2)] != want
+
+
+def rows_and_gradients(encoder, pooled_row) -> tuple[bytes, list[bytes]]:
+    """The bytes of `pooled_row()`'s (1, d) row and of each parameter's
+    gradient of a fixed linear loss on it."""
+    for p in encoder.parameters():
+        p.zero_grad()
+    row = pooled_row()
+    weights = ad.Tensor(np.random.default_rng(9).normal(size=row.shape))
+    ad.reduce_sum(ad.mul(row, weights)).backward()
+    return row.data.tobytes(), [p.grad.tobytes() for p in encoder.parameters()]
+
+
+def wide_model_trials(hidden):
+    """At `hidden` (8 heads), with 1 and 2 layers:
+    - per T in 176, 177, 250 and 251 (B = 1), the row and gradient bytes of
+      the full forward's position 0, `encode_batch` and `encode_rows`, then
+      the row bytes of `encode_batch` under `no_grad` and of `embed`. Head
+      widths 16 and 32 put T on both sides of OpenBLAS's small-matrix bound
+      for a full (T, T) score product: T * 16 * T passes 1e6 at 251,
+      T * 32 * T at 177;
+    - the bytes of one-row `encode_batch` calls and of one `embed` over 30
+      sequences at each of T = 3, 8 and 24."""
+    single, chunked = [], []
+    for layers in (1, 2):
+        config = EncoderConfig(
+            vocab_size=40, layers=layers, hidden_size=hidden, heads=8, max_seq_len=256
+        )
+        for t in (176, 177, 250, 251):
+            encoder = DualEncoder(config, seed=t).context_encoder
+            seq = [CLS_ID] + [int(x) for x in np.random.default_rng(t).integers(7, 40, t - 1)]
+            ids = np.array([seq])
+            order = ad.RowOrder()
+            with ad.no_grad():
+                no_graph = encoder.encode_batch([seq]).data.tobytes()
+            single.append([
+                rows_and_gradients(encoder, lambda: ad.take_position(encoder.forward(ids), 0)),
+                rows_and_gradients(encoder, lambda: encoder.encode_batch([seq])),
+                rows_and_gradients(
+                    encoder, lambda: encoder.encode_rows([seq], order, [(0,)], pooled=True)[0]
+                ),
+                no_graph, encoder.embed([seq]).tobytes(),
+            ])
+        encoder = DualEncoder(config, seed=layers).context_encoder
+        rng = np.random.default_rng(layers)
+        seqs = [[CLS_ID] + [int(x) for x in rng.integers(7, 40, t - 1)] for t in [3, 8, 24] * 30]
+        with ad.no_grad():
+            one_row = [encoder.encode_batch([s]).data.tobytes() for s in seqs]
+        chunked.append((b"".join(one_row), encoder.embed(seqs).tobytes()))
+    return single, chunked
+
+
+@pytest.mark.parametrize("hidden", [128, 256])
+def test_pooled_entry_points_match_the_full_forward_in_wide_models(hidden):
+    single, chunked = wide_model_trials(hidden)
+    for want, *entry_points, no_graph, embedded in single:
+        assert all(got == want for got in entry_points)
+        assert no_graph == embedded == want[0]
+    assert all(one_row == embedded for one_row, embedded in chunked)
+
+
+def test_pooled_linear_as_one_flat_gemm_fails_the_wide_oracle(monkeypatch):
+    """Why `PooledRows.linear`'s product runs per sequence: one (B * 2, d)
+    gemm takes another kernel than the full (T, d) product at hidden 128."""
+
+    def flat(self, x, w, b):
+        out = (x.data.reshape(-1, x.shape[-1]) @ w.data + b.data).reshape(*x.shape[:-1], -1)
+        return ad._linear_node(
+            x, w, b, self.rows, out,
+            lambda g: ad._pooled_input_grad(g, w.data, self.length), "pooled_linear",
+        )
+
+    monkeypatch.setattr(ad.PooledRows, "linear", flat)
+    single, chunked = wide_model_trials(128)
+    assert all(got != want for want, *entry_points, _, _ in single for got in entry_points)
+    assert all(one_row != embedded for one_row, embedded in chunked)
 
 
 def one_query_row(self, q, k, v, heads, mask):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from retforge import autodiff as ad
+from retforge import optim
 from retforge import training as T
 from retforge.data import Corpus, QAExample, SpanAnnotation, sample_ict_pair
 from retforge.encoder import (
@@ -356,6 +357,27 @@ def test_train_supervised_seeded_rerun_identical():
         dual = make_dual(corpus)
         runs.append(T.train_supervised(QA, corpus, dual, small_config()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("n, steps", [(17, 2), (18, 4), (16, 2)])
+def test_supervised_schedule_reaches_its_last_step(n, steps, monkeypatch):
+    """The schedule counts only the batches that train: 17 questions at
+    batch 16 train one batch per epoch (the size-1 tail is skipped), so the
+    second epoch's step is the schedule's last."""
+    scheduled = []
+    schedule = optim.linear_schedule
+
+    def spy(step, total_steps, warmup_ratio=0.01):
+        scheduled.append((step, total_steps))
+        return schedule(step, total_steps, warmup_ratio)
+
+    monkeypatch.setattr(optim, "linear_schedule", spy)
+    corpus = make_corpus()
+    dataset = [QA[i % len(QA)] for i in range(n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a batch of 16 repeats contexts
+        T.train_supervised(dataset, corpus, make_dual(corpus), small_config(batch_size=16))
+    assert scheduled == [(step, steps) for step in range(1, steps + 1)]
 
 
 def test_train_supervised_requires_usable_examples():
